@@ -10,6 +10,7 @@ of) the joint stabilizer by individualization backtracking.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,6 +27,10 @@ class SearchBudgetExceeded(RuntimeError):
 
 class PreconditionError(ValueError):
     pass
+
+
+class CertificationError(RuntimeError):
+    """A computed stabilizer or witness failed its own consistency check."""
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +453,8 @@ def _even_subgroup(G: PermGroup) -> PermGroup:
                 w = compose(w, inverse(t))
             kgens.append(w)
     K = PermGroup(kgens, G.degree)
-    assert 2 * K.order == G.order
+    if 2 * K.order != G.order:
+        raise CertificationError("even subgroup does not have index 2")
     return K
 
 
@@ -497,7 +503,8 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
                 continue
             found = ctx.find_auto(src, ctx.individualize(colors, q))
             if found is not None:
-                assert ctx.stabilizes(found)
+                if not ctx.stabilizes(found):
+                    raise CertificationError("backtrack returned a non-stabilizing map")
                 gens.append(found)
                 level_gens.append(found)
                 orbit = orbit_of(beta, level_gens)
@@ -505,7 +512,8 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
         prefix.append(beta)
         colors = src
     G = PermGroup(gens, ctx.n)
-    assert G.order == order, "generator set does not match the orbit chain"
+    if G.order != order:
+        raise CertificationError("generator set does not match the orbit chain")
     if parity == "even":
         return _even_subgroup(G)
     return G
@@ -636,19 +644,21 @@ def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=10000
         # certified pair exists: 1 is ruled out because the block stabilizer
         # is never normal here, so a 2-witness pins the value.  The search
         # is only worth running inside the known 2-base range.
-        if partition_base_size_value(a, b, ambient) == 2:
-            parts = _search_base(a, b, 2, parity, seed, budget)
-            if parts is not None:
-                return 2, _certify(parts, parity, exact=True)
-        raise PreconditionError(
-            f"exact mode needs ab <= 12 (got {n}) unless a 2-base is found"
-        )
+        if partition_base_size_value(a, b, ambient) != 2:
+            raise PreconditionError(
+                f"exact mode needs ab <= 12 (got {n}) outside the 2-base range"
+            )
+        parts = _search_base(a, b, 2, parity, seed, budget)
+        return 2, _certify(parts, parity, exact=True)
     return _exact_by_enumeration(a, b, ambient, parity)
 
 
 def _certify(parts, parity, exact):
     stab = partition_stabilizer(parts, parity)
-    assert stab.order == 1
+    if stab.order != 1:
+        raise CertificationError(
+            f"witness has joint stabilizer of order {stab.order}, not 1"
+        )
     return {
         "partitions": [format_partition(p) for p in parts],
         "stabilizer_order": 1,
@@ -733,16 +743,43 @@ def random_uniform_partition(a, b, rng) -> SetPartition:
     )
 
 
+def _forced_symmetry(cand, parity):
+    """True when the partitions in `cand` visibly share a nontrivial
+    symmetry of the given parity, without building their stabilizer.
+
+    Points with the same block in every partition form a cell; any
+    permutation of a cell fixes every block.  Under parity "all" a cell of
+    two points gives a transposition.  A transposition is odd, so under
+    parity "even" it takes a cell of three points (a 3-cycle) or two cells
+    of two (a double transposition)."""
+    tally = Counter(zip(*(p.block_of() for p in cand)))
+    cells = [k for k in tally.values() if k > 1]
+    if parity == "all":
+        return bool(cells)
+    return len(cells) > 1 or any(k > 2 for k in cells)
+
+
 def _search_base(a, b, size, parity, seed, budget):
     """Seeded random search for `size` partitions with trivial joint
-    stabilizer; first partition is the canonical one.  None on failure."""
+    stabilizer; first partition is the canonical one.  `budget` caps the
+    candidates drawn.  A candidate with a forced symmetry is skipped before
+    its stabilizer is built; its stabilizer is nontrivial anyway, so the
+    skip never changes which candidate is accepted."""
     rng = random.Random(seed)
     P1 = uniform_partition(a, b)
+    rejected = 0
     for _ in range(budget):
         cand = [P1] + [random_uniform_partition(a, b, rng) for _ in range(size - 1)]
-        if partition_stabilizer(cand, parity).order == 1:
+        if _forced_symmetry(cand, parity):
+            rejected += 1
+        elif partition_stabilizer(cand, parity).order == 1:
             return cand
-    return None
+    drawn = max(budget, 0)
+    raise SearchBudgetExceeded(
+        f"no {size}-base found for (a,b)=({a},{b}) within the budget: "
+        f"{drawn} trials drawn, {rejected} rejected by a shared cell, "
+        f"{drawn - rejected} stabilizers computed"
+    )
 
 
 def minimal_partition_base(a, b, ambient="sym", seed=1, budget=100000):
@@ -770,9 +807,4 @@ def minimal_partition_base(a, b, ambient="sym", seed=1, budget=100000):
             parts = list(construct_bcd_equal(a))
     if parts is not None and partition_stabilizer(parts, parity).order == 1:
         return parts
-    parts = _search_base(a, b, target, parity, seed, budget)
-    if parts is None:
-        raise SearchBudgetExceeded(
-            f"no {target}-base found for (a,b)=({a},{b}) within {budget} trials"
-        )
-    return parts
+    return _search_base(a, b, target, parity, seed, budget)

@@ -143,6 +143,15 @@ def test_refusal_exit_codes():
     assert main(["alpha", "--spec", "S6", "--cap", "100"]) == 2
 
 
+def test_budget_refusal_reports_work(capsys):
+    code = main(["base-size", "-a", "8", "-b", "4", "--mode", "upper",
+                 "--seed", "1", "--budget", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "5 trials drawn, 5 rejected by a shared cell" in err
+    assert "0 stabilizers computed" in err
+
+
 def test_deterministic_json_bytes(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -3,11 +3,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minbase.partitions import (
+    CertificationError,
     GridCoords,
     PreconditionError,
+    SearchBudgetExceeded,
     SetPartition,
+    _certify,
+    _forced_symmetry,
+    _search_base,
     all_uniform_partitions,
     apply_to_canonical,
     base_size_partitions,
@@ -288,3 +295,79 @@ def test_cross_counts_consistency():
     B, C, D = construct_bcd_equal(6)
     m = cross_counts(B, C)
     assert all(m[r][s] == 1 for r in range(6) for s in range(6))
+
+
+def test_certify_raises_without_assert():
+    # a lone partition has a huge stabilizer; the check must survive -O
+    with pytest.raises(CertificationError):
+        _certify([uniform_partition(4, 3)], "all", exact=False)
+
+
+def test_forced_symmetry_parity():
+    P = uniform_partition(3, 2)
+    # one shared cell {1,2}: a transposition, odd
+    Q = SetPartition.from_blocks(6, [[0, 1], [2, 4], [3, 5]])
+    assert _forced_symmetry([P, Q], "all")
+    assert not _forced_symmetry([P, Q], "even")
+    # two shared cells {1,2}, {3,4}: a double transposition, even
+    R = SetPartition.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
+    assert _forced_symmetry([P, R], "even")
+    # one shared cell of three points: a 3-cycle, even
+    assert _forced_symmetry([uniform_partition(2, 3)] * 2, "even")
+
+
+_SMALL_AB = [(a, b) for a in range(2, 9) for b in range(2, 9) if a * b <= 16]
+
+
+@st.composite
+def _families(draw):
+    a, b = draw(st.sampled_from(_SMALL_AB))
+    k = draw(st.integers(2, 3))
+    parts = []
+    for _ in range(k):
+        pts = draw(st.permutations(range(a * b)))
+        parts.append(SetPartition.from_blocks(
+            a * b, [pts[i * b:(i + 1) * b] for i in range(a)]))
+    return parts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families(), st.sampled_from(["all", "even"]))
+def test_forced_symmetry_implies_nontrivial_stabilizer(parts, parity):
+    if _forced_symmetry(parts, parity):
+        assert partition_stabilizer(parts, parity).order > 1
+
+
+def _unfiltered_search(a, b, size, parity, seed):
+    """Oracle: the search loop with every candidate's stabilizer built."""
+    rng = random.Random(seed)
+    P1 = uniform_partition(a, b)
+    while True:
+        cand = [P1] + [random_uniform_partition(a, b, rng) for _ in range(size - 1)]
+        if partition_stabilizer(cand, parity).order == 1:
+            return cand
+
+
+@pytest.mark.parametrize(
+    "a,b,size,parity,seed",
+    [
+        (8, 3, 2, "all", 1),
+        (8, 3, 2, "all", 2),
+        (9, 3, 2, "all", 1),
+        (10, 4, 2, "all", 2),
+        (8, 3, 2, "even", 1),
+        (9, 4, 2, "even", 1),
+        (5, 2, 3, "all", 1),
+    ],
+)
+def test_search_matches_unfiltered_oracle(a, b, size, parity, seed):
+    got = _search_base(a, b, size, parity, seed, budget=100000)
+    want = _unfiltered_search(a, b, size, parity, seed)
+    assert [p.canonical() for p in got] == [p.canonical() for p in want]
+
+
+def test_exact_mode_budget_refusal_beyond_enumeration():
+    # (8,4) lies in the 2-base range; the seed-1 search needs far more
+    # than one trial, so exact mode refuses on budget, not on ab > 12
+    with pytest.raises(SearchBudgetExceeded, match="1 trials drawn, 1 rejected"):
+        base_size_partitions(8, 4, mode="exact", seed=1, budget=1)
