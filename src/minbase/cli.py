@@ -3,9 +3,10 @@ point, with JSON certificates that a `verify` subcommand can re-check
 from their own content.
 
 Exit codes: 0 = verified pass, 1 = verified fail (a counterexample was
-found), 2 = refusal (bad parameters, order cap, or search budget) -- a
-refusal is never a fail.  JSON output is deterministic for search-free
-commands; wall-clock timing appears only in the human-readable report.
+found, or a certificate was rejected), 2 = refusal (bad parameters, order
+cap, search budget, or a malformed certificate) -- a refusal is never a
+fail.  JSON output is deterministic for search-free commands; wall-clock
+timing appears only in the human-readable report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from . import bounds as bounds_mod
 from .bounds import FAMILY_BUILDERS, evaluate_qhat
 from .catalog import BUILTIN_NAMES, group_from_spec
 from .classical import (
-    BudgetError,
     orth_odd_construct,
     orth_odd_pair_check,
     sp4_pair_stabilizer,
@@ -29,15 +29,14 @@ from .classical import (
 )
 from .fq import Fq, frobenius_subspace
 from .invariants import (
-    NotSoluble,
     alpha,
-    base_size_subgroup,
     beta,
     chief_factor_bound,
     soluble_bounds_report,
 )
-from .lattice import GroupTable, Lattice, OrderCapExceeded, frattini
+from .lattice import GroupTable, Lattice, frattini
 from .partitions import (
+    CertificationError,
     PreconditionError,
     SearchBudgetExceeded,
     base_size_partitions,
@@ -59,22 +58,23 @@ def _emit(args, cert, human_lines, elapsed):
         for line in human_lines:
             print(line)
         print(f"[{elapsed:.2f}s]")
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             json.dump(cert, fh, indent=1, sort_keys=True, default=str)
 
 
 def _lattice_for(args):
     G = group_from_spec(args.spec)
-    table = GroupTable(G, getattr(args, "cap", 1000) or 1000)
+    table = GroupTable(G, args.cap or 1000)
     return Lattice(table)
 
 
 # -- subcommand implementations ---------------------------------------------
+# Each returns (exit status, certificate or None, human-readable lines);
+# main() stamps the command and seed, times the call and prints.
 
 
 def cmd_partition_base(args):
-    t0 = time.time()
     parts = minimal_partition_base(
         args.a, args.b, ambient=args.ambient, seed=args.seed, budget=args.budget
     )
@@ -83,9 +83,7 @@ def cmd_partition_base(args):
     ).order
     claimed = partition_base_size_value(args.a, args.b, args.ambient)
     cert = {
-        "command": "partition-base",
         "inputs": {"a": args.a, "b": args.b, "ambient": args.ambient},
-        "seed": args.seed,
         "result": {"base_size": len(parts), "stabilizer_order": order,
                    "claimed_value": claimed},
         "witnesses": {"partitions": [format_partition(p) for p in parts]},
@@ -95,58 +93,47 @@ def cmd_partition_base(args):
         *("  " + format_partition(p) for p in parts),
         f"joint stabilizer order: {order} (certified)",
     ]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS if order == 1 and len(parts) == claimed else FAIL
+    return PASS if order == 1 and len(parts) == claimed else FAIL, cert, lines
 
 
 def cmd_base_size(args):
-    t0 = time.time()
     value, cert_data = base_size_partitions(
         args.a, args.b, mode=args.mode, ambient=args.ambient,
         seed=args.seed, budget=args.budget,
     )
     cert = {
-        "command": "base-size",
         "inputs": {"a": args.a, "b": args.b, "mode": args.mode,
                    "ambient": args.ambient},
-        "seed": args.seed,
         "result": {"base_size": value, "exact": cert_data["exact"]},
         "witnesses": {"partitions": cert_data["partitions"]},
     }
-    lines = [f"base size ({args.mode}) = {value}"]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS
+    return PASS, cert, [f"base size ({args.mode}) = {value}"]
 
 
 def cmd_stabilizer(args):
-    t0 = time.time()
     parts = [
         parse_partition(chunk, args.ground)
         for chunk in args.partitions.split(";")
     ]
     G = partition_stabilizer(parts, args.parity)
     cert = {
-        "command": "stabilizer",
         "inputs": {"ground": args.ground, "parity": args.parity,
                    "partitions": [format_partition(p) for p in parts]},
-        "seed": args.seed,
         "result": {"order": G.order},
         "witnesses": {"generators": [format_perm(g) for g in G.generators]},
     }
-    _emit(args, cert, [f"stabilizer order: {G.order}"], time.time() - t0)
-    return PASS
+    return PASS, cert, [f"stabilizer order: {G.order}"]
 
 
 def cmd_alpha(args):
-    t0 = time.time()
     lat = _lattice_for(args)
     cert_a = alpha(lat)
     table = lat.table
     frat_rec = frattini(lat)
+    if not cert_a.verify(table):
+        raise CertificationError("alpha witness failed its own check")
     cert = {
-        "command": "alpha",
         "inputs": {"spec": args.spec, "order": table.n},
-        "seed": args.seed,
         "result": {"alpha": cert_a.value, "frattini_order": cert_a.frattini_order,
                    "exhaustive": cert_a.exhaustive},
         "witnesses": {
@@ -157,52 +144,42 @@ def cmd_alpha(args):
             "frattini_generators": [table.word_of(g) for g in frat_rec.generators],
         },
     }
-    assert cert_a.verify(table)
-    lines = [f"alpha({args.spec}) = {cert_a.value} (proved minimal)"]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS
+    return PASS, cert, [f"alpha({args.spec}) = {cert_a.value} (proved minimal)"]
 
 
 def cmd_beta(args):
-    t0 = time.time()
     lat = _lattice_for(args)
     res = beta(lat)
     table = lat.table
     if res.value is math.inf:
-        cert = {
-            "command": "beta",
-            "inputs": {"spec": args.spec, "order": table.n},
-            "seed": args.seed,
-            "result": {"beta": "infinity", "frattini_order": res.frattini_order},
-            "witnesses": {
-                "core_orders_by_class": [
-                    {"generators": [table.word_of(g) for g in rec.generators],
-                     "core_order": order}
-                    for rec, order in res.empty_star_evidence
-                ]
-            },
+        value = "infinity"
+        witnesses = {
+            "core_orders_by_class": [
+                {"generators": [table.word_of(g) for g in rec.generators],
+                 "core_order": order}
+                for rec, order in res.empty_star_evidence
+            ]
         }
-        lines = [f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"]
-        _emit(args, cert, lines, time.time() - t0)
-        return PASS
-    chosen = res.chosen
-    cert = {
-        "command": "beta",
-        "inputs": {"spec": args.spec, "order": table.n},
-        "seed": args.seed,
-        "result": {"beta": res.value, "frattini_order": res.frattini_order},
-        "witnesses": {
+        line = f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"
+    else:
+        chosen = res.chosen
+        if not chosen.verify(table):
+            raise CertificationError("beta witness failed its own check")
+        value = res.value
+        witnesses = {
             "subgroup_generators": [
                 table.word_of(g) for g in chosen.subgroup.generators
             ],
             "conjugator_words": [table.word_of(g) for g in chosen.conjugators],
             "core_order": chosen.core_order,
-        },
+        }
+        line = f"beta({args.spec}) = {value}"
+    cert = {
+        "inputs": {"spec": args.spec, "order": table.n},
+        "result": {"beta": value, "frattini_order": res.frattini_order},
+        "witnesses": witnesses,
     }
-    assert chosen.verify(table)
-    lines = [f"beta({args.spec}) = {res.value}"]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS
+    return PASS, cert, [line]
 
 
 def _parse_qgrid(text):
@@ -222,7 +199,6 @@ def _parse_qgrid(text):
 
 
 def cmd_qhat(args):
-    t0 = time.time()
     builder = FAMILY_BUILDERS[args.family]
     rows = []
     all_certified = True
@@ -248,12 +224,9 @@ def cmd_qhat(args):
             }
         )
     if not rows:
-        print("no admissible q in the grid", file=sys.stderr)
-        return REFUSED
+        raise PreconditionError("no admissible q in the grid")
     cert = {
-        "command": "qhat",
         "inputs": {"family": args.family, "q": args.q, "c": args.c},
-        "seed": args.seed,
         "result": {"all_certified": all_certified, "rows": rows},
         "witnesses": {},
     }
@@ -261,113 +234,97 @@ def cmd_qhat(args):
         f"q={r['q']}: sum = {r['value_float']:.6g}  certified(<1) = {r['certified']}"
         for r in rows
     ]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS if all_certified else FAIL
+    return PASS if all_certified else FAIL, cert, lines
 
 
 def cmd_sp4(args):
-    t0 = time.time()
     if args.triple:
         rep = sp4_triple_base_check(args.q)
-        cert = {
-            "command": "sp4",
-            "inputs": {"q": args.q, "triple": True},
-            "seed": args.seed,
-            "result": {
-                "verdict": rep.verdict,
-                "pair_scalars_only": rep.pair_scalars_only,
-                "phi_fixes_alpha": rep.phi_fixes_alpha,
-                "phi_fixes_beta": rep.phi_fixes_beta,
-                "phi_moves_gamma": rep.phi_moves_gamma,
-            },
-            "witnesses": {},
+        ok = rep.verdict
+        result = {
+            "verdict": rep.verdict,
+            "pair_scalars_only": rep.pair_scalars_only,
+            "phi_fixes_alpha": rep.phi_fixes_alpha,
+            "phi_fixes_beta": rep.phi_fixes_beta,
+            "phi_moves_gamma": rep.phi_moves_gamma,
         }
-        lines = [f"triple base check at q={args.q}: {'pass' if rep.verdict else 'FAIL'}"]
-        _emit(args, cert, lines, time.time() - t0)
-        return PASS if rep.verdict else FAIL
-    rep = sp4_pair_stabilizer(args.q)
-    cert = {
-        "command": "sp4",
-        "inputs": {"q": args.q, "triple": False},
-        "seed": args.seed,
-        "result": {
+        witnesses = {}
+        line = f"triple base check at q={args.q}: {'pass' if ok else 'FAIL'}"
+    else:
+        rep = sp4_pair_stabilizer(args.q)
+        ok = rep.scalars_only
+        result = {
             "candidates": rep.candidates,
             "survivor_count": len(rep.survivors),
             "scalars_only": rep.scalars_only,
-        },
-        "witnesses": {"survivors": [list(map(list, g)) for g in rep.survivors]},
+        }
+        witnesses = {"survivors": [list(map(list, g)) for g in rep.survivors]}
+        line = (
+            f"pair stabilizer at q={args.q}: {len(rep.survivors)} survivors "
+            f"(expected {args.q - 1} scalars): {'pass' if ok else 'FAIL'}"
+        )
+    cert = {
+        "inputs": {"q": args.q, "triple": args.triple},
+        "result": result,
+        "witnesses": witnesses,
     }
-    lines = [
-        f"pair stabilizer at q={args.q}: {len(rep.survivors)} survivors "
-        f"(expected {args.q - 1} scalars): {'pass' if rep.scalars_only else 'FAIL'}"
-    ]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS if rep.scalars_only else FAIL
+    return PASS if ok else FAIL, cert, [line]
 
 
 def cmd_orth(args):
-    t0 = time.time()
     if args.pair_check:
         rep = orth_odd_pair_check(args.n, args.q)
-        cert = {
-            "command": "orth",
-            "inputs": {"n": args.n, "q": args.q, "pair_check": True},
-            "seed": args.seed,
-            "result": {
-                "stabilizer_size": rep.stabilizer_size,
-                "survivors": rep.survivors,
-                "verdict": rep.verdict,
-            },
-            "witnesses": (
-                {}
-                if rep.counterexample is None
-                else {"counterexample": [list(r) for r in rep.counterexample]}
-            ),
+        ok = rep.verdict
+        result = {
+            "stabilizer_size": rep.stabilizer_size,
+            "survivors": rep.survivors,
+            "verdict": rep.verdict,
         }
+        witnesses = (
+            {}
+            if rep.counterexample is None
+            else {"counterexample": [list(r) for r in rep.counterexample]}
+        )
         lines = [
             f"pair check O_{args.n}({args.q}): {rep.survivors} survivor(s) "
-            f"out of {rep.stabilizer_size}: {'pass' if rep.verdict else 'FAIL'}"
+            f"out of {rep.stabilizer_size}: {'pass' if ok else 'FAIL'}"
         ]
-        _emit(args, cert, lines, time.time() - t0)
-        return PASS if rep.verdict else FAIL
-    variant = "4m+1" if args.n % 4 == 1 else "4m+3"
-    m = (args.n - (1 if variant == "4m+1" else 3)) // 4
-    cons = orth_odd_construct(m, variant, args.q)
-    F = Fq(args.q)
-    phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime if F.f > 1 else None
-    cert = {
-        "command": "orth",
-        "inputs": {"n": args.n, "q": args.q, "pair_check": False},
-        "seed": args.seed,
-        "result": {
+    else:
+        variant = "4m+1" if args.n % 4 == 1 else "4m+3"
+        m = (args.n - (1 if variant == "4m+1" else 3)) // 4
+        cons = orth_odd_construct(m, variant, args.q)
+        F = Fq(args.q)
+        phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime if F.f > 1 else None
+        ok = True
+        result = {
             "dim_U": len(cons.U),
             "dim_W": len(cons.W),
             "phi_moves_w_prime": phi_moves,
-        },
-        "witnesses": {
+        }
+        witnesses = {
             "U": [list(v) for v in cons.U],
             "W": [list(v) for v in cons.W],
             "W_prime": [list(v) for v in cons.W_prime],
             "basis": cons.basis_names,
-        },
+        }
+        lines = [
+            f"constructed U, W, W' in dimension {args.n} over F_{args.q}",
+            f"phi moves W': {phi_moves}",
+        ]
+    cert = {
+        "inputs": {"n": args.n, "q": args.q, "pair_check": args.pair_check},
+        "result": result,
+        "witnesses": witnesses,
     }
-    lines = [
-        f"constructed U, W, W' in dimension {args.n} over F_{args.q}",
-        f"phi moves W': {phi_moves}",
-    ]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS
+    return PASS if ok else FAIL, cert, lines
 
 
 def cmd_soluble(args):
-    t0 = time.time()
     lat = _lattice_for(args)
     rep = soluble_bounds_report(lat)
     ok = rep.alpha_le_length and (rep.alpha_le_non_frattini in (True, None))
     cert = {
-        "command": "soluble",
         "inputs": {"spec": args.spec},
-        "seed": args.seed,
         "result": {
             "alpha": rep.alpha_value,
             "chief_length": rep.chief_length,
@@ -382,18 +339,14 @@ def cmd_soluble(args):
         f"{args.spec}: alpha={rep.alpha_value} chief_length={rep.chief_length} "
         f"non_frattini={rep.non_frattini_count}: {'pass' if ok else 'FAIL'}"
     ]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS if ok else FAIL
+    return PASS if ok else FAIL, cert, lines
 
 
 def cmd_theorem4(args):
-    t0 = time.time()
     lat = _lattice_for(args)
     rep = chief_factor_bound(lat)
     cert = {
-        "command": "theorem4",
         "inputs": {"spec": args.spec},
-        "seed": args.seed,
         "result": {
             "alpha": rep.alpha_value,
             "bound": rep.bound,
@@ -415,52 +368,52 @@ def cmd_theorem4(args):
         f"{args.spec}: alpha={rep.alpha_value} <= bound={rep.bound}: "
         f"{'pass' if rep.verdict else 'FAIL'}"
     ]
-    _emit(args, cert, lines, time.time() - t0)
-    return PASS if rep.verdict else FAIL
+    return PASS if rep.verdict else FAIL, cert, lines
 
 
 def cmd_catalog(args):
+    lines = []
     for name in BUILTIN_NAMES:
         G = group_from_spec(name)
-        print(f"{name:10s} degree {G.degree:3d} order {G.order}")
-    return PASS
+        lines.append(f"{name:10s} degree {G.degree:3d} order {G.order}")
+    return PASS, None, lines
 
 
 def cmd_verify(args):
-    with open(args.certificate) as fh:
-        cert = json.load(fh)
-    command = cert.get("command")
-    checker = _VERIFIERS.get(command)
+    try:
+        with open(args.certificate) as fh:
+            cert = json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"cannot read certificate: {exc}") from exc
+    if not isinstance(cert, dict) or not isinstance(cert.get("command"), str):
+        raise PreconditionError("certificate is not a JSON object with a command")
+    checker = _VERIFIERS.get(cert["command"])
     if checker is None:
-        print(f"no verifier for command {command!r}", file=sys.stderr)
-        return REFUSED
-    ok = checker(cert)
-    print(f"certificate {args.certificate}: {'verified' if ok else 'REJECTED'}")
-    return PASS if ok else FAIL
+        raise PreconditionError(f"no verifier for command {cert['command']!r}")
+    try:
+        ok = checker(cert)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        # a field missing or of the wrong shape; a refusal is never "verified"
+        raise PreconditionError(f"malformed certificate: {exc!r}") from exc
+    verdict = "verified" if ok else "REJECTED"
+    return PASS if ok else FAIL, None, [f"certificate {args.certificate}: {verdict}"]
 
 
 # -- certificate re-verification ---------------------------------------------
 
 
-def _verify_partition_base(cert):
-    a = cert["inputs"]["a"]
-    b = cert["inputs"]["b"]
-    ambient = cert["inputs"].get("ambient", "sym")
-    parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
-    order = partition_stabilizer(parts, "all" if ambient == "sym" else "even").order
-    return (
-        order == cert["result"]["stabilizer_order"]
-        and len(parts) == cert["result"]["base_size"]
-        and order == 1
-    )
-
-
-def _verify_base_size(cert):
+def _verify_partitions(cert):
+    """partition-base and base-size: the witnesses have trivial joint
+    stabilizer, and their number and stabilizer order are as claimed."""
     a, b = cert["inputs"]["a"], cert["inputs"]["b"]
     ambient = cert["inputs"].get("ambient", "sym")
     parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
     order = partition_stabilizer(parts, "all" if ambient == "sym" else "even").order
-    return order == 1 and len(parts) == cert["result"]["base_size"]
+    return (
+        order == 1
+        and len(parts) == cert["result"]["base_size"]
+        and cert["result"].get("stabilizer_order", 1) == 1
+    )
 
 
 def _verify_stabilizer(cert):
@@ -495,7 +448,12 @@ def _verify_beta(cert):
     G = group_from_spec(cert["inputs"]["spec"])
     table = GroupTable(G, 2000)
     if cert["result"]["beta"] == "infinity":
-        return True  # evidence is advisory; emptiness needs the full lattice
+        # no witness can show that no maximal class qualifies: re-derive
+        res = beta(Lattice(table))
+        return (
+            res.value == math.inf
+            and res.frattini_order == cert["result"]["frattini_order"]
+        )
     sub = _witness_subgroup_elems(table, cert["witnesses"]["subgroup_generators"])
     inter = set(sub)
     for w in cert["witnesses"]["conjugator_words"]:
@@ -572,8 +530,8 @@ def _verify_theorem4(cert):
 
 
 _VERIFIERS = {
-    "partition-base": _verify_partition_base,
-    "base-size": _verify_base_size,
+    "partition-base": _verify_partitions,
+    "base-size": _verify_partitions,
     "stabilizer": _verify_stabilizer,
     "alpha": _verify_alpha,
     "beta": _verify_beta,
@@ -589,11 +547,18 @@ _VERIFIERS = {
 
 
 def _add_common(p):
+    """Flags of every certificate subcommand."""
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget", type=int, default=100000)
-    p.add_argument("--cap", type=int, default=1000, help="subgroup-lattice order cap")
     p.add_argument("--out", help="also write the certificate to this file")
+
+
+def _add_partition_action(p):
+    p.add_argument("-a", type=int, required=True)
+    p.add_argument("-b", type=int, required=True)
+    p.add_argument("--ambient", choices=["sym", "alt"], default="sym")
+    p.add_argument("--budget", type=int, default=100000, help="search trial cap")
+    _add_common(p)
 
 
 def build_parser():
@@ -604,18 +569,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("partition-base", help="certified base for the partition action")
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
-    p.add_argument("--ambient", choices=["sym", "alt"], default="sym")
-    _add_common(p)
+    _add_partition_action(p)
     p.set_defaults(func=cmd_partition_base)
 
     p = sub.add_parser("base-size", help="exact or upper base size for the partition action")
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "upper"], default="exact")
-    p.add_argument("--ambient", choices=["sym", "alt"], default="sym")
-    _add_common(p)
+    _add_partition_action(p)
     p.set_defaults(func=cmd_base_size)
 
     p = sub.add_parser("stabilizer", help="joint stabilizer of listed partitions")
@@ -626,15 +585,17 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_stabilizer)
 
-    p = sub.add_parser("alpha", help="intersection number with witness")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_alpha)
-
-    p = sub.add_parser("beta", help="base number with witness")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_beta)
+    for name, func, text in (
+        ("alpha", cmd_alpha, "intersection number with witness"),
+        ("beta", cmd_beta, "base number with witness"),
+        ("soluble", cmd_soluble, "intersection number vs chief-series bounds"),
+        ("theorem4", cmd_theorem4, "chief-factor upper bound vs exact alpha"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--spec", required=True)
+        p.add_argument("--cap", type=int, default=1000, help="subgroup-lattice order cap")
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("qhat", help="exact-rational bound tables")
     p.add_argument("--family", choices=sorted(FAMILY_BUILDERS), required=True)
@@ -656,16 +617,6 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_orth)
 
-    p = sub.add_parser("soluble", help="intersection number vs chief-series bounds")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_soluble)
-
-    p = sub.add_parser("theorem4", help="chief-factor upper bound vs exact alpha")
-    p.add_argument("--spec", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_theorem4)
-
     p = sub.add_parser("verify", help="re-check an emitted certificate")
     p.add_argument("certificate")
     p.set_defaults(func=cmd_verify)
@@ -677,19 +628,25 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: print its report or certificate, write --out,
+    and map refusals (every ValueError, and an exhausted search budget)
+    to exit code 2."""
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
-    except (PreconditionError, BudgetError, OrderCapExceeded, NotSoluble) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return REFUSED
+        status, cert, lines = args.func(args)
     except SearchBudgetExceeded as exc:
         print(f"refused (budget): {exc}", file=sys.stderr)
         return REFUSED
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSED
+    if cert is None:
+        print("\n".join(lines))
+    else:
+        cert.update(command=args.cmd, seed=args.seed)
+        _emit(args, cert, lines, time.time() - t0)
+    return status
 
 
 if __name__ == "__main__":

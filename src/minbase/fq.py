@@ -201,10 +201,6 @@ def vec_add(F, u, v):
     return tuple(F.add[a][b] for a, b in zip(u, v))
 
 
-def vec_scale(F, c, v):
-    return tuple(F.mul[c][x] for x in v)
-
-
 def mat_transpose(A):
     return tuple(zip(*A))
 
@@ -275,10 +271,6 @@ def subspace_canonical(F, vectors):
     return rref(F, [v for v in vectors if any(v)])
 
 
-def subspace_dim(canon):
-    return len(canon)
-
-
 def gram_matrix(F, form, vectors):
     out = []
     for u in vectors:
@@ -299,12 +291,6 @@ def bilinear(F, form, u, v):
     for a, b in zip(fu, v):
         acc = F.add[acc][F.mul[a][b]]
     return acc
-
-
-def is_square(F, x):
-    if x == 0:
-        return True
-    return F.pow(x, (F.q - 1) // 2) == 1 if F.p != 2 else True
 
 
 def frobenius_vec(F, v):

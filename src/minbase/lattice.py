@@ -212,16 +212,6 @@ class Lattice:
         ]
 
 
-def all_subgroups(G: PermGroup, order_cap: int = 1000):
-    """Complete subgroup list of G (order capped), each exactly once."""
-    table = GroupTable(G, order_cap)
-    return Lattice(table).subgroups
-
-
-def maximal_subgroups(lattice: Lattice):
-    return lattice.maximal_subgroups()
-
-
 def frattini(lattice: Lattice) -> SubgroupRecord:
     """Intersection of all maximal subgroups."""
     maxs = lattice.maximal_subgroups()

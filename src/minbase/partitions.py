@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .perm import PermGroup, compose, identity, inverse, sign
+from .perm import PermGroup, compose, identity, inverse, orbit, orbits, sign
 
 
 class GroundMismatch(ValueError):
@@ -484,22 +484,10 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
             break
         beta = min(target)
         level_gens = [g for g in gens if all(g[p] == p for p in prefix)]
-
-        def orbit_of(pt, gs):
-            orb = {pt}
-            stack = [pt]
-            while stack:
-                z = stack.pop()
-                for g in gs:
-                    if g[z] not in orb:
-                        orb.add(g[z])
-                        stack.append(g[z])
-            return orb
-
-        orbit = orbit_of(beta, level_gens)
+        orb = orbit(beta, level_gens)
         src = ctx.individualize(colors, beta)
         for q in sorted(target):
-            if q in orbit:
+            if q in orb:
                 continue
             found = ctx.find_auto(src, ctx.individualize(colors, q))
             if found is not None:
@@ -507,8 +495,8 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
                     raise CertificationError("backtrack returned a non-stabilizing map")
                 gens.append(found)
                 level_gens.append(found)
-                orbit = orbit_of(beta, level_gens)
-        order *= len(orbit)
+                orb = orbit(beta, level_gens)
+        order *= len(orb)
         prefix.append(beta)
         colors = src
     G = PermGroup(gens, ctx.n)
@@ -569,36 +557,9 @@ def wreath_generators(a, b):
 
 
 def _orbit_reps(omega, index, gens):
-    """Orbit representatives (as indices into omega) under the given perms."""
-    seen = bytearray(len(omega))
-    reps = []
-    for start in range(len(omega)):
-        if seen[start]:
-            continue
-        reps.append(start)
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for g in gens:
-                j = index[apply_to_canonical(g, omega[i])]
-                if not seen[j]:
-                    seen[j] = 1
-                    stack.append(j)
-    return reps
-
-
-def _group_from_elements(elems, degree):
-    """Small generating set for a set of permutations known to be a group."""
-    gens = []
-    G = PermGroup([], degree)
-    for x in elems:
-        if G.order == len(elems):
-            break
-        if not G.contains(x):
-            gens.append(x)
-            G = PermGroup(gens, degree)
-    return G
+    """Least index into omega of each orbit under the given perms."""
+    induced = [[index[apply_to_canonical(g, P)] for P in omega] for g in gens]
+    return [orb[0] for orb in orbits(len(omega), induced)]
 
 
 def _is_normal_in_ambient(W, ambient_gens):
@@ -682,30 +643,25 @@ def _exact_by_enumeration(a, b, ambient, parity):
             "base_size": 1,
             "exact": True,
         }
-    w_elems = W.elements()
 
-    def stab_elems(elems, blocks):
-        return [g for g in elems if apply_to_canonical(g, blocks) == blocks]
+    def stabilizer(blocks):
+        parts = [SetPartition.from_blocks(n, p) for p in [P1] + blocks]
+        return partition_stabilizer(parts, parity)
 
-    def extend(prefix_blocks, elems, size_left):
+    def extend(prefix_blocks, G, size_left):
         """DFS for a tuple completing the prefix to a base; exhaustive.
 
-        Representatives duplicating an earlier pick are skipped: at the
-        minimal size no base repeats a partition, and orbit reduction by
-        the running stabilizer keeps that property.  The first level is
-        scanned smallest-stabilizer-first to reach witnesses early."""
+        G is the joint stabilizer of P1 and the prefix.  Representatives
+        duplicating an earlier pick are skipped: at the minimal size no
+        base repeats a partition, and orbit reduction by the running
+        stabilizer keeps that property.  The first level is scanned
+        smallest-stabilizer-first to reach witnesses early."""
         if size_left == 0:
-            return [P1] + prefix_blocks if len(elems) == 1 else None
-        gens = _group_from_elements(elems, n).generators
-        reps = _orbit_reps(omega, index, gens)
+            return [P1] + prefix_blocks if G.order == 1 else None
+        reps = _orbit_reps(omega, index, G.generators)
         if not prefix_blocks:
-            subs = []
-            for rep in reps:
-                cand = omega[rep]
-                if cand == P1:
-                    continue
-                subs.append((stab_elems(elems, cand), cand))
-            subs.sort(key=lambda t: len(t[0]))
+            subs = [(stabilizer([omega[r]]), omega[r]) for r in reps if omega[r] != P1]
+            subs.sort(key=lambda t: t[0].order)
             for sub, cand in subs:
                 result = extend([cand], sub, size_left - 1)
                 if result is not None:
@@ -716,19 +672,16 @@ def _exact_by_enumeration(a, b, ambient, parity):
             if cand in prefix_blocks or cand == P1:
                 continue
             result = extend(
-                prefix_blocks + [cand], stab_elems(elems, cand), size_left - 1
+                prefix_blocks + [cand], stabilizer(prefix_blocks + [cand]), size_left - 1
             )
             if result is not None:
                 return result
         return None
 
     for k in range(2, len(omega) + 2):
-        result = extend([], w_elems, k - 1)
+        result = extend([], W, k - 1)
         if result is not None:
-            parts = [
-                p if isinstance(p, SetPartition) else SetPartition.from_blocks(n, p)
-                for p in result
-            ]
+            parts = [SetPartition.from_blocks(n, p) for p in result]
             cert = _certify(parts, parity, exact=True)
             cert["minimality"] = f"no base of size {k - 1} exists (exhausted)"
             return k, cert

@@ -9,7 +9,6 @@ e.g. "(1,2)(3,4,5)"; non-disjoint cycles are applied right to left.
 from __future__ import annotations
 
 import re
-from functools import reduce
 
 Perm = tuple
 
@@ -35,10 +34,6 @@ def compose(p, q):
     if len(p) != len(q):
         raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
     return tuple(q[x] for x in p)
-
-
-def compose_all(perms, n):
-    return reduce(compose, perms, identity(n))
 
 
 def inverse(p):
@@ -145,6 +140,33 @@ def format_perm(p) -> str:
             j = p[j]
         out.append("(" + ",".join(str(x + 1) for x in cycle) + ")")
     return "".join(out) if out else "()"
+
+
+def orbit(point, gens):
+    """Set of points reachable from point under the permutations gens."""
+    orb = {point}
+    stack = [point]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orb:
+                orb.add(y)
+                stack.append(y)
+    return orb
+
+
+def orbits(n, gens):
+    """Orbits of the permutations gens on {0..n-1}, each sorted, in order
+    of least point."""
+    seen = set()
+    out = []
+    for start in range(n):
+        if start not in seen:
+            orb = orbit(start, gens)
+            seen |= orb
+            out.append(sorted(orb))
+    return out
 
 
 class _Level:
@@ -297,26 +319,6 @@ class PermGroup:
             g = compose(lvl.orbit[pts[rng.randrange(len(pts))]], g)
         return g
 
-    def orbits(self):
-        """Orbits on {0..degree-1}, each sorted, in order of least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orb = {start}
-            stack = [start]
-            seen[start] = True
-            while stack:
-                x = stack.pop()
-                for g in self.generators:
-                    if not seen[g[x]]:
-                        seen[g[x]] = True
-                        orb.add(g[x])
-                        stack.append(g[x])
-            out.append(sorted(orb))
-        return out
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
@@ -337,7 +339,7 @@ class CosetAction:
             raise ValueError("H is not a subgroup of G")
         self.G = G
         self.H = H
-        self._h_orbits = H.orbits()
+        self._h_orbits = orbits(H.degree, H.generators)
         self.reps = [identity(G.degree)]
         self._buckets = {self._fingerprint(self.reps[0]): [0]}
         frontier = [0]

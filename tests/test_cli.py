@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from minbase.cli import main
+from minbase.invariants import AlphaCertificate, BaseSizeCertificate
+from minbase.partitions import CertificationError
 
 
 def run_cli(args):
@@ -61,6 +64,7 @@ def test_beta_infinite_branch(tmp_path):
     code, cert = run_json(tmp_path, ["beta", "--spec", "Q8"])
     assert code == 0
     assert cert["result"]["beta"] == "infinity"
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
 
 
 def test_beta_c4(tmp_path):
@@ -141,6 +145,7 @@ def test_refusal_exit_codes():
     assert main(["orth", "--n", "11", "--q", "3", "--pair-check"]) == 2
     assert main(["alpha", "--spec", "NOPE"]) == 2
     assert main(["alpha", "--spec", "S6", "--cap", "100"]) == 2
+    assert main(["qhat", "--family", "g2", "--q", "10"]) == 2
 
 
 def test_budget_refusal_reports_work(capsys):
@@ -177,3 +182,59 @@ def test_group_file_spec(tmp_path):
     path = tmp_path / "g.grp"
     path.write_text("degree 4\n(1,2)\n(1,2,3,4)\n")
     assert main(["alpha", "--spec", str(path)]) == 0
+
+
+def test_runner_output_modes(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["stabilizer", "--ground", "4", "--partitions", "{1,2}|{3,4}"]) == 0
+    human = capsys.readouterr().out.splitlines()
+    assert human[0] == "stabilizer order: 8"
+    assert re.fullmatch(r"\[\d+\.\d\ds\]", human[-1])
+    assert main(["stabilizer", "--ground", "4", "--partitions", "{1,2}|{3,4}",
+                 "--json", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == out.read_text() + "\n"
+    cert = json.loads(stdout)
+    assert (cert["command"], cert["seed"]) == ("stabilizer", 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sp4", "--q", "5", "--cap", "10"], ["alpha", "--spec", "S4", "--budget", "5"]],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_verify_refuses_malformed_input(tmp_path):
+    assert main(["verify", str(tmp_path / "missing.json")]) == 2
+    path = tmp_path / "bad.json"
+    for text in ["nope", "[1, 2]", '{"command": "no-such-command"}',
+                 '{"command": "alpha", "result": {}, "witnesses": {}}']:
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2, text
+
+
+def test_verify_rederives_infinite_beta(tmp_path):
+    path = tmp_path / "forged.json"
+    forged = {"command": "beta", "seed": 1,
+              "inputs": {"spec": "Q8", "order": 8},
+              "result": {"beta": "infinity", "frattini_order": 1},
+              "witnesses": {"core_orders_by_class": []}}
+    path.write_text(json.dumps(forged))
+    assert main(["verify", str(path)]) == 1  # Q8 has Frattini order 2
+    # S6 has beta 4, so its claimed infinity must be rejected
+    forged["inputs"] = {"spec": "S6", "order": 720}
+    path.write_text(json.dumps(forged))
+    assert main(["verify", str(path)]) == 1
+
+
+def test_alpha_and_beta_raise_on_failed_self_check(monkeypatch):
+    monkeypatch.setattr(AlphaCertificate, "verify", lambda self, table: False)
+    monkeypatch.setattr(BaseSizeCertificate, "verify", lambda self, table: False)
+    with pytest.raises(CertificationError):
+        main(["alpha", "--spec", "S4"])
+    with pytest.raises(CertificationError):
+        main(["beta", "--spec", "A5"])

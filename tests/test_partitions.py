@@ -365,3 +365,54 @@ def test_exact_mode_budget_refusal_beyond_enumeration():
     # than one trial, so exact mode refuses on budget, not on ab > 12
     with pytest.raises(SearchBudgetExceeded, match="1 trials drawn, 1 rejected"):
         base_size_partitions(8, 4, mode="exact", seed=1, budget=1)
+
+
+def _element_filter_exact(a, b, ambient):
+    """Oracle: exact mode as a DFS over explicit element lists.  Every
+    element of the block stabilizer W is listed, each pick keeps the
+    elements that fix it, and orbit representatives are the first
+    partition (in enumeration order) of each orbit of the kept elements."""
+    n = a * b
+    omega = all_uniform_partitions(a, b)
+    P1 = uniform_partition(a, b).canonical()
+    elems = PermGroup(wreath_generators(a, b), n).elements()
+    if ambient == "alt":
+        elems = [g for g in elems if sign(g) > 0]
+
+    def reps(elems):
+        seen, out = set(), []
+        for P in omega:
+            if P not in seen:
+                out.append(P)
+                seen.update(apply_to_canonical(g, P) for g in elems)
+        return out
+
+    def extend(prefix, elems, size_left):
+        if size_left == 0:
+            return [P1] + prefix if len(elems) == 1 else None
+        subs = [
+            ([g for g in elems if apply_to_canonical(g, P) == P], P)
+            for P in reps(elems)
+            if P != P1 and P not in prefix
+        ]
+        if not prefix:
+            subs.sort(key=lambda t: len(t[0]))
+        for sub, P in subs:
+            result = extend(prefix + [P], sub, size_left - 1)
+            if result is not None:
+                return result
+        return None
+
+    for k in range(2, len(omega) + 2):
+        result = extend([], elems, k - 1)
+        if result is not None:
+            return k, [format_partition(SetPartition.from_blocks(n, P)) for P in result]
+
+
+@pytest.mark.parametrize(
+    "a,b,ambient",
+    [(3, 2, "sym"), (4, 2, "sym"), (3, 3, "sym"), (3, 2, "alt"), (4, 2, "alt")],
+)
+def test_exact_mode_matches_element_filter_oracle(a, b, ambient):
+    value, cert = base_size_partitions(a, b, mode="exact", ambient=ambient)
+    assert (value, cert["partitions"]) == _element_filter_exact(a, b, ambient)

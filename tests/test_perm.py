@@ -13,6 +13,8 @@ from minbase.perm import (
     identity,
     inverse,
     is_identity,
+    orbit,
+    orbits,
     parse_perm,
     perm_order,
     sign,
@@ -141,6 +143,13 @@ def test_conjugate():
         assert sub.conjugate(g).order == sub.order
     ident_conj = H.conjugate(identity(3))
     assert set(ident_conj.elements()) == set(H.elements())
+
+
+def test_orbits_sorted_by_least_point():
+    gens = [parse_perm("(1,5)(2,6)", 7), parse_perm("(5,3)", 7)]
+    assert orbit(4, gens) == {0, 2, 4}
+    assert orbits(7, gens) == [[0, 2, 4], [1, 5], [3], [6]]
+    assert orbits(3, []) == [[0], [1], [2]]
 
 
 def test_coset_action_point_stabilizer():
