@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CertificationError
 from .fq import factor_prime_power
 
 
@@ -91,8 +92,8 @@ def ceil_log2(q: int) -> int:
 
 def _check_terms(terms):
     for t in terms:
-        assert t.u > 0 and t.v > 0, f"nonpositive entry in {t.label}"
-        assert t.u <= t.v, f"u > v in {t.label}: {t.u} > {t.v}"
+        if not 0 < t.u <= t.v:
+            raise CertificationError(f"entries of {t.label} not in 0 < u <= v")
     return terms
 
 
@@ -105,7 +106,8 @@ def g2_subfield_terms(q: int) -> BoundTermTable:
         raise ValueError("q must be a square prime power, at least 9")
     gamma = 1 if q >= 2**6 else 0
     r = pow_ceil(q, 1, 2)  # exact: q is a square
-    assert r * r == q
+    if r * r != q:
+        raise CertificationError(f"square root of {q} is not exact")
     terms = [
         Term("invol_inner", q**2 * (q**2 + q + 1), q**4 * (q**4 + q**2 + 1)),
         Term("long_root", q**3 - 1, q**6 - 1, multiplicity=2),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CertificationError
 from .fq import (
     Field,
     Fq,
@@ -20,12 +21,10 @@ from .fq import (
     gram_matrix,
     mat_det,
     mat_identity,
-    mat_inv,
     mat_mul,
     mat_transpose,
     mat_vec,
     subspace_canonical,
-    vec_add,
 )
 
 
@@ -364,7 +363,8 @@ def _witt_index_gram(F, gram):
         if bilinear(F, gram, iso, w) != 0:
             partner = w
             break
-    assert partner is not None, "degenerate restriction"
+    if partner is None:
+        raise CertificationError("degenerate restriction")
     c = bilinear(F, gram, iso, partner)
     partner = tuple(F.mul[F.inv[c]][x] for x in partner)
     ww = bilinear(F, gram, partner, partner)
@@ -471,7 +471,8 @@ def isometry_group_elements(F, gram):
     gram_t = gram
     for g in elems:
         gt = mat_transpose(g)
-        assert mat_mul(F, gt, mat_mul(F, gram_t, g)) == gram_t
+        if mat_mul(F, gt, mat_mul(F, gram_t, g)) != gram_t:
+            raise CertificationError("a generated element does not preserve the form")
     return elems
 
 
@@ -530,5 +531,6 @@ def orth_odd_pair_check(n: int = 7, q: int = 3) -> OrthPairReport:
                     identity_seen = True
                 elif counterexample is None:
                     counterexample = g
-    assert identity_seen
+    if not identity_seen:
+        raise CertificationError("the identity does not fix the pair")
     return OrthPairReport(n, q, total, survivors, survivors == 1, counterexample)

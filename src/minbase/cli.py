@@ -319,56 +319,59 @@ def cmd_orth(args):
     return PASS if ok else FAIL, cert, lines
 
 
-def cmd_soluble(args):
-    lat = _lattice_for(args)
+def _soluble_result(lat):
+    """Result of `soluble`; its verifier rebuilds and compares all of it."""
     rep = soluble_bounds_report(lat)
-    ok = rep.alpha_le_length and (rep.alpha_le_non_frattini in (True, None))
-    cert = {
-        "inputs": {"spec": args.spec},
-        "result": {
-            "alpha": rep.alpha_value,
-            "chief_length": rep.chief_length,
-            "non_frattini_count": rep.non_frattini_count,
-            "derived_nilpotent": rep.derived_nilpotent,
-            "alpha_le_length": rep.alpha_le_length,
-            "alpha_le_non_frattini": rep.alpha_le_non_frattini,
-        },
-        "witnesses": {},
+    return {
+        "alpha": rep.alpha_value,
+        "chief_length": rep.chief_length,
+        "non_frattini_count": rep.non_frattini_count,
+        "derived_nilpotent": rep.derived_nilpotent,
+        "alpha_le_length": rep.alpha_le_length,
+        "alpha_le_non_frattini": rep.alpha_le_non_frattini,
     }
+
+
+def cmd_soluble(args):
+    result = _soluble_result(_lattice_for(args))
+    ok = result["alpha_le_length"] and result["alpha_le_non_frattini"] in (True, None)
+    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
     lines = [
-        f"{args.spec}: alpha={rep.alpha_value} chief_length={rep.chief_length} "
-        f"non_frattini={rep.non_frattini_count}: {'pass' if ok else 'FAIL'}"
+        f"{args.spec}: alpha={result['alpha']} chief_length={result['chief_length']} "
+        f"non_frattini={result['non_frattini_count']}: {'pass' if ok else 'FAIL'}"
     ]
     return PASS if ok else FAIL, cert, lines
 
 
-def cmd_theorem4(args):
-    lat = _lattice_for(args)
+def _theorem4_result(lat):
+    """Result of `theorem4`; its verifier rebuilds and compares all of it."""
     rep = chief_factor_bound(lat)
-    cert = {
-        "inputs": {"spec": args.spec},
-        "result": {
-            "alpha": rep.alpha_value,
-            "bound": rep.bound,
-            "verdict": rep.verdict,
-            "soluble": rep.soluble,
-            "soluble_bound": rep.soluble_bound,
-            "abelian_classes": [
-                {"delta": d, "dim_over_endo": dim, "p": p, "dim": full}
-                for d, dim, p, full in rep.abelian_classes
-            ],
-            "nonabelian_classes": [
-                {"delta": d, "composition_length": n}
-                for d, n in rep.nonabelian_classes
-            ],
-        },
-        "witnesses": {},
+    return {
+        "alpha": rep.alpha_value,
+        "bound": rep.bound,
+        "verdict": rep.verdict,
+        "soluble": rep.soluble,
+        "soluble_bound": rep.soluble_bound,
+        "abelian_classes": [
+            {"delta": d, "dim_over_endo": dim, "p": p, "dim": full}
+            for d, dim, p, full in rep.abelian_classes
+        ],
+        "nonabelian_classes": [
+            {"delta": d, "composition_length": n}
+            for d, n in rep.nonabelian_classes
+        ],
     }
+
+
+def cmd_theorem4(args):
+    result = _theorem4_result(_lattice_for(args))
+    ok = result["verdict"]
+    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
     lines = [
-        f"{args.spec}: alpha={rep.alpha_value} <= bound={rep.bound}: "
-        f"{'pass' if rep.verdict else 'FAIL'}"
+        f"{args.spec}: alpha={result['alpha']} <= bound={result['bound']}: "
+        f"{'pass' if ok else 'FAIL'}"
     ]
-    return PASS if rep.verdict else FAIL, cert, lines
+    return PASS if ok else FAIL, cert, lines
 
 
 def cmd_catalog(args):
@@ -512,21 +515,19 @@ def _verify_orth(cert):
     return [list(v) for v in cons.W] == cert["witnesses"]["W"]
 
 
+def _same_result(result, cert):
+    """Whole-result comparison; through JSON so that 1 never equals true."""
+    return json.dumps(result, sort_keys=True) == json.dumps(cert["result"], sort_keys=True)
+
+
 def _verify_soluble(cert):
     lat = Lattice(GroupTable(group_from_spec(cert["inputs"]["spec"]), 2000))
-    rep = soluble_bounds_report(lat)
-    r = cert["result"]
-    return (
-        rep.alpha_value == r["alpha"]
-        and rep.chief_length == r["chief_length"]
-        and rep.non_frattini_count == r["non_frattini_count"]
-    )
+    return _same_result(_soluble_result(lat), cert)
 
 
 def _verify_theorem4(cert):
     lat = Lattice(GroupTable(group_from_spec(cert["inputs"]["spec"]), 2000))
-    rep = chief_factor_bound(lat)
-    return rep.bound == cert["result"]["bound"] and rep.verdict == cert["result"]["verdict"]
+    return _same_result(_theorem4_result(lat), cert)
 
 
 _VERIFIERS = {

@@ -103,7 +103,8 @@ class Field:
                 if _is_irreducible(cand, p):
                     modulus = cand
                     break
-            assert modulus is not None
+            if modulus is None:
+                raise RuntimeError(f"no monic irreducible of degree {f} over F_{p}")
         self.modulus = tuple(modulus)
 
         def decode(x):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CertificationError
 from .lattice import (
     GroupTable,
     Lattice,
@@ -25,7 +26,6 @@ from .lattice import (
     is_soluble,
     normal_subgroups,
 )
-from .perm import CosetAction, PermGroup
 
 
 class NotSoluble(ValueError):
@@ -212,45 +212,55 @@ def _prime_power(n):
     return None, None
 
 
-def _quotient_table(table: GroupTable, K: SubgroupRecord, cap=2000):
-    """The quotient by a normal subgroup, realized through the coset
-    action of the underlying permutation group (degree = index of K)."""
-    Kperm = table.subgroup_perm_group(K)
-    action = CosetAction(table.group, Kperm)
-    qtable = GroupTable(action.image, cap)
-    return qtable, action
+def _series_down(top, bottom, normals_of):
+    """Descending series from top to bottom.  Each next term is a largest
+    subgroup (ties: greatest key()) among normals_of(current term) that
+    lies properly inside the current term and contains bottom.  None of
+    those lies strictly between two consecutive terms, so when normals_of
+    lists the current term's normal subgroups every quotient is simple,
+    and when it lists the whole group's every quotient is a chief factor."""
+    series = [top]
+    while series[-1].order > bottom.order:
+        cur = series[-1].elements
+        below = [
+            r for r in normals_of(series[-1])
+            if bottom.elements <= r.elements < cur
+        ]
+        series.append(max(below, key=lambda r: (r.order, r.key())))
+    return series
 
 
 def chief_series(lattice: Lattice) -> ChiefSeriesReport:
-    """A chief series of the ambient group with per-factor flags."""
+    """A chief series of the ambient group with per-factor flags, all read
+    from the ambient lattice.
+
+    H/K lies in the Frattini subgroup of G/K exactly when H lies in every
+    maximal subgroup of G containing K, since those are the preimages of
+    the maximal subgroups of G/K.  The composition length of H/K counts
+    the steps of a series from H down to K through subgroups containing K,
+    each normal in the one above with a simple quotient (Jordan-Hölder).
+    """
     table = lattice.table
     normals = normal_subgroups(lattice)
-    frat = frattini(lattice).elements
-    series = [lattice.find(frozenset(range(table.n)))]
-    while series[-1].order > 1:
-        cur = series[-1].elements
-        below = [r for r in normals if r.elements < cur]
-        best = max(below, key=lambda r: (r.order, r.key()))
-        series.append(best)
+    maxs = lattice.maximal_subgroups()
+    full = lattice.find(range(table.n))
+    series = _series_down(full, lattice.find([table.identity]), lambda _: normals)
     factors = []
     for top, bottom in zip(series, series[1:]):
-        order = top.order // bottom.order
-        abelian = derived_subgroup_set(table, top.elements) <= bottom.elements
-        p, k = _prime_power(order)
-        if abelian:
-            comp_len = k
-        else:
-            comp_len = _composition_length_of_factor(table, top, bottom)
-        if bottom.order == 1:
-            nf = not (top.elements <= frat)
-        else:
-            qtable, action = _quotient_table(table, bottom)
-            qlat = Lattice(qtable)
-            qfrat = frattini(qlat).elements
-            img = _subgroup_image_in_quotient(table, bottom, top, qtable, action)
-            nf = not (img <= qfrat)
+        over_bottom = [m.elements for m in maxs if bottom.elements <= m.elements]
+        frattini_mod_bottom = full.elements.intersection(*over_bottom)
+        composition = _series_down(
+            top, bottom, lambda cur: normal_subgroups(lattice, cur)
+        )
         factors.append(
-            ChiefFactor(top, bottom, order, abelian, nf, comp_len)
+            ChiefFactor(
+                top,
+                bottom,
+                top.order // bottom.order,
+                derived_subgroup_set(table, top.elements) <= bottom.elements,
+                not top.elements <= frattini_mod_bottom,
+                len(composition) - 1,
+            )
         )
     return ChiefSeriesReport(
         series,
@@ -260,58 +270,12 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
     )
 
 
-def _subgroup_image_in_quotient(table, K, H, qtable, action=None):
-    """Image of H in the quotient by K, as a set of quotient indices."""
-    if action is None:
-        action = CosetAction(table.group, table.subgroup_perm_group(K))
-    img_gens = [
-        action.perm_image(table.perm_of(g))
-        for g in table.subgroup_generators(H.elements)
-    ]
-    return qtable.closure([qtable.index[g] for g in img_gens])
-
-
-def _composition_length_of_factor(table, top, bottom) -> int:
-    """Composition length of the section top/bottom."""
-    if bottom.order == 1:
-        sub = table.subgroup_perm_group(top)
-        return _composition_length_of_group(sub)
-    qtable, action = _quotient_table(table, bottom)
-    img = _subgroup_image_in_quotient(table, bottom, top, qtable, action)
-    rec = SubgroupRecord.from_set(qtable, img)
-    return _composition_length_of_factor(qtable, rec, _trivial_record(qtable))
-
-
-def _trivial_record(table):
-    return SubgroupRecord.from_set(table, frozenset([table.identity]))
-
-
-def _composition_length_of_group(G: PermGroup) -> int:
-    if G.order == 1:
-        return 0
-    order = G.order
-    p, k = _prime_power(order)
-    table = GroupTable(G, 2000)
-    if derived_subgroup_set(table) == frozenset([table.identity]) and p is not None:
-        return k
-    lat = Lattice(table)
-    normals = [r for r in normal_subgroups(lat) if r.order > 1]
-    minimal = min(normals, key=lambda r: (r.order, r.key()))
-    if minimal.order == order:
-        return 1  # simple
-    below = _composition_length_of_group(table.subgroup_perm_group(minimal))
-    qtable, _ = _quotient_table(table, minimal)
-    return below + _composition_length_of_group(qtable.group)
-
-
 def chief_length_mod_frattini(lattice: Lattice) -> int:
-    """Chief length of the quotient by the Frattini subgroup."""
-    table = lattice.table
-    frat_rec = frattini(lattice)
-    if frat_rec.order == 1:
-        return chief_series(lattice).chief_length
-    qtable, _ = _quotient_table(table, frat_rec)
-    return chief_series(Lattice(qtable)).chief_length
+    """Chief length of the quotient by the Frattini subgroup: the normal
+    subgroups of G/Phi are the images of those of G that contain Phi."""
+    normals = normal_subgroups(lattice)
+    full = lattice.find(range(lattice.table.n))
+    return len(_series_down(full, frattini(lattice), lambda _: normals)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +313,8 @@ def _gl_matrices_of_abelian_factor(table, top, bottom, p, d):
                 vec = list(v)
                 vec[j] = (vec[j] + i) % p
                 vec_of[acc] = tuple(vec)
-    assert len(basis) == d and len(vec_of) == len(reps)
+    if len(basis) != d or len(vec_of) != len(reps):
+        raise CertificationError("the section is not elementary abelian of rank d")
     mats = []
     for g in table.gen_idx:
         cols = []
@@ -461,7 +426,8 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
                 sols = _solve_intertwiners(item[3], mats0, p0, d0)
                 nonzero = [s for s in sols if any(s)]
                 if nonzero:
-                    assert _is_invertible(nonzero[0], d0, p0)
+                    if not _is_invertible(nonzero[0], d0, p0):
+                        raise CertificationError("module intertwiner is singular")
                     cls.append(item)
                     placed = True
                     break
@@ -471,7 +437,8 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
     for cls in classes:
         f0, p, d, mats = cls[0]
         e = len(_solve_intertwiners(mats, mats, p, d))
-        assert e >= 1 and d % e == 0
+        if e < 1 or d % e:
+            raise CertificationError("endomorphism dimension does not divide d")
         abelian_classes.append((len(cls), d // e, p, d))
     nonab_groups = {}
     for f in nonab:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .perm import PermGroup, compose, format_perm, identity, inverse, perm_order
+from .perm import PermGroup, format_perm, identity, inverse, perm_order
 
 
 class OrderCapExceeded(ValueError):
@@ -98,12 +98,6 @@ class GroupTable:
     def word_of(self, idx) -> str:
         return format_perm(self.elements[idx])
 
-    def subgroup_perm_group(self, record) -> PermGroup:
-        return PermGroup(
-            [self.elements[i] for i in record.generators] or [],
-            self.degree,
-        )
-
 
 @dataclass(frozen=True)
 class SubgroupRecord:
@@ -162,9 +156,7 @@ class Lattice:
             processed.add(elems)
             rec = self.subgroups[self._by_key[elems]]
             if 2 * rec.order >= m:
-                # only the whole group lies above; H is maximal unless H = G
-                if rec.order < m:
-                    self.maximal_flags[self._by_key[elems]] = True
+                # only the whole group lies above: H keeps its maximal flag
                 continue
             gens = list(rec.generators)
             visited = bytearray(m)
@@ -188,7 +180,7 @@ class Lattice:
                 new_elems = table.closure(list(gens) + [g])
                 if len(new_elems) < m:
                     reached_only_full = False
-                    idx = add(new_elems, tuple(gens) + (g,))
+                    add(new_elems, tuple(gens) + (g,))
                     worklist.append(new_elems)
             if rec.order < m:
                 self.maximal_flags[self._by_key[elems]] = reached_only_full
@@ -264,13 +256,16 @@ def conjugacy_classes_of_subgroups(lattice: Lattice, records):
     return classes
 
 
-def normal_subgroups(lattice: Lattice):
+def normal_subgroups(lattice: Lattice, within: SubgroupRecord = None):
+    """Normal subgroups of `within` (default the whole group), ascending."""
     table = lattice.table
+    if within is None:
+        within = lattice.find(range(table.n))
     out = []
     for rec in lattice.subgroups:
-        if all(
+        if rec.elements <= within.elements and all(
             table.conjugate_set(rec.elements, g) == rec.elements
-            for g in table.gen_idx
+            for g in within.generators
         ):
             out.append(rec)
     return out

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import CertificationError
 from .perm import PermGroup, compose, identity, inverse, orbit, orbits, sign
 
 
@@ -27,10 +28,6 @@ class SearchBudgetExceeded(RuntimeError):
 
 class PreconditionError(ValueError):
     pass
-
-
-class CertificationError(RuntimeError):
-    """A computed stabilizer or witness failed its own consistency check."""
 
 
 # ---------------------------------------------------------------------------

@@ -238,3 +238,41 @@ def test_alpha_and_beta_raise_on_failed_self_check(monkeypatch):
         main(["alpha", "--spec", "S4"])
     with pytest.raises(CertificationError):
         main(["beta", "--spec", "A5"])
+
+
+def _tampered(value):
+    """Each single-field edit of a result value, as (label, new value)."""
+    if isinstance(value, bool):
+        yield "", not value
+    elif isinstance(value, int):
+        yield "", value + 1
+    elif value is None:
+        yield "", 0
+    elif isinstance(value, list):
+        yield "[+]", value + [value[0] if value else {"delta": 1}]
+        for i, item in enumerate(value):
+            for key in item:
+                for label, new in _tampered(item[key]):
+                    edited = dict(item, **{key: new})
+                    yield f"[{i}].{key}{label}", value[:i] + [edited] + value[i + 1:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["soluble", "--spec", "S4"], ["theorem4", "--spec", "S4"],
+     ["theorem4", "--spec", "S5"]],
+)
+def test_verify_rejects_every_forged_result_field(tmp_path, capsys, argv):
+    code, cert = run_json(tmp_path, argv)
+    assert code == 0
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+    path = tmp_path / "forged.json"
+    forged = 0
+    for field, value in cert["result"].items():
+        for label, new in _tampered(value):
+            path.write_text(json.dumps(dict(cert, result=dict(cert["result"], **{field: new}))))
+            capsys.readouterr()
+            assert main(["verify", str(path)]) == 1, field + label
+            assert "REJECTED" in capsys.readouterr().out, field + label
+            forged += 1
+    assert forged >= len(cert["result"])

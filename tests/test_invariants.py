@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from minbase.catalog import group_from_spec
+from minbase.catalog import BUILTIN_NAMES, SOLUBLE_CATALOG, group_from_spec
 from minbase.invariants import (
     NotSoluble,
     alpha,
@@ -22,7 +22,9 @@ from minbase.lattice import (
     conjugacy_classes_of_subgroups,
     core,
     frattini,
+    normal_subgroups,
 )
+from minbase.perm import CosetAction, PermGroup
 
 
 def lat_of(name, cap=1000):
@@ -203,6 +205,73 @@ def test_factor_orders_multiply(s4):
             prod *= f.order
         assert prod == lat.table.n
         assert rep.non_frattini_count <= rep.chief_length
+
+
+def _sub_perm_group(table, gens):
+    return PermGroup([table.perm_of(g) for g in gens], table.degree)
+
+
+def _quotient(lat, K):
+    """Reference quotient route: the lattice of G/K, built from the image
+    of the coset action on K, and the map from G onto that image."""
+    if K.order == 1:
+        return lat, lambda perm: perm
+    action = CosetAction(lat.table.group, _sub_perm_group(lat.table, K.generators))
+    return Lattice(GroupTable(action.image, 2000)), action.perm_image
+
+
+def oracle_composition_length(group):
+    """Composition length by quotients: a least minimal normal subgroup
+    N, then N and G/N in their own lattices."""
+    if group.order == 1:
+        return 0
+    lat = Lattice(GroupTable(group, 2000))
+    normals = [r for r in normal_subgroups(lat) if r.order > 1]
+    minimal = min(normals, key=lambda r: (r.order, r.key()))
+    if minimal.order == group.order:
+        return 1
+    qlat, _ = _quotient(lat, minimal)
+    return (
+        oracle_composition_length(_sub_perm_group(lat.table, minimal.generators))
+        + oracle_composition_length(qlat.table.group)
+    )
+
+
+def oracle_chief_flags(lat):
+    """(non-Frattini flag, composition length) per chief factor H/K, and
+    the chief length mod Frattini, each read off a lattice of a quotient."""
+    flags = []
+    for f in chief_series(lat).factors:
+        qlat, image = _quotient(lat, f.bottom)
+        gens = [image(lat.table.perm_of(g)) for g in f.top.generators]
+        img = qlat.table.closure([qlat.table.index[g] for g in gens])
+        nf = not img <= frattini(qlat).elements
+        flags.append((nf, oracle_composition_length(PermGroup(gens, qlat.table.degree))))
+    qlat, _ = _quotient(lat, frattini(lat))
+    return flags, chief_series(qlat).chief_length
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILTIN_NAMES) | set(SOLUBLE_CATALOG)))
+def test_chief_flags_match_quotient_oracle(name):
+    lat = lat_of(name)
+    if lat.table.n > 720:
+        pytest.skip("the oracle covers orders up to 720")
+    flags, mod_frattini = oracle_chief_flags(lat)
+    rep = chief_series(lat)
+    assert [(f.non_frattini, f.composition_length) for f in rep.factors] == flags
+    assert chief_length_mod_frattini(lat) == mod_frattini
+
+
+def test_chief_series_sl23_by_hand():
+    # 1 < C2 < Q8 < SL(2,3): the centre C2 is the Frattini subgroup, and
+    # SL(2,3)/C2 = A4 has chief factors V4 and C3, neither Frattini
+    lat = lat_of("SL23")
+    rep = chief_series(lat)
+    assert [r.order for r in rep.series] == [24, 8, 2, 1]
+    assert [f.order for f in rep.factors] == [3, 4, 2]
+    assert [f.non_frattini for f in rep.factors] == [True, True, False]
+    assert [f.composition_length for f in rep.factors] == [1, 2, 1]
+    assert chief_length_mod_frattini(lat) == 2
 
 
 def test_soluble_report_sl23():
