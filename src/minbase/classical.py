@@ -24,6 +24,7 @@ from .fq import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    nullspace,
     subspace_canonical,
 )
 
@@ -372,48 +373,13 @@ def _witt_index_gram(F, gram):
     partner = tuple(
         F.sub(a, F.mul[half][b]) for a, b in zip(partner, iso)
     )
-    # complement: vectors orthogonal to both, inside the span
-    rows = []
-    for v in _orthogonal_complement(F, gram, [iso, partner]):
-        rows.append(v)
+    # complement: vectors orthogonal to both, inside the span (the form is
+    # symmetric, so v's constraint row is gram * v)
+    rows = nullspace(F, [mat_vec(F, gram, v) for v in (iso, partner)], d)
     sub_gram = tuple(
         tuple(bilinear(F, gram, u, v) for v in rows) for u in rows
     )
     return 1 + _witt_index_gram(F, sub_gram)
-
-
-def _orthogonal_complement(F, gram, vectors):
-    d = len(gram)
-    rows = []
-    for v in vectors:
-        rows.append(tuple(bilinear(F, gram, v, _unit(d, j)) for j in range(d)))
-    # nullspace of the constraint matrix
-    m = [list(r) for r in rows]
-    ncols = d
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = F.inv[m[r][c]]
-        m[r] = [F.mul[inv][x] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [F.sub(x, F.mul[factor][y]) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg[m[i][fc]]
-        basis.append(tuple(v))
-    return basis
 
 
 def is_nondegenerate(F, form, basis):

@@ -16,15 +16,17 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .bounds import FAMILY_BUILDERS, evaluate_qhat
 from .catalog import BUILTIN_NAMES, group_from_spec
 from .classical import (
+    _fixes_pair,
+    _scalar4,
     orth_odd_construct,
     orth_odd_pair_check,
     sp4_pair_stabilizer,
+    sp4_similitude_check,
     sp4_triple_base_check,
 )
 from .fq import Fq, frobenius_subspace
@@ -198,17 +200,16 @@ def _parse_qgrid(text):
     return out
 
 
-def cmd_qhat(args):
-    builder = FAMILY_BUILDERS[args.family]
+def _qhat_result(family, grid, c):
+    """Result of `qhat`; its verifier rebuilds and compares all of it."""
+    builder = FAMILY_BUILDERS[family]
     rows = []
-    all_certified = True
-    for q in _parse_qgrid(args.q):
+    for q in _parse_qgrid(grid):
         try:
             table = builder(q)
         except ValueError:
             continue
-        res = evaluate_qhat(table, args.c)
-        all_certified &= res.certified
+        res = evaluate_qhat(table, c)
         rows.append(
             {
                 "q": q,
@@ -225,30 +226,39 @@ def cmd_qhat(args):
         )
     if not rows:
         raise PreconditionError("no admissible q in the grid")
+    return {"all_certified": all(r["certified"] for r in rows), "rows": rows}
+
+
+def cmd_qhat(args):
+    result = _qhat_result(args.family, args.q, args.c)
     cert = {
         "inputs": {"family": args.family, "q": args.q, "c": args.c},
-        "result": {"all_certified": all_certified, "rows": rows},
+        "result": result,
         "witnesses": {},
     }
     lines = [
         f"q={r['q']}: sum = {r['value_float']:.6g}  certified(<1) = {r['certified']}"
-        for r in rows
+        for r in result["rows"]
     ]
-    return PASS if all_certified else FAIL, cert, lines
+    return PASS if result["all_certified"] else FAIL, cert, lines
+
+
+def _sp4_triple_result(q):
+    """Result of `sp4 --triple`; its verifier re-runs and compares all of it."""
+    rep = sp4_triple_base_check(q)
+    return {
+        "verdict": rep.verdict,
+        "pair_scalars_only": rep.pair_scalars_only,
+        "phi_fixes_alpha": rep.phi_fixes_alpha,
+        "phi_fixes_beta": rep.phi_fixes_beta,
+        "phi_moves_gamma": rep.phi_moves_gamma,
+    }
 
 
 def cmd_sp4(args):
     if args.triple:
-        rep = sp4_triple_base_check(args.q)
-        ok = rep.verdict
-        result = {
-            "verdict": rep.verdict,
-            "pair_scalars_only": rep.pair_scalars_only,
-            "phi_fixes_alpha": rep.phi_fixes_alpha,
-            "phi_fixes_beta": rep.phi_fixes_beta,
-            "phi_moves_gamma": rep.phi_moves_gamma,
-        }
-        witnesses = {}
+        result, witnesses = _sp4_triple_result(args.q), {}
+        ok = result["verdict"]
         line = f"triple base check at q={args.q}: {'pass' if ok else 'FAIL'}"
     else:
         rep = sp4_pair_stabilizer(args.q)
@@ -271,10 +281,10 @@ def cmd_sp4(args):
     return PASS if ok else FAIL, cert, [line]
 
 
-def cmd_orth(args):
-    if args.pair_check:
-        rep = orth_odd_pair_check(args.n, args.q)
-        ok = rep.verdict
+def _orth_body(n, q, pair_check):
+    """(result, witnesses) of `orth`; its verifier rebuilds and compares both."""
+    if pair_check:
+        rep = orth_odd_pair_check(n, q)
         result = {
             "stabilizer_size": rep.stabilizer_size,
             "survivors": rep.survivors,
@@ -285,31 +295,39 @@ def cmd_orth(args):
             if rep.counterexample is None
             else {"counterexample": [list(r) for r in rep.counterexample]}
         )
+        return result, witnesses
+    variant = "4m+1" if n % 4 == 1 else "4m+3"
+    m = (n - (1 if variant == "4m+1" else 3)) // 4
+    cons = orth_odd_construct(m, variant, q)
+    F = Fq(q)
+    phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime if F.f > 1 else None
+    result = {
+        "dim_U": len(cons.U),
+        "dim_W": len(cons.W),
+        "phi_moves_w_prime": phi_moves,
+    }
+    witnesses = {
+        "U": [list(v) for v in cons.U],
+        "W": [list(v) for v in cons.W],
+        "W_prime": [list(v) for v in cons.W_prime],
+        "basis": cons.basis_names,
+    }
+    return result, witnesses
+
+
+def cmd_orth(args):
+    result, witnesses = _orth_body(args.n, args.q, args.pair_check)
+    if args.pair_check:
+        ok = result["verdict"]
         lines = [
-            f"pair check O_{args.n}({args.q}): {rep.survivors} survivor(s) "
-            f"out of {rep.stabilizer_size}: {'pass' if ok else 'FAIL'}"
+            f"pair check O_{args.n}({args.q}): {result['survivors']} survivor(s) "
+            f"out of {result['stabilizer_size']}: {'pass' if ok else 'FAIL'}"
         ]
     else:
-        variant = "4m+1" if args.n % 4 == 1 else "4m+3"
-        m = (args.n - (1 if variant == "4m+1" else 3)) // 4
-        cons = orth_odd_construct(m, variant, args.q)
-        F = Fq(args.q)
-        phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime if F.f > 1 else None
         ok = True
-        result = {
-            "dim_U": len(cons.U),
-            "dim_W": len(cons.W),
-            "phi_moves_w_prime": phi_moves,
-        }
-        witnesses = {
-            "U": [list(v) for v in cons.U],
-            "W": [list(v) for v in cons.W],
-            "W_prime": [list(v) for v in cons.W_prime],
-            "basis": cons.basis_names,
-        }
         lines = [
             f"constructed U, W, W' in dimension {args.n} over F_{args.q}",
-            f"phi moves W': {phi_moves}",
+            f"phi moves W': {result['phi_moves_w_prime']}",
         ]
     cert = {
         "inputs": {"n": args.n, "q": args.q, "pair_check": args.pair_check},
@@ -470,64 +488,65 @@ def _verify_beta(cert):
 
 
 def _verify_qhat(cert):
-    c = cert["inputs"]["c"]
-    for row in cert["result"]["rows"]:
-        total = Fraction(0)
-        for t in row["terms"]:
-            if t["multiplicity"] > 0:
-                total += (
-                    t["multiplicity"]
-                    * Fraction(t["u"]) ** c
-                    / Fraction(t["v"]) ** (c - 1)
-                )
-        if (total < 1) != row["certified"] or str(total) != row["value"]:
-            return False
-    return True
+    inputs = cert["inputs"]
+    return _same_result(cert, _qhat_result(inputs["family"], inputs["q"], inputs["c"]))
 
 
 def _verify_sp4(cert):
-    if cert["inputs"]["triple"]:
-        rep = sp4_triple_base_check(cert["inputs"]["q"])
-        return rep.verdict == cert["result"]["verdict"]
+    """The triple check is re-run.  The pair enumeration is not: each
+    survivor is checked, the scalars must all be listed, and every claimed
+    count must match the list, but a missing non-scalar survivor goes
+    unnoticed."""
     q = cert["inputs"]["q"]
-    from .classical import _fixes_pair, sp4_similitude_check
-
+    if cert["inputs"]["triple"]:
+        return _same_result(cert, _sp4_triple_result(q))
+    if q % 2 == 0 or q < 5:
+        raise PreconditionError("the pair check is defined for odd q >= 5")
     F = Fq(q)
     survivors = [tuple(tuple(r) for r in g) for g in cert["witnesses"]["survivors"]]
-    if len(survivors) != cert["result"]["survivor_count"]:
+    # every scalar is a candidate and fixes the pair, so it must be listed
+    scalars = {_scalar4(F, lam) for lam in range(1, q)}
+    if not (
+        all(len(g) == 4 and all(len(r) == 4 for r in g) for g in survivors)
+        and all(type(x) is int and 0 <= x < q for g in survivors for r in g for x in r)
+        and len(set(survivors)) == len(survivors)
+        and scalars <= set(survivors)
+    ):
         return False
-    return all(
+    result = {
+        "candidates": 2 * (q * q - 1) * (q * q - q) * (q - 1),
+        "survivor_count": len(survivors),
+        "scalars_only": set(survivors) == scalars,
+    }
+    # the survivors are the witnesses; each is checked on its own here
+    return _same_result(cert, result, cert["witnesses"]) and all(
         _fixes_pair(F, g) and sp4_similitude_check(F, g) for g in survivors
     )
 
 
 def _verify_orth(cert):
-    if cert["inputs"].get("pair_check"):
-        rep = orth_odd_pair_check(cert["inputs"]["n"], cert["inputs"]["q"])
-        return (
-            rep.survivors == cert["result"]["survivors"]
-            and rep.verdict == cert["result"]["verdict"]
-        )
-    n, q = cert["inputs"]["n"], cert["inputs"]["q"]
-    variant = "4m+1" if n % 4 == 1 else "4m+3"
-    m = (n - (1 if variant == "4m+1" else 3)) // 4
-    cons = orth_odd_construct(m, variant, q)
-    return [list(v) for v in cons.W] == cert["witnesses"]["W"]
+    inputs = cert["inputs"]
+    return _same_result(
+        cert, *_orth_body(inputs["n"], inputs["q"], inputs.get("pair_check"))
+    )
 
 
-def _same_result(result, cert):
-    """Whole-result comparison; through JSON so that 1 never equals true."""
-    return json.dumps(result, sort_keys=True) == json.dumps(cert["result"], sort_keys=True)
+def _same_result(cert, result, witnesses=None):
+    """Whole result and witnesses (default none) compared with the
+    certificate's, through JSON so that 1 never equals true."""
+    claimed = {"result": cert["result"], "witnesses": cert["witnesses"]}
+    derived = {"result": result, "witnesses": {} if witnesses is None else witnesses}
+    return json.dumps(derived, sort_keys=True) == json.dumps(claimed, sort_keys=True)
 
 
 def _verify_soluble(cert):
     lat = Lattice(GroupTable(group_from_spec(cert["inputs"]["spec"]), 2000))
-    return _same_result(_soluble_result(lat), cert)
+    return _same_result(cert, _soluble_result(lat))
 
 
 def _verify_theorem4(cert):
     lat = Lattice(GroupTable(group_from_spec(cert["inputs"]["spec"]), 2000))
-    return _same_result(_theorem4_result(lat), cert)
+    return _same_result(cert, _theorem4_result(lat))
 
 
 _VERIFIERS = {

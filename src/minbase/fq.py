@@ -198,10 +198,6 @@ def mat_vec(F, A, v):
     return tuple(out)
 
 
-def vec_add(F, u, v):
-    return tuple(F.add[a][b] for a, b in zip(u, v))
-
-
 def mat_transpose(A):
     return tuple(zip(*A))
 
@@ -227,23 +223,6 @@ def mat_det(F, A):
     return det
 
 
-def mat_inv(F, A):
-    n = len(A)
-    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = F.inv[m[col][col]]
-        m[col] = [F.mul[inv][x] for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [F.sub(x, F.mul[factor][y]) for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
 def rref(F, rows):
     """Reduced row echelon form; returns tuple of nonzero rows (canonical)."""
     m = [list(r) for r in rows]
@@ -265,6 +244,23 @@ def rref(F, rows):
             break
     out = [tuple(row) for row in m[:r] if any(row)]
     return tuple(out)
+
+
+def nullspace(F, rows, ncols):
+    """Basis of {v : row . v = 0 for every row}, one vector per free column
+    of the RREF (ascending), with 1 there and 0 in the other free columns."""
+    echelon = rref(F, rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(echelon, pivots):
+            v[pc] = F.neg[row[fc]]
+        basis.append(tuple(v))
+    return basis
 
 
 def subspace_canonical(F, vectors):

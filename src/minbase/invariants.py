@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificationError
+from .fq import Fq, factor_prime_power, is_prime, mat_det, nullspace
 from .lattice import (
     GroupTable,
     Lattice,
@@ -62,24 +63,39 @@ def alpha(lattice: Lattice) -> AlphaCertificate:
     maxs = lattice.maximal_subgroups()
     frat = frattini(lattice).elements
     reps = [cls[0] for cls in conjugacy_classes_of_subgroups(lattice, maxs)]
-    states = {}
-    for rec in reps:
-        states.setdefault(rec.elements, [rec])
+    depth, chain = _fewest_intersections(
+        {rec.elements: [rec] for rec in reps},
+        [(rec.elements, rec) for rec in maxs],
+        frat,
+    )
+    return AlphaCertificate(depth, chain, len(frat))
+
+
+def _fewest_intersections(starts, pool, target):
+    """Breadth-first search over distinct intersection states.
+
+    starts maps each start state (a frozenset) to its list of labels; a
+    step intersects a state with one (elements, label) pair of pool and
+    appends the label.  Returns (depth, labels) for the first state equal
+    to target, depth counting the start as 1; states that do not shrink,
+    or were reached before, are not expanded again.
+    """
+    states = dict(starts)
     seen = set(states)
     depth = 1
     while True:
-        for elems, chain in states.items():
-            if elems == frat:
-                return AlphaCertificate(depth, chain, len(frat))
+        for elems, labels in states.items():
+            if elems == target:
+                return depth, labels
         nxt = {}
-        for elems, chain in states.items():
-            for rec in maxs:
-                inter = elems & rec.elements
+        for elems, labels in states.items():
+            for other, label in pool:
+                inter = elems & other
                 if inter == elems or inter in seen or inter in nxt:
                     continue
-                nxt[inter] = chain + [rec]
+                nxt[inter] = labels + [label]
         if not nxt:
-            raise RuntimeError("search exhausted without reaching the Frattini subgroup")
+            raise RuntimeError("intersections never reached the target subgroup")
         seen.update(nxt)
         states = nxt
         depth += 1
@@ -110,37 +126,12 @@ def base_size_subgroup(lattice: Lattice, H: SubgroupRecord) -> BaseSizeCertifica
     idx = lattice._by_key.get(H.elements)
     if idx is None or not lattice.maximal_flags[idx] or H.order == table.n:
         raise ValueError("H must be a maximal subgroup of the ambient group")
-    # conjugates, each with one conjugating element
-    conjugates = {H.elements: table.identity}
-    stack = [H.elements]
-    while stack:
-        cur = stack.pop()
-        c = conjugates[cur]
-        for g in table.gen_idx:
-            conj = table.conjugate_set(cur, g)
-            if conj not in conjugates:
-                conjugates[conj] = table.mul[c][g]
-                stack.append(conj)
-    core_elems = frozenset.intersection(*conjugates.keys())
-    states = {H.elements: []}
-    seen = {H.elements}
-    depth = 1
-    while True:
-        for elems, gs in states.items():
-            if elems == core_elems:
-                return BaseSizeCertificate(depth, H, gs, len(core_elems))
-        nxt = {}
-        for elems, gs in states.items():
-            for conj, g in conjugates.items():
-                inter = elems & conj
-                if inter == elems or inter in seen or inter in nxt:
-                    continue
-                nxt[inter] = gs + [g]
-        if not nxt:
-            raise RuntimeError("conjugate intersections never reached the core")
-        seen.update(nxt)
-        states = nxt
-        depth += 1
+    conjugates = table.conjugates(H.elements)
+    core_elems = frozenset.intersection(*conjugates)
+    depth, gs = _fewest_intersections(
+        {H.elements: []}, conjugates.items(), core_elems
+    )
+    return BaseSizeCertificate(depth, H, gs, len(core_elems))
 
 
 @dataclass
@@ -197,19 +188,6 @@ class ChiefSeriesReport:
     factors: list  # ChiefFactor, top-down
     chief_length: int
     non_frattini_count: int
-
-
-def _prime_power(n):
-    for p in range(2, n + 1):
-        if p * p > n:
-            return n, 1
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            return (p, k) if n == 1 else (None, None)
-    return None, None
 
 
 def _series_down(top, bottom, normals_of):
@@ -339,55 +317,7 @@ def _solve_intertwiners(mats_a, mats_b, p, d):
                 for k in range(d):
                     row[k * d + j] = (row[k * d + j] - B[i][k]) % p
                 rows.append(row)
-    return _nullspace(rows, d * d, p)
-
-
-def _nullspace(rows, ncols, p):
-    rows = [r[:] for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p) if p > 2 else rows[r][c]
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-rows[i][fc]) % p
-        basis.append(tuple(v))
-    return basis
-
-
-def _is_invertible(flat, d, p):
-    m = [list(flat[i * d : (i + 1) * d]) for i in range(d)]
-    r = 0
-    for c in range(d):
-        pivot = next((i for i in range(r, d) if m[i][c] % p), None)
-        if pivot is None:
-            return False
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p) if p > 2 else m[r][c]
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(d):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return True
+    return nullspace(Fq(p), rows, d * d)
 
 
 @dataclass
@@ -414,7 +344,7 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
     # abelian: compute module matrices, then group by isomorphism
     mods = []
     for f in ab:
-        p, d = _prime_power(f.order)
+        p, d = factor_prime_power(f.order)
         mats = _gl_matrices_of_abelian_factor(table, f.top, f.bottom, p, d)
         mods.append((f, p, d, mats))
     classes = []
@@ -426,7 +356,8 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
                 sols = _solve_intertwiners(item[3], mats0, p0, d0)
                 nonzero = [s for s in sols if any(s)]
                 if nonzero:
-                    if not _is_invertible(nonzero[0], d0, p0):
+                    T = [nonzero[0][i * d0 : (i + 1) * d0] for i in range(d0)]
+                    if mat_det(Fq(p0), T) == 0:
                         raise CertificationError("module intertwiner is singular")
                     cls.append(item)
                     placed = True
@@ -503,15 +434,6 @@ def soluble_bounds_report(lattice: Lattice) -> SolubleReport:
 # empirical fixed-point-ratio sum
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in range(2, int(n**0.5) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def qhat_empirical(table: GroupTable, H: SubgroupRecord, c: int) -> Fraction:
     """Exact sum over prime-order classes of |x^G| * fpr(x)^c, with
     fpr(x) = |x^G ∩ H| / |x^G|, for the action on cosets of H."""
@@ -523,7 +445,7 @@ def qhat_empirical(table: GroupTable, H: SubgroupRecord, c: int) -> Fraction:
     visited = bytearray(table.n)
     total = Fraction(0)
     for x in range(table.n):
-        if visited[x] or not _is_prime(table.element_order[x]):
+        if visited[x] or not is_prime(table.element_order[x]):
             continue
         cls = {x}
         stack = [x]

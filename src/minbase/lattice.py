@@ -76,6 +76,22 @@ class GroupTable:
         row = mul[gi]
         return frozenset(mul[row[x]][g] for x in elems)
 
+    def conjugates(self, elems):
+        """Every conjugate of the set, each mapped to one element conjugating
+        elems to it, found by a stack walk over the generators."""
+        elems = frozenset(elems)
+        out = {elems: self.identity}
+        stack = [elems]
+        while stack:
+            cur = stack.pop()
+            c = out[cur]
+            for g in self.gen_idx:
+                conj = self.conjugate_set(cur, g)
+                if conj not in out:
+                    out[conj] = self.mul[c][g]
+                    stack.append(conj)
+        return out
+
     def is_subgroup_set(self, elems):
         mul = self.mul
         return all(mul[a][b] in elems for a in elems for b in elems)
@@ -219,18 +235,7 @@ def core(lattice: Lattice, H: SubgroupRecord) -> SubgroupRecord:
     table = lattice.table
     if not H.elements <= frozenset(range(table.n)):
         raise ValueError("H does not live in this group")
-    seen = {H.elements}
-    stack = [H.elements]
-    inter = set(H.elements)
-    while stack:
-        cur = stack.pop()
-        for g in table.gen_idx:
-            conj = table.conjugate_set(cur, g)
-            if conj not in seen:
-                seen.add(conj)
-                stack.append(conj)
-                inter &= conj
-    return lattice.find(frozenset(inter))
+    return lattice.find(frozenset.intersection(*table.conjugates(H.elements)))
 
 
 def conjugacy_classes_of_subgroups(lattice: Lattice, records):
@@ -240,15 +245,7 @@ def conjugacy_classes_of_subgroups(lattice: Lattice, records):
     classes = []
     while remaining:
         start = min(remaining, key=lambda e: tuple(sorted(e)))
-        orbit = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for g in table.gen_idx:
-                conj = table.conjugate_set(cur, g)
-                if conj not in orbit:
-                    orbit.add(conj)
-                    stack.append(conj)
+        orbit = table.conjugates(start)
         cls = [remaining.pop(e) for e in orbit if e in remaining]
         cls.sort(key=lambda r: r.key())
         classes.append(cls)

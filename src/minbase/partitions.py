@@ -559,30 +559,6 @@ def _orbit_reps(omega, index, gens):
     return [orb[0] for orb in orbits(len(omega), induced)]
 
 
-def _is_normal_in_ambient(W, ambient_gens):
-    return all(
-        W.contains(compose(compose(inverse(s), g), s))
-        for s in ambient_gens
-        for g in W.generators
-    )
-
-
-def _sym_gens(n):
-    g1 = list(range(n))
-    g1[0], g1[1] = 1, 0
-    return [tuple(g1), tuple((x + 1) % n for x in range(n))]
-
-
-def _alt_gens(n):
-    three = list(range(n))
-    three[0], three[1], three[2] = 1, 2, 0
-    if n % 2 == 1:
-        cyc = tuple((x + 1) % n for x in range(n))
-    else:
-        cyc = tuple([0] + [(x % (n - 1)) + 1 for x in range(1, n)])
-    return [tuple(three), cyc]
-
-
 def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=100000):
     """Base size of the (a,b) partition action: exact by enumeration
     (n = ab <= 12), or an upper bound with witness from construction and
@@ -608,7 +584,7 @@ def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=10000
             )
         parts = _search_base(a, b, 2, parity, seed, budget)
         return 2, _certify(parts, parity, exact=True)
-    return _exact_by_enumeration(a, b, ambient, parity)
+    return _exact_by_enumeration(a, b, parity)
 
 
 def _certify(parts, parity, exact):
@@ -625,21 +601,16 @@ def _certify(parts, parity, exact):
     }
 
 
-def _exact_by_enumeration(a, b, ambient, parity):
+def _exact_by_enumeration(a, b, parity):
     n = a * b
     omega = all_uniform_partitions(a, b)
     index = {P: i for i, P in enumerate(omega)}
     P1 = uniform_partition(a, b).canonical()
+    # No base of size 1: _validate_ab gives n >= 6 and |S_n : W| >= 15, so
+    # the block stabilizer W is none of 1, A_n, S_n and is not normal.
     W = PermGroup(wreath_generators(a, b), n)
-    ambient_gens = _sym_gens(n) if ambient == "sym" else _alt_gens(n)
-    if ambient == "alt":
+    if parity == "even":
         W = _even_subgroup(W)
-    if _is_normal_in_ambient(W, ambient_gens):
-        return 1, {
-            "partitions": [format_partition(SetPartition.from_blocks(n, P1))],
-            "base_size": 1,
-            "exact": True,
-        }
 
     def stabilizer(blocks):
         parts = [SetPartition.from_blocks(n, p) for p in [P1] + blocks]

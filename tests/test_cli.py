@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -244,23 +245,33 @@ def _tampered(value):
     """Each single-field edit of a result value, as (label, new value)."""
     if isinstance(value, bool):
         yield "", not value
-    elif isinstance(value, int):
+    elif isinstance(value, (int, float)):
         yield "", value + 1
+    elif isinstance(value, str):
+        yield "", value + "0"
     elif value is None:
         yield "", 0
     elif isinstance(value, list):
         yield "[+]", value + [value[0] if value else {"delta": 1}]
         for i, item in enumerate(value):
-            for key in item:
-                for label, new in _tampered(item[key]):
-                    edited = dict(item, **{key: new})
-                    yield f"[{i}].{key}{label}", value[:i] + [edited] + value[i + 1:]
+            if isinstance(item, dict):
+                edits = (
+                    (f".{key}{label}", dict(item, **{key: new}))
+                    for key in item
+                    for label, new in _tampered(item[key])
+                )
+            else:
+                edits = _tampered(item)
+            for label, new in edits:
+                yield f"[{i}]{label}", value[:i] + [new] + value[i + 1:]
 
 
 @pytest.mark.parametrize(
     "argv",
     [["soluble", "--spec", "S4"], ["theorem4", "--spec", "S4"],
-     ["theorem4", "--spec", "S5"]],
+     ["theorem4", "--spec", "S5"], ["sp4", "--q", "5"], ["sp4", "--q", "9", "--triple"],
+     ["orth", "--n", "7", "--q", "9"], ["orth", "--pair-check"],
+     ["qhat", "--family", "g2", "--q", "9..25"]],
 )
 def test_verify_rejects_every_forged_result_field(tmp_path, capsys, argv):
     code, cert = run_json(tmp_path, argv)
@@ -276,3 +287,56 @@ def test_verify_rejects_every_forged_result_field(tmp_path, capsys, argv):
             assert "REJECTED" in capsys.readouterr().out, field + label
             forged += 1
     assert forged >= len(cert["result"])
+
+
+def _assert_rejected(tmp_path, capsys, cert):
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "REJECTED" in capsys.readouterr().out
+
+
+def test_verify_rejects_forged_orth_witness(tmp_path, capsys):
+    code, cert = run_json(tmp_path, ["orth", "--n", "7", "--q", "9"])
+    assert code == 0
+    # W has the dimension of U, so only the witness itself gives it away
+    _assert_rejected(tmp_path, capsys, dict(cert, witnesses=dict(
+        cert["witnesses"], U=cert["witnesses"]["W"])))
+
+
+def test_verify_rejects_consistently_shrunk_qhat_terms(tmp_path, capsys):
+    code, cert = run_json(tmp_path, ["qhat", "--family", "g2", "--q", "9..81"])
+    assert code == 0
+    c = cert["inputs"]["c"]
+    rows = []
+    for row in cert["result"]["rows"]:
+        terms = [dict(t, u=str(Fraction(t["u"]) / 10)) for t in row["terms"]]
+        value = sum(t["multiplicity"] * Fraction(t["u"]) ** c / Fraction(t["v"]) ** (c - 1)
+                    for t in terms)
+        rows.append(dict(row, terms=terms, value=str(value),
+                         value_float=float(value), certified=value < 1))
+    result = {"all_certified": all(r["certified"] for r in rows), "rows": rows}
+    _assert_rejected(tmp_path, capsys, dict(cert, result=result))
+
+
+def test_sp4_pair_verify_checks_survivor_list(tmp_path, capsys):
+    code, cert = run_json(tmp_path, ["sp4", "--q", "5"])
+    assert code == 0
+    assert cert["result"]["candidates"] == 2 * (25 - 1) * (25 - 5) * 4 == 3840
+    survivors = cert["witnesses"]["survivors"]
+    # cut down to one survivor, with a matching count
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, result=dict(cert["result"], survivor_count=1),
+        witnesses={"survivors": survivors[:1]}))
+    # a repeated survivor in place of another
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, witnesses={"survivors": survivors[:-1] + survivors[:1]}))
+    # an entry outside 0..q-1
+    bad = [[x - 5 if x else x for x in row] for row in survivors[0]]
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, witnesses={"survivors": [bad] + survivors[1:]}))
+    # q = 3 is outside the check's domain: a refusal
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(dict(cert, inputs={"q": 3, "triple": False})))
+    assert main(["verify", str(path)]) == 2

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minbase.fq import (
     Fq,
@@ -9,11 +11,8 @@ from minbase.fq import (
     factor_prime_power,
     frobenius_subspace,
     gram_matrix,
-    mat_det,
-    mat_identity,
-    mat_inv,
-    mat_mul,
-    rref,
+    mat_vec,
+    nullspace,
     subspace_canonical,
 )
 
@@ -68,16 +67,6 @@ def test_factor_prime_power():
         factor_prime_power(12)
 
 
-def test_matrix_inverse_random():
-    F = Fq(9)
-    rng = random.Random(1)
-    for _ in range(30):
-        A = tuple(tuple(rng.randrange(9) for _ in range(3)) for _ in range(3))
-        if mat_det(F, A) == 0:
-            continue
-        assert mat_mul(F, A, mat_inv(F, A)) == mat_identity(3)
-
-
 def test_rref_canonical_under_row_ops():
     F = Fq(5)
     rng = random.Random(3)
@@ -110,3 +99,26 @@ def test_frobenius_subspace_fixes_prime_field_spans():
     mu = F.mu
     W2 = subspace_canonical(F, [(1, mu, 0, 0), (0, 0, 1, 0)])
     assert frobenius_subspace(F, W2) != W2
+
+
+@st.composite
+def _linear_systems(draw):
+    """(q, ncols, rows): up to 4 rows over F_q with q^ncols <= 3000."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 9]))
+    ncols = draw(st.integers(1, max(n for n in range(1, 12) if q**n <= 3000)))
+    row = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+    return q, ncols, draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_linear_systems())
+def test_nullspace_matches_enumerated_kernel(system):
+    q, ncols, rows = system
+    F = Fq(q)
+    zero = (0,) * len(rows)
+    kernel = [v for v in all_vectors(F, ncols) if mat_vec(F, rows, v) == zero]
+    basis = nullspace(F, rows, ncols)
+    assert all(mat_vec(F, rows, v) == zero for v in basis)
+    assert len(subspace_canonical(F, basis)) == len(basis)  # independent
+    # independent vectors inside the kernel span q^k of its elements
+    assert q ** len(basis) == len(kernel)

@@ -155,6 +155,17 @@ def test_core_s4(s4_lattice):
     assert brute_core(s3) == core(lat, s3).elements
 
 
+def test_conjugates_match_conjugation_by_every_element(s4_lattice):
+    table = s4_lattice.table
+    for rec in s4_lattice.subgroups:
+        conj = table.conjugates(rec.elements)
+        brute = {table.conjugate_set(rec.elements, g) for g in range(table.n)}
+        assert set(conj) == brute
+        assert conj[rec.elements] == table.identity
+        for image, g in conj.items():
+            assert table.conjugate_set(rec.elements, g) == image
+
+
 def test_normal_subgroups_s4(s4_lattice):
     normals = normal_subgroups(s4_lattice)
     assert sorted(r.order for r in normals) == [1, 4, 12, 24]
