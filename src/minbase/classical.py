@@ -63,13 +63,18 @@ class Sp4PairReport:
     scalars_only: bool
 
 
+def check_sp4_pair_q(q: int) -> None:
+    """The pair check's domain: odd q >= 5 (run and verify share it)."""
+    if q % 2 == 0 or q < 5:
+        raise BudgetError("q must be odd and at least 5")
+
+
 def sp4_pair_stabilizer(q: int) -> Sp4PairReport:
     """Enumerate the full similitude stabilizer of the isotropic-pair
     decomposition (block matrices diag(A, t*A^-T) and the swapped shape,
     A in GL2(q), t nonzero) and keep those fixing the shifted pair
     {U', W'} setwise.  The expected survivors are the q-1 scalars."""
-    if q % 2 == 0 or q < 5:
-        raise BudgetError("q must be odd and at least 5")
+    check_sp4_pair_q(q)
     F = Fq(q)
     J = _sp4_form(F)
     mul, add, neg, inv_tab = F.mul, F.add, F.neg, F.inv

@@ -23,6 +23,7 @@ from .catalog import BUILTIN_NAMES, group_from_spec
 from .classical import (
     _fixes_pair,
     _scalar4,
+    check_sp4_pair_q,
     orth_odd_construct,
     orth_odd_pair_check,
     sp4_pair_stabilizer,
@@ -500,8 +501,7 @@ def _verify_sp4(cert):
     q = cert["inputs"]["q"]
     if cert["inputs"]["triple"]:
         return _same_result(cert, _sp4_triple_result(q))
-    if q % 2 == 0 or q < 5:
-        raise PreconditionError("the pair check is defined for odd q >= 5")
+    check_sp4_pair_q(q)
     F = Fq(q)
     survivors = [tuple(tuple(r) for r in g) for g in cert["witnesses"]["survivors"]]
     # every scalar is a candidate and fixes the pair, so it must be listed
@@ -518,8 +518,10 @@ def _verify_sp4(cert):
         "survivor_count": len(survivors),
         "scalars_only": set(survivors) == scalars,
     }
-    # the survivors are the witnesses; each is checked on its own here
-    return _same_result(cert, result, cert["witnesses"]) and all(
+    # the witness block must be exactly the emitted form of the checked
+    # survivors (no extra keys); each survivor is then checked on its own
+    witnesses = {"survivors": [list(map(list, g)) for g in survivors]}
+    return _same_result(cert, result, witnesses) and all(
         _fixes_pair(F, g) and sp4_similitude_check(F, g) for g in survivors
     )
 

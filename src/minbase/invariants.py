@@ -306,6 +306,10 @@ def _gl_matrices_of_abelian_factor(table, top, bottom, p, d):
 
 def _solve_intertwiners(mats_a, mats_b, p, d):
     """Basis of {T : T A_g = B_g T for all g} over F_p, d x d matrices."""
+    if d == 1:
+        # T is a scalar, which intertwines iff the two modules agree; this
+        # also keeps large primes off the table-based field
+        return [(1,)] if mats_a == mats_b else []
     rows = []
     for A, B in zip(mats_a, mats_b):
         for i in range(d):
@@ -357,7 +361,8 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
                 nonzero = [s for s in sols if any(s)]
                 if nonzero:
                     T = [nonzero[0][i * d0 : (i + 1) * d0] for i in range(d0)]
-                    if mat_det(Fq(p0), T) == 0:
+                    # a nonzero scalar (d0 == 1) is invertible as it stands
+                    if d0 > 1 and mat_det(Fq(p0), T) == 0:
                         raise CertificationError("module intertwiner is singular")
                     cls.append(item)
                     placed = True

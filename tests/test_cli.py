@@ -130,6 +130,23 @@ def test_theorem4_command(tmp_path):
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
 
 
+def test_theorem4_large_prime(tmp_path):
+    # C_521: one 1-dimensional chief factor over a prime past the
+    # table-based fields, so its intertwiners must not need F_521 tables
+    code, cert = run_json(tmp_path, ["theorem4", "--spec", "C521"])
+    assert code == 0
+    assert cert["result"] == {
+        "abelian_classes": [{"delta": 1, "dim": 1, "dim_over_endo": 1, "p": 521}],
+        "alpha": 1,
+        "bound": 2,
+        "nonabelian_classes": [],
+        "soluble": True,
+        "soluble_bound": 4,
+        "verdict": True,
+    }
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+
+
 def test_stabilizer_command(tmp_path):
     code, cert = run_json(
         tmp_path,
@@ -336,6 +353,9 @@ def test_sp4_pair_verify_checks_survivor_list(tmp_path, capsys):
     bad = [[x - 5 if x else x for x in row] for row in survivors[0]]
     _assert_rejected(tmp_path, capsys, dict(
         cert, witnesses={"survivors": [bad] + survivors[1:]}))
+    # a witness key the command never emits
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, witnesses=dict(cert["witnesses"], extra=[])))
     # q = 3 is outside the check's domain: a refusal
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(dict(cert, inputs={"q": 3, "triple": False})))
