@@ -1,6 +1,7 @@
-"""Enumeration-based verification of explicit base constructions in small
-classical groups: totally-isotropic pair stabilizers in Sp4(q), and
-nondegenerate-subspace pairs in odd orthogonal groups.
+"""Verification of explicit base constructions in small classical
+groups: totally-isotropic pair stabilizers in Sp4(q), solved as linear
+systems, and nondegenerate-subspace pairs in odd orthogonal groups, by
+enumeration.
 
 All verdicts are proofs by exhaustion, so enumeration budgets are hard
 gates: a partial enumeration proves nothing.
@@ -45,14 +46,8 @@ def _sp4_form(F):
     return tuple(tuple(r) for r in J)
 
 
-def _in_uprime(v):
-    # U' = <e1, e2+f2> = {(s, t, 0, t)}
-    return v[2] == 0 and v[3] == v[1]
-
-
-def _in_wprime(v):
-    # W' = <e1+f2, e2+f1> = {(s, t, t, s)}
-    return v[2] == v[1] and v[3] == v[0]
+_U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))  # <e1, e2+f2>
+_W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))  # <e1+f2, e2+f1>
 
 
 @dataclass
@@ -63,90 +58,51 @@ class Sp4PairReport:
     scalars_only: bool
 
 
-def check_sp4_pair_q(q: int) -> None:
-    """The pair check's domain: odd q >= 5 (run and verify share it)."""
+def sp4_pair_stabilizer(q: int) -> Sp4PairReport:
+    """The similitudes stabilizing the isotropic-pair decomposition
+    <e1,e2> + <f1,f2> (block shape diag(A, D) or antidiag(B, C)) that fix
+    the shifted pair {U', W'} setwise; the expected survivors are the q-1
+    scalars.
+
+    Each shape, with the pair kept or swapped, is linear in g's 16
+    entries: g vanishes off its blocks, and every annihilator of a target
+    space kills g times every basis vector of its source.  The points of
+    each of the four nullspaces that pass the similitude check are the
+    survivors.  `candidates` is the size of the similitude space
+    searched, 2|GL2(q)|(q-1): a block-shaped g is a similitude exactly
+    when its second block is +-lambda A^-T."""
     if q % 2 == 0 or q < 5:
         raise BudgetError("q must be odd and at least 5")
-
-
-def sp4_pair_stabilizer(q: int) -> Sp4PairReport:
-    """Enumerate the full similitude stabilizer of the isotropic-pair
-    decomposition (block matrices diag(A, t*A^-T) and the swapped shape,
-    A in GL2(q), t nonzero) and keep those fixing the shifted pair
-    {U', W'} setwise.  The expected survivors are the q-1 scalars."""
-    check_sp4_pair_q(q)
     F = Fq(q)
-    J = _sp4_form(F)
-    mul, add, neg, inv_tab = F.mul, F.add, F.neg, F.inv
-    survivors = []
-    candidates = 0
-    units = range(1, q)
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    det = F.sub(mul[a][d], mul[b][c])
-                    if det == 0:
-                        continue
-                    di = inv_tab[det]
-                    # A^-T = (1/det) [[d, -c], [-b, a]]
-                    t00, t01 = mul[d][di], mul[neg[c]][di]
-                    t10, t11 = mul[neg[b]][di], mul[a][di]
-                    for shape in (0, 1):
-                        # image of u1 = e1 is lambda-free for both shapes
-                        if shape == 0:
-                            img_u1 = (a, c, 0, 0)
-                        else:
-                            img_u1 = (0, 0, a, c)
-                        to_u = _in_uprime(img_u1)
-                        to_w = _in_wprime(img_u1)
-                        candidates += q - 1
-                        if not (to_u or to_w):
-                            continue
-                        for lam in units:
-                            g = _sp4_block(F, a, b, c, d, t00, t01, t10, t11, lam, shape)
-                            if _fixes_pair(F, g):
-                                survivors.append(g)
-    expected = {_scalar4(F, lam) for lam in units}
+    mul, add = F.mul, F.add
+    annihilator = {s: nullspace(F, s, 4) for s in (_U_PRIME, _W_PRIME)}
+    survivors = set()
+    for anti in (False, True):
+        off = [_unit(16, 4 * i + j) for i in range(4) for j in range(4)
+               if ((i < 2) == (j < 2)) == anti]
+        for targets in ((_U_PRIME, _W_PRIME), (_W_PRIME, _U_PRIME)):
+            rows = off + [
+                tuple(mul[x][y] for x in a for y in u)
+                for src, dst in zip((_U_PRIME, _W_PRIME), targets)
+                for a in annihilator[dst]
+                for u in src
+            ]
+            basis = nullspace(F, rows, 16)
+            for coeffs in all_vectors(F, len(basis)):
+                flat = [0] * 16
+                for c, v in zip(coeffs, basis):
+                    flat = [add[x][mul[c][y]] for x, y in zip(flat, v)]
+                g = tuple(tuple(flat[4 * i:4 * i + 4]) for i in range(4))
+                if sp4_similitude_check(F, g):
+                    survivors.add(g)
+    scalars = {
+        tuple(tuple(lam if i == j else 0 for j in range(4)) for i in range(4))
+        for lam in range(1, q)
+    }
     return Sp4PairReport(
-        q, candidates, survivors, set(survivors) == expected
+        q, 2 * (q * q - 1) * (q * q - q) * (q - 1), sorted(survivors),
+        survivors == scalars,
     )
-
-
-def _sp4_block(F, a, b, c, d, t00, t01, t10, t11, lam, shape):
-    mul = F.mul
-    A = ((a, b), (c, d))
-    L = ((mul[lam][t00], mul[lam][t01]), (mul[lam][t10], mul[lam][t11]))
-    z = ((0, 0), (0, 0))
-    if shape == 0:
-        blocks = (A, z, z, L)
-    else:
-        blocks = (z, L, A, z)
-    tl, tr, bl, br = blocks
-    rows = []
-    for i in range(2):
-        rows.append(tuple(tl[i]) + tuple(tr[i]))
-    for i in range(2):
-        rows.append(tuple(bl[i]) + tuple(br[i]))
-    return tuple(rows)
-
-
-def _scalar4(F, lam):
-    return tuple(
-        tuple(lam if i == j else 0 for j in range(4)) for i in range(4)
-    )
-
-
-_U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))
-_W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))
-
-
-def _fixes_pair(F, g):
-    iu = [mat_vec(F, g, v) for v in _U_PRIME]
-    iw = [mat_vec(F, g, v) for v in _W_PRIME]
-    same = all(_in_uprime(v) for v in iu) and all(_in_wprime(v) for v in iw)
-    swap = all(_in_wprime(v) for v in iu) and all(_in_uprime(v) for v in iw)
-    return same or swap
 
 
 def sp4_similitude_check(F, g):

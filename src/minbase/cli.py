@@ -21,13 +21,9 @@ from . import bounds as bounds_mod
 from .bounds import FAMILY_BUILDERS, evaluate_qhat
 from .catalog import BUILTIN_NAMES, group_from_spec
 from .classical import (
-    _fixes_pair,
-    _scalar4,
-    check_sp4_pair_q,
     orth_odd_construct,
     orth_odd_pair_check,
     sp4_pair_stabilizer,
-    sp4_similitude_check,
     sp4_triple_base_check,
 )
 from .fq import Fq, frobenius_subspace
@@ -244,34 +240,36 @@ def cmd_qhat(args):
     return PASS if result["all_certified"] else FAIL, cert, lines
 
 
-def _sp4_triple_result(q):
-    """Result of `sp4 --triple`; its verifier re-runs and compares all of it."""
-    rep = sp4_triple_base_check(q)
-    return {
-        "verdict": rep.verdict,
-        "pair_scalars_only": rep.pair_scalars_only,
-        "phi_fixes_alpha": rep.phi_fixes_alpha,
-        "phi_fixes_beta": rep.phi_fixes_beta,
-        "phi_moves_gamma": rep.phi_moves_gamma,
+def _sp4_body(q, triple):
+    """(result, witnesses) of `sp4`; its verifier re-runs and compares both."""
+    if triple:
+        rep = sp4_triple_base_check(q)
+        result = {
+            "verdict": rep.verdict,
+            "pair_scalars_only": rep.pair_scalars_only,
+            "phi_fixes_alpha": rep.phi_fixes_alpha,
+            "phi_fixes_beta": rep.phi_fixes_beta,
+            "phi_moves_gamma": rep.phi_moves_gamma,
+        }
+        return result, {}
+    rep = sp4_pair_stabilizer(q)
+    result = {
+        "candidates": rep.candidates,
+        "survivor_count": len(rep.survivors),
+        "scalars_only": rep.scalars_only,
     }
+    return result, {"survivors": [list(map(list, g)) for g in rep.survivors]}
 
 
 def cmd_sp4(args):
+    result, witnesses = _sp4_body(args.q, args.triple)
     if args.triple:
-        result, witnesses = _sp4_triple_result(args.q), {}
         ok = result["verdict"]
         line = f"triple base check at q={args.q}: {'pass' if ok else 'FAIL'}"
     else:
-        rep = sp4_pair_stabilizer(args.q)
-        ok = rep.scalars_only
-        result = {
-            "candidates": rep.candidates,
-            "survivor_count": len(rep.survivors),
-            "scalars_only": rep.scalars_only,
-        }
-        witnesses = {"survivors": [list(map(list, g)) for g in rep.survivors]}
+        ok = result["scalars_only"]
         line = (
-            f"pair stabilizer at q={args.q}: {len(rep.survivors)} survivors "
+            f"pair stabilizer at q={args.q}: {result['survivor_count']} survivors "
             f"(expected {args.q - 1} scalars): {'pass' if ok else 'FAIL'}"
         )
     cert = {
@@ -425,11 +423,17 @@ def cmd_verify(args):
 
 
 def _verify_partitions(cert):
-    """partition-base and base-size: the witnesses have trivial joint
-    stabilizer, and their number and stabilizer order are as claimed."""
+    """partition-base and base-size: the witnesses are distinct partitions
+    into a blocks of size b with trivial joint stabilizer, and their
+    number and stabilizer order are as claimed."""
     a, b = cert["inputs"]["a"], cert["inputs"]["b"]
     ambient = cert["inputs"].get("ambient", "sym")
     parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
+    # blocks of size b covering a*b points: a blocks
+    if len({p.canonical() for p in parts}) < len(parts) or any(
+        len(blk) != b for p in parts for blk in p.blocks
+    ):
+        return False
     order = partition_stabilizer(parts, "all" if ambient == "sym" else "even").order
     return (
         order == 1
@@ -450,18 +454,36 @@ def _witness_subgroup_elems(table, words):
     return table.closure(gens)
 
 
+def _meet(table, sets):
+    out = frozenset(range(table.n))
+    for s in sets:
+        out &= s
+    return out
+
+
+def _irredundant(table, sets):
+    """Dropping any one set leaves a larger intersection: a witness list
+    padded with a repeat or with a set it does not need fails."""
+    size = len(_meet(table, sets))
+    return all(
+        len(_meet(table, sets[:i] + sets[i + 1:])) > size for i in range(len(sets))
+    )
+
+
 def _verify_alpha(cert):
     G = group_from_spec(cert["inputs"]["spec"])
     table = GroupTable(G, 2000)
     frat = _witness_subgroup_elems(
         table, cert["witnesses"]["frattini_generators"]
     )
-    inter = frozenset(range(table.n))
-    for words in cert["witnesses"]["maximal_subgroups"]:
-        inter &= _witness_subgroup_elems(table, words)
+    maxes = [
+        _witness_subgroup_elems(table, words)
+        for words in cert["witnesses"]["maximal_subgroups"]
+    ]
     return (
-        inter == frat
-        and len(cert["witnesses"]["maximal_subgroups"]) == cert["result"]["alpha"]
+        _meet(table, maxes) == frat
+        and _irredundant(table, maxes)
+        and len(maxes) == cert["result"]["alpha"]
         and len(frat) == cert["result"]["frattini_order"]
     )
 
@@ -477,12 +499,13 @@ def _verify_beta(cert):
             and res.frattini_order == cert["result"]["frattini_order"]
         )
     sub = _witness_subgroup_elems(table, cert["witnesses"]["subgroup_generators"])
-    inter = set(sub)
-    for w in cert["witnesses"]["conjugator_words"]:
-        g = table.index[parse_perm(w, table.degree)]
-        inter &= table.conjugate_set(sub, g)
+    conjugates = [sub] + [
+        table.conjugate_set(sub, table.index[parse_perm(w, table.degree)])
+        for w in cert["witnesses"]["conjugator_words"]
+    ]
     return (
-        len(inter) == cert["witnesses"]["core_order"]
+        len(_meet(table, conjugates)) == cert["witnesses"]["core_order"]
+        and _irredundant(table, conjugates)
         and len(cert["witnesses"]["conjugator_words"]) == cert["result"]["beta"] - 1
         and cert["witnesses"]["core_order"] == cert["result"]["frattini_order"]
     )
@@ -494,36 +517,8 @@ def _verify_qhat(cert):
 
 
 def _verify_sp4(cert):
-    """The triple check is re-run.  The pair enumeration is not: each
-    survivor is checked, the scalars must all be listed, and every claimed
-    count must match the list, but a missing non-scalar survivor goes
-    unnoticed."""
-    q = cert["inputs"]["q"]
-    if cert["inputs"]["triple"]:
-        return _same_result(cert, _sp4_triple_result(q))
-    check_sp4_pair_q(q)
-    F = Fq(q)
-    survivors = [tuple(tuple(r) for r in g) for g in cert["witnesses"]["survivors"]]
-    # every scalar is a candidate and fixes the pair, so it must be listed
-    scalars = {_scalar4(F, lam) for lam in range(1, q)}
-    if not (
-        all(len(g) == 4 and all(len(r) == 4 for r in g) for g in survivors)
-        and all(type(x) is int and 0 <= x < q for g in survivors for r in g for x in r)
-        and len(set(survivors)) == len(survivors)
-        and scalars <= set(survivors)
-    ):
-        return False
-    result = {
-        "candidates": 2 * (q * q - 1) * (q * q - q) * (q - 1),
-        "survivor_count": len(survivors),
-        "scalars_only": set(survivors) == scalars,
-    }
-    # the witness block must be exactly the emitted form of the checked
-    # survivors (no extra keys); each survivor is then checked on its own
-    witnesses = {"survivors": [list(map(list, g)) for g in survivors]}
-    return _same_result(cert, result, witnesses) and all(
-        _fixes_pair(F, g) and sp4_similitude_check(F, g) for g in survivors
-    )
+    inputs = cert["inputs"]
+    return _same_result(cert, *_sp4_body(inputs["q"], inputs["triple"]))
 
 
 def _verify_orth(cert):

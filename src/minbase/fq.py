@@ -5,7 +5,7 @@ Field elements are integers 0..q-1 encoding coefficient vectors in base p
 (constant coefficient first).  The modulus is the lexicographically
 smallest monic irreducible of the right degree, and mu is the smallest
 generator of the multiplicative group, so every construction is
-reproducible.  Tables make arithmetic O(1); intended for q <= 128.
+reproducible.  Tables make arithmetic O(1); `Field` refuses q > 512.
 """
 
 from __future__ import annotations

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CertificationError
-from .fq import Fq, factor_prime_power, is_prime, mat_det, nullspace
+from .fq import Fq, factor_prime_power, mat_det, nullspace
 from .lattice import (
-    GroupTable,
     Lattice,
     SubgroupRecord,
     conjugacy_classes_of_subgroups,
@@ -433,37 +431,3 @@ def soluble_bounds_report(lattice: Lattice) -> SolubleReport:
         a <= lam,
         (a <= delta) if dnil else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# empirical fixed-point-ratio sum
-
-
-def qhat_empirical(table: GroupTable, H: SubgroupRecord, c: int) -> Fraction:
-    """Exact sum over prime-order classes of |x^G| * fpr(x)^c, with
-    fpr(x) = |x^G ∩ H| / |x^G|, for the action on cosets of H."""
-    if c < 1:
-        raise ValueError("c must be at least 1")
-    if H.order == table.n:
-        raise ValueError("H must be a proper subgroup")
-    mul, inv = table.mul, table.inv
-    visited = bytearray(table.n)
-    total = Fraction(0)
-    for x in range(table.n):
-        if visited[x] or not is_prime(table.element_order[x]):
-            continue
-        cls = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for g in table.gen_idx:
-                z = mul[mul[inv[g]][y]][g]
-                if z not in cls:
-                    cls.add(z)
-                    stack.append(z)
-        for y in cls:
-            visited[y] = 1
-        size = len(cls)
-        in_h = len(cls & H.elements)
-        total += Fraction(in_h**c, size ** (c - 1))
-    return total

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from minbase.classical import (
@@ -13,7 +15,79 @@ from minbase.classical import (
     is_plus_type,
     witt_index,
 )
-from minbase.fq import Fq, mat_identity, mat_mul, mat_det, subspace_canonical, frobenius_subspace
+from minbase.fq import (
+    Fq,
+    frobenius_subspace,
+    mat_identity,
+    mat_mul,
+    mat_vec,
+    subspace_canonical,
+)
+
+_U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))
+_W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))
+
+
+def _in_uprime(v):
+    # U' = <e1, e2+f2> = {(s, t, 0, t)}
+    return v[2] == 0 and v[3] == v[1]
+
+
+def _in_wprime(v):
+    # W' = <e1+f2, e2+f1> = {(s, t, t, s)}
+    return v[2] == v[1] and v[3] == v[0]
+
+
+def _fixes_pair(F, g):
+    iu = [mat_vec(F, g, v) for v in _U_PRIME]
+    iw = [mat_vec(F, g, v) for v in _W_PRIME]
+    same = all(_in_uprime(v) for v in iu) and all(_in_wprime(v) for v in iw)
+    swap = all(_in_wprime(v) for v in iu) and all(_in_uprime(v) for v in iw)
+    return same or swap
+
+
+def _sp4_block(F, A, lam, shape):
+    """diag(A, lam*A^-T) (shape 0) or the swapped shape [[0, lam*A^-T], [A, 0]]."""
+    (a, b), (c, d) = A
+    di = F.inv[F.sub(F.mul[a][d], F.mul[b][c])]
+    # A^-T = (1/det) [[d, -c], [-b, a]]
+    L = tuple(
+        tuple(F.mul[lam][F.mul[x][di]] for x in row)
+        for row in ((d, F.neg[c]), (F.neg[b], a))
+    )
+    z = ((0, 0), (0, 0))
+    tl, tr, bl, br = (A, z, z, L) if shape == 0 else (z, L, A, z)
+    return tuple(tl[i] + tr[i] for i in range(2)) + tuple(bl[i] + br[i] for i in range(2))
+
+
+def sp4_pair_enumeration(q):
+    """Oracle: every similitude diag(A, t*A^-T) or of the swapped shape,
+    A in GL2(q), t nonzero, kept when it fixes {U', W'} setwise; returns
+    (candidates enumerated, survivors in enumeration order)."""
+    F = Fq(q)
+    candidates, survivors = 0, []
+    for a, b, c, d in itertools.product(range(q), repeat=4):
+        if F.sub(F.mul[a][d], F.mul[b][c]) == 0:
+            continue
+        for shape in (0, 1):
+            candidates += q - 1
+            # the image of e1 does not depend on lambda: cut early
+            img_e1 = (a, c, 0, 0) if shape == 0 else (0, 0, a, c)
+            if not (_in_uprime(img_e1) or _in_wprime(img_e1)):
+                continue
+            for lam in range(1, q):
+                g = _sp4_block(F, ((a, b), (c, d)), lam, shape)
+                if _fixes_pair(F, g):
+                    survivors.append(g)
+    return candidates, survivors
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_sp4_pair_solve_matches_enumeration(q):
+    candidates, survivors = sp4_pair_enumeration(q)
+    rep = sp4_pair_stabilizer(q)
+    assert rep.candidates == candidates
+    assert rep.survivors == sorted(survivors)
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])

