@@ -62,75 +62,85 @@ def _emit(args, cert, human_lines, elapsed):
             json.dump(cert, fh, indent=1, sort_keys=True, default=str)
 
 
-def _lattice_for(args):
-    G = group_from_spec(args.spec)
-    table = GroupTable(G, args.cap or 1000)
-    return Lattice(table)
+def _lattice(spec, cap):
+    return Lattice(GroupTable(group_from_spec(spec), cap))
 
 
 # -- subcommand implementations ---------------------------------------------
 # Each returns (exit status, certificate or None, human-readable lines);
 # main() stamps the command and seed, times the call and prints.
+#
+# Witness commands (partition-base, base-size, alpha, finite beta) run
+# verify's own checker on the certificate before printing it.  Every other
+# command is deterministic: its body maps the certificate's inputs to the
+# certificate it prints (inputs, result, witnesses), and verify runs the
+# same body again (_verify_rerun).  Argparse dests are named as the inputs keys, so a
+# command hands its body vars(args).
+
+
+def _check(checker, cert, *context):
+    """Raise unless the certificate passes verify's checker for it."""
+    if not checker(cert, *context):
+        raise CertificationError("the certificate failed its verify check")
 
 
 def cmd_partition_base(args):
     parts = minimal_partition_base(
         args.a, args.b, ambient=args.ambient, seed=args.seed, budget=args.budget
     )
-    order = partition_stabilizer(
-        parts, "all" if args.ambient == "sym" else "even"
-    ).order
     claimed = partition_base_size_value(args.a, args.b, args.ambient)
     cert = {
         "inputs": {"a": args.a, "b": args.b, "ambient": args.ambient},
-        "result": {"base_size": len(parts), "stabilizer_order": order,
+        "result": {"base_size": len(parts), "stabilizer_order": 1,
                    "claimed_value": claimed},
         "witnesses": {"partitions": [format_partition(p) for p in parts]},
     }
+    _check(_verify_partitions, cert)
     lines = [
         f"base of size {len(parts)} for the ({args.a},{args.b}) partition action",
         *("  " + format_partition(p) for p in parts),
-        f"joint stabilizer order: {order} (certified)",
+        "joint stabilizer order: 1 (certified)",
     ]
-    return PASS if order == 1 and len(parts) == claimed else FAIL, cert, lines
+    return PASS if len(parts) == claimed else FAIL, cert, lines
 
 
 def cmd_base_size(args):
-    value, cert_data = base_size_partitions(
+    parts = base_size_partitions(
         args.a, args.b, mode=args.mode, ambient=args.ambient,
         seed=args.seed, budget=args.budget,
     )
     cert = {
         "inputs": {"a": args.a, "b": args.b, "mode": args.mode,
                    "ambient": args.ambient},
-        "result": {"base_size": value, "exact": cert_data["exact"]},
-        "witnesses": {"partitions": cert_data["partitions"]},
+        "result": {"base_size": len(parts), "exact": args.mode == "exact"},
+        "witnesses": {"partitions": [format_partition(p) for p in parts]},
     }
-    return PASS, cert, [f"base size ({args.mode}) = {value}"]
+    _check(_verify_partitions, cert)
+    return PASS, cert, [f"base size ({args.mode}) = {len(parts)}"]
 
 
-def cmd_stabilizer(args):
-    parts = [
-        parse_partition(chunk, args.ground)
-        for chunk in args.partitions.split(";")
-    ]
-    G = partition_stabilizer(parts, args.parity)
-    cert = {
-        "inputs": {"ground": args.ground, "parity": args.parity,
+def _stabilizer_body(inputs):
+    ground, parity = inputs["ground"], inputs["parity"]
+    parts = [parse_partition(s, ground) for s in inputs["partitions"]]
+    G = partition_stabilizer(parts, parity)
+    return {
+        "inputs": {"ground": ground, "parity": parity,
                    "partitions": [format_partition(p) for p in parts]},
         "result": {"order": G.order},
         "witnesses": {"generators": [format_perm(g) for g in G.generators]},
     }
-    return PASS, cert, [f"stabilizer order: {G.order}"]
+
+
+def cmd_stabilizer(args):
+    cert = _stabilizer_body(dict(vars(args), partitions=args.partitions.split(";")))
+    return PASS, cert, [f"stabilizer order: {cert['result']['order']}"]
 
 
 def cmd_alpha(args):
-    lat = _lattice_for(args)
+    lat = _lattice(args.spec, args.cap or 1000)
     cert_a = alpha(lat)
     table = lat.table
     frat_rec = frattini(lat)
-    if not cert_a.verify(table):
-        raise CertificationError("alpha witness failed its own check")
     cert = {
         "inputs": {"spec": args.spec, "order": table.n},
         "result": {"alpha": cert_a.value, "frattini_order": cert_a.frattini_order,
@@ -143,13 +153,16 @@ def cmd_alpha(args):
             "frattini_generators": [table.word_of(g) for g in frat_rec.generators],
         },
     }
+    _check(_verify_alpha, cert, table)
     return PASS, cert, [f"alpha({args.spec}) = {cert_a.value} (proved minimal)"]
 
 
-def cmd_beta(args):
-    lat = _lattice_for(args)
-    res = beta(lat)
+def _beta_body(inputs, cap=GroupTable.HARD_CAP):
+    """An infinite beta is re-run by verify; a finite one is checked here
+    by its witness, on the table already built."""
+    lat = _lattice(inputs["spec"], cap)
     table = lat.table
+    res = beta(lat)
     if res.value is math.inf:
         value = "infinity"
         witnesses = {
@@ -159,11 +172,8 @@ def cmd_beta(args):
                 for rec, order in res.empty_star_evidence
             ]
         }
-        line = f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"
     else:
         chosen = res.chosen
-        if not chosen.verify(table):
-            raise CertificationError("beta witness failed its own check")
         value = res.value
         witnesses = {
             "subgroup_generators": [
@@ -172,12 +182,23 @@ def cmd_beta(args):
             "conjugator_words": [table.word_of(g) for g in chosen.conjugators],
             "core_order": chosen.core_order,
         }
-        line = f"beta({args.spec}) = {value}"
     cert = {
-        "inputs": {"spec": args.spec, "order": table.n},
+        "inputs": {"spec": inputs["spec"], "order": table.n},
         "result": {"beta": value, "frattini_order": res.frattini_order},
         "witnesses": witnesses,
     }
+    if value != "infinity":
+        _check(_verify_beta, cert, table)
+    return cert
+
+
+def cmd_beta(args):
+    cert = _beta_body(vars(args), args.cap or 1000)
+    value = cert["result"]["beta"]
+    if value == "infinity":
+        line = f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"
+    else:
+        line = f"beta({args.spec}) = {value}"
     return PASS, cert, [line]
 
 
@@ -197,8 +218,8 @@ def _parse_qgrid(text):
     return out
 
 
-def _qhat_result(family, grid, c):
-    """Result of `qhat`; its verifier rebuilds and compares all of it."""
+def _qhat_body(inputs):
+    family, grid, c = inputs["family"], inputs["q"], inputs["c"]
     builder = FAMILY_BUILDERS[family]
     rows = []
     for q in _parse_qgrid(grid):
@@ -223,16 +244,16 @@ def _qhat_result(family, grid, c):
         )
     if not rows:
         raise PreconditionError("no admissible q in the grid")
-    return {"all_certified": all(r["certified"] for r in rows), "rows": rows}
+    return {
+        "inputs": {"family": family, "q": grid, "c": c},
+        "result": {"all_certified": all(r["certified"] for r in rows), "rows": rows},
+        "witnesses": {},
+    }
 
 
 def cmd_qhat(args):
-    result = _qhat_result(args.family, args.q, args.c)
-    cert = {
-        "inputs": {"family": args.family, "q": args.q, "c": args.c},
-        "result": result,
-        "witnesses": {},
-    }
+    cert = _qhat_body(vars(args))
+    result = cert["result"]
     lines = [
         f"q={r['q']}: sum = {r['value_float']:.6g}  certified(<1) = {r['certified']}"
         for r in result["rows"]
@@ -240,8 +261,9 @@ def cmd_qhat(args):
     return PASS if result["all_certified"] else FAIL, cert, lines
 
 
-def _sp4_body(q, triple):
-    """(result, witnesses) of `sp4`; its verifier re-runs and compares both."""
+def _sp4_body(inputs):
+    q, triple = inputs["q"], inputs["triple"]
+    inputs = {"q": q, "triple": triple}
     if triple:
         rep = sp4_triple_base_check(q)
         result = {
@@ -251,18 +273,20 @@ def _sp4_body(q, triple):
             "phi_fixes_beta": rep.phi_fixes_beta,
             "phi_moves_gamma": rep.phi_moves_gamma,
         }
-        return result, {}
+        return {"inputs": inputs, "result": result, "witnesses": {}}
     rep = sp4_pair_stabilizer(q)
     result = {
         "candidates": rep.candidates,
         "survivor_count": len(rep.survivors),
         "scalars_only": rep.scalars_only,
     }
-    return result, {"survivors": [list(map(list, g)) for g in rep.survivors]}
+    witnesses = {"survivors": [list(map(list, g)) for g in rep.survivors]}
+    return {"inputs": inputs, "result": result, "witnesses": witnesses}
 
 
 def cmd_sp4(args):
-    result, witnesses = _sp4_body(args.q, args.triple)
+    cert = _sp4_body(vars(args))
+    result = cert["result"]
     if args.triple:
         ok = result["verdict"]
         line = f"triple base check at q={args.q}: {'pass' if ok else 'FAIL'}"
@@ -272,16 +296,14 @@ def cmd_sp4(args):
             f"pair stabilizer at q={args.q}: {result['survivor_count']} survivors "
             f"(expected {args.q - 1} scalars): {'pass' if ok else 'FAIL'}"
         )
-    cert = {
-        "inputs": {"q": args.q, "triple": args.triple},
-        "result": result,
-        "witnesses": witnesses,
-    }
     return PASS if ok else FAIL, cert, [line]
 
 
-def _orth_body(n, q, pair_check):
-    """(result, witnesses) of `orth`; its verifier rebuilds and compares both."""
+def _orth_body(inputs):
+    n, q, pair_check = inputs["n"], inputs["q"], inputs["pair_check"]
+    inputs = {"n": n, "q": q, "pair_check": pair_check}
+    if n % 2 == 0 or n < 7:
+        raise PreconditionError(f"n must be odd and at least 7 (got {n})")
     if pair_check:
         rep = orth_odd_pair_check(n, q)
         result = {
@@ -294,7 +316,7 @@ def _orth_body(n, q, pair_check):
             if rep.counterexample is None
             else {"counterexample": [list(r) for r in rep.counterexample]}
         )
-        return result, witnesses
+        return {"inputs": inputs, "result": result, "witnesses": witnesses}
     variant = "4m+1" if n % 4 == 1 else "4m+3"
     m = (n - (1 if variant == "4m+1" else 3)) // 4
     cons = orth_odd_construct(m, variant, q)
@@ -311,11 +333,12 @@ def _orth_body(n, q, pair_check):
         "W_prime": [list(v) for v in cons.W_prime],
         "basis": cons.basis_names,
     }
-    return result, witnesses
+    return {"inputs": inputs, "result": result, "witnesses": witnesses}
 
 
 def cmd_orth(args):
-    result, witnesses = _orth_body(args.n, args.q, args.pair_check)
+    cert = _orth_body(vars(args))
+    result = cert["result"]
     if args.pair_check:
         ok = result["verdict"]
         lines = [
@@ -328,18 +351,12 @@ def cmd_orth(args):
             f"constructed U, W, W' in dimension {args.n} over F_{args.q}",
             f"phi moves W': {result['phi_moves_w_prime']}",
         ]
-    cert = {
-        "inputs": {"n": args.n, "q": args.q, "pair_check": args.pair_check},
-        "result": result,
-        "witnesses": witnesses,
-    }
     return PASS if ok else FAIL, cert, lines
 
 
-def _soluble_result(lat):
-    """Result of `soluble`; its verifier rebuilds and compares all of it."""
-    rep = soluble_bounds_report(lat)
-    return {
+def _soluble_body(inputs, cap=GroupTable.HARD_CAP):
+    rep = soluble_bounds_report(_lattice(inputs["spec"], cap))
+    result = {
         "alpha": rep.alpha_value,
         "chief_length": rep.chief_length,
         "non_frattini_count": rep.non_frattini_count,
@@ -347,12 +364,13 @@ def _soluble_result(lat):
         "alpha_le_length": rep.alpha_le_length,
         "alpha_le_non_frattini": rep.alpha_le_non_frattini,
     }
+    return {"inputs": {"spec": inputs["spec"]}, "result": result, "witnesses": {}}
 
 
 def cmd_soluble(args):
-    result = _soluble_result(_lattice_for(args))
+    cert = _soluble_body(vars(args), args.cap or 1000)
+    result = cert["result"]
     ok = result["alpha_le_length"] and result["alpha_le_non_frattini"] in (True, None)
-    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
     lines = [
         f"{args.spec}: alpha={result['alpha']} chief_length={result['chief_length']} "
         f"non_frattini={result['non_frattini_count']}: {'pass' if ok else 'FAIL'}"
@@ -360,10 +378,9 @@ def cmd_soluble(args):
     return PASS if ok else FAIL, cert, lines
 
 
-def _theorem4_result(lat):
-    """Result of `theorem4`; its verifier rebuilds and compares all of it."""
-    rep = chief_factor_bound(lat)
-    return {
+def _theorem4_body(inputs, cap=GroupTable.HARD_CAP):
+    rep = chief_factor_bound(_lattice(inputs["spec"], cap))
+    result = {
         "alpha": rep.alpha_value,
         "bound": rep.bound,
         "verdict": rep.verdict,
@@ -378,12 +395,13 @@ def _theorem4_result(lat):
             for d, n in rep.nonabelian_classes
         ],
     }
+    return {"inputs": {"spec": inputs["spec"]}, "result": result, "witnesses": {}}
 
 
 def cmd_theorem4(args):
-    result = _theorem4_result(_lattice_for(args))
+    cert = _theorem4_body(vars(args), args.cap or 1000)
+    result = cert["result"]
     ok = result["verdict"]
-    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
     lines = [
         f"{args.spec}: alpha={result['alpha']} <= bound={result['bound']}: "
         f"{'pass' if ok else 'FAIL'}"
@@ -419,13 +437,15 @@ def cmd_verify(args):
     return PASS if ok else FAIL, None, [f"certificate {args.certificate}: {verdict}"]
 
 
-# -- certificate re-verification ---------------------------------------------
+# -- certificate checkers -----------------------------------------------------
+# One per kind of certificate; the witness checkers take the group table a
+# command has already built, and build their own under verify.
 
 
 def _verify_partitions(cert):
     """partition-base and base-size: the witnesses are distinct partitions
-    into a blocks of size b with trivial joint stabilizer, and their
-    number and stabilizer order are as claimed."""
+    into a blocks of size b with trivial joint stabilizer, their number and
+    stabilizer order are as claimed, and so is the paper's value."""
     a, b = cert["inputs"]["a"], cert["inputs"]["b"]
     ambient = cert["inputs"].get("ambient", "sym")
     parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
@@ -433,6 +453,9 @@ def _verify_partitions(cert):
     if len({p.canonical() for p in parts}) < len(parts) or any(
         len(blk) != b for p in parts for blk in p.blocks
     ):
+        return False
+    claimed = cert["result"].get("claimed_value")
+    if claimed is not None and claimed != partition_base_size_value(a, b, ambient):
         return False
     order = partition_stabilizer(parts, "all" if ambient == "sym" else "even").order
     return (
@@ -442,11 +465,8 @@ def _verify_partitions(cert):
     )
 
 
-def _verify_stabilizer(cert):
-    ground = cert["inputs"]["ground"]
-    parts = [parse_partition(s, ground) for s in cert["inputs"]["partitions"]]
-    order = partition_stabilizer(parts, cert["inputs"]["parity"]).order
-    return order == cert["result"]["order"]
+def _table_of(cert):
+    return GroupTable(group_from_spec(cert["inputs"]["spec"]), GroupTable.HARD_CAP)
 
 
 def _witness_subgroup_elems(table, words):
@@ -470,9 +490,9 @@ def _irredundant(table, sets):
     )
 
 
-def _verify_alpha(cert):
-    G = group_from_spec(cert["inputs"]["spec"])
-    table = GroupTable(G, 2000)
+def _verify_alpha(cert, table=None):
+    if table is None:
+        table = _table_of(cert)
     frat = _witness_subgroup_elems(
         table, cert["witnesses"]["frattini_generators"]
     )
@@ -481,82 +501,64 @@ def _verify_alpha(cert):
         for words in cert["witnesses"]["maximal_subgroups"]
     ]
     return (
-        _meet(table, maxes) == frat
+        cert["inputs"]["order"] == table.n
+        and _meet(table, maxes) == frat
         and _irredundant(table, maxes)
         and len(maxes) == cert["result"]["alpha"]
         and len(frat) == cert["result"]["frattini_order"]
     )
 
 
-def _verify_beta(cert):
-    G = group_from_spec(cert["inputs"]["spec"])
-    table = GroupTable(G, 2000)
-    if cert["result"]["beta"] == "infinity":
-        # no witness can show that no maximal class qualifies: re-derive
-        res = beta(Lattice(table))
-        return (
-            res.value == math.inf
-            and res.frattini_order == cert["result"]["frattini_order"]
-        )
+def _verify_beta(cert, table=None):
+    """A finite beta (an int) by its witness; any other claim, such as
+    infinity, which no witness can show, by re-running the command."""
+    if type(cert["result"]["beta"]) is not int:
+        return _verify_rerun(cert)
+    if table is None:
+        table = _table_of(cert)
     sub = _witness_subgroup_elems(table, cert["witnesses"]["subgroup_generators"])
     conjugates = [sub] + [
         table.conjugate_set(sub, table.index[parse_perm(w, table.degree)])
         for w in cert["witnesses"]["conjugator_words"]
     ]
     return (
-        len(_meet(table, conjugates)) == cert["witnesses"]["core_order"]
+        cert["inputs"]["order"] == table.n
+        and len(_meet(table, conjugates)) == cert["witnesses"]["core_order"]
         and _irredundant(table, conjugates)
         and len(cert["witnesses"]["conjugator_words"]) == cert["result"]["beta"] - 1
         and cert["witnesses"]["core_order"] == cert["result"]["frattini_order"]
     )
 
 
-def _verify_qhat(cert):
-    inputs = cert["inputs"]
-    return _same_result(cert, _qhat_result(inputs["family"], inputs["q"], inputs["c"]))
+def _verify_rerun(cert):
+    """Deterministic commands: run the command's body again on the
+    certificate's inputs (group commands under the hard order cap)."""
+    return _same_result(cert, _BODIES[cert["command"]](cert["inputs"]))
 
 
-def _verify_sp4(cert):
-    inputs = cert["inputs"]
-    return _same_result(cert, *_sp4_body(inputs["q"], inputs["triple"]))
-
-
-def _verify_orth(cert):
-    inputs = cert["inputs"]
-    return _same_result(
-        cert, *_orth_body(inputs["n"], inputs["q"], inputs.get("pair_check"))
-    )
-
-
-def _same_result(cert, result, witnesses=None):
-    """Whole result and witnesses (default none) compared with the
-    certificate's, through JSON so that 1 never equals true."""
-    claimed = {"result": cert["result"], "witnesses": cert["witnesses"]}
-    derived = {"result": result, "witnesses": {} if witnesses is None else witnesses}
+def _same_result(cert, derived):
+    """Inputs, result and witnesses all as derived, compared through JSON
+    so that 1 never equals true."""
+    claimed = {key: cert[key] for key in derived}
     return json.dumps(derived, sort_keys=True) == json.dumps(claimed, sort_keys=True)
 
 
-def _verify_soluble(cert):
-    lat = Lattice(GroupTable(group_from_spec(cert["inputs"]["spec"]), 2000))
-    return _same_result(cert, _soluble_result(lat))
-
-
-def _verify_theorem4(cert):
-    lat = Lattice(GroupTable(group_from_spec(cert["inputs"]["spec"]), 2000))
-    return _same_result(cert, _theorem4_result(lat))
-
+_BODIES = {
+    "stabilizer": _stabilizer_body,
+    "beta": _beta_body,
+    "qhat": _qhat_body,
+    "sp4": _sp4_body,
+    "orth": _orth_body,
+    "soluble": _soluble_body,
+    "theorem4": _theorem4_body,
+}
 
 _VERIFIERS = {
+    **{command: _verify_rerun for command in _BODIES},
     "partition-base": _verify_partitions,
     "base-size": _verify_partitions,
-    "stabilizer": _verify_stabilizer,
     "alpha": _verify_alpha,
     "beta": _verify_beta,
-    "qhat": _verify_qhat,
-    "sp4": _verify_sp4,
-    "orth": _verify_orth,
-    "soluble": _verify_soluble,
-    "theorem4": _verify_theorem4,
 }
 
 

@@ -17,9 +17,9 @@ from .fq import Fq, factor_prime_power, mat_det, nullspace
 from .lattice import (
     Lattice,
     SubgroupRecord,
+    commutator_subgroup,
     conjugacy_classes_of_subgroups,
     core,
-    derived_subgroup_set,
     frattini,
     is_nilpotent_set,
     is_soluble,
@@ -41,10 +41,6 @@ class AlphaCertificate:
     witness: list
     frattini_order: int
     exhaustive: bool = True
-
-    def verify(self, table) -> bool:
-        inter = frozenset.intersection(*(rec.elements for rec in self.witness))
-        return len(inter) == self.frattini_order and len(self.witness) == self.value
 
 
 def alpha(lattice: Lattice) -> AlphaCertificate:
@@ -109,12 +105,6 @@ class BaseSizeCertificate:
     subgroup: SubgroupRecord
     conjugators: list  # element indices; the witness conjugates are H^g
     core_order: int
-
-    def verify(self, table) -> bool:
-        inter = set(self.subgroup.elements)
-        for g in self.conjugators:
-            inter &= table.conjugate_set(self.subgroup.elements, g)
-        return len(inter) == self.core_order and len(self.conjugators) == self.value - 1
 
 
 def base_size_subgroup(lattice: Lattice, H: SubgroupRecord) -> BaseSizeCertificate:
@@ -233,7 +223,7 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
                 top,
                 bottom,
                 top.order // bottom.order,
-                derived_subgroup_set(table, top.elements) <= bottom.elements,
+                commutator_subgroup(table, top.elements, top.elements) <= bottom.elements,
                 not top.elements <= frattini_mod_bottom,
                 len(composition) - 1,
             )
@@ -421,7 +411,7 @@ def soluble_bounds_report(lattice: Lattice) -> SolubleReport:
     report = chief_series(lattice)
     lam = report.chief_length
     delta = report.non_frattini_count
-    derived = derived_subgroup_set(table)
+    derived = commutator_subgroup(table, range(table.n), range(table.n))
     dnil = is_nilpotent_set(table, derived)
     return SolubleReport(
         a,

@@ -268,23 +268,17 @@ def normal_subgroups(lattice: Lattice, within: SubgroupRecord = None):
     return out
 
 
-def derived_subgroup_set(table: GroupTable, elems=None):
-    """Commutator subgroup (of a subgroup, default the whole group)."""
-    if elems is None:
-        elems = range(table.n)
-    elems = list(elems)
+def commutator_subgroup(table: GroupTable, A, B):
+    """[A, B]: the subgroup generated by the commutators [a, b]."""
     mul, inv = table.mul, table.inv
-    comms = set()
-    for a in elems:
-        for b in elems:
-            comms.add(mul[mul[inv[a]][inv[b]]][mul[a][b]])
-    return table.closure(table.subgroup_generators(table.closure(sorted(comms))))
+    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in A for b in B}
+    return table.closure(sorted(comms))
 
 
 def is_soluble(table: GroupTable) -> bool:
     cur = frozenset(range(table.n))
     while len(cur) > 1:
-        nxt = derived_subgroup_set(table, cur)
+        nxt = commutator_subgroup(table, cur, cur)
         if nxt == cur:
             return False
         cur = nxt
@@ -295,13 +289,8 @@ def is_nilpotent_set(table: GroupTable, elems) -> bool:
     """Lower central series of the subgroup on the given elements."""
     full = frozenset(elems)
     cur = full
-    mul, inv = table.mul, table.inv
     while len(cur) > 1:
-        comms = set()
-        for a in full:
-            for b in cur:
-                comms.add(mul[mul[inv[a]][inv[b]]][mul[a][b]])
-        nxt = table.closure(table.subgroup_generators(table.closure(sorted(comms))))
+        nxt = commutator_subgroup(table, full, cur)
         if nxt == cur:
             return False
         cur = nxt

@@ -560,17 +560,17 @@ def _orbit_reps(omega, index, gens):
 
 
 def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=100000):
-    """Base size of the (a,b) partition action: exact by enumeration
-    (n = ab <= 12), or an upper bound with witness from construction and
-    randomized search.  Returns (value, certificate dict)."""
+    """A base of the (a,b) partition action, as a list of partitions: of
+    the least size in mode "exact" (by enumeration for n = ab <= 12), or of
+    an upper bound from construction and randomized search in mode
+    "upper".  The caller certifies the list before printing it."""
     _validate_ab(a, b)
     if ambient not in ("sym", "alt"):
         raise ValueError("ambient must be 'sym' or 'alt'")
     n = a * b
     parity = "all" if ambient == "sym" else "even"
     if mode == "upper":
-        parts = minimal_partition_base(a, b, ambient=ambient, seed=seed, budget=budget)
-        return len(parts), _certify(parts, parity, exact=False)
+        return minimal_partition_base(a, b, ambient=ambient, seed=seed, budget=budget)
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'upper'")
     if n > 12:
@@ -582,23 +582,8 @@ def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=10000
             raise PreconditionError(
                 f"exact mode needs ab <= 12 (got {n}) outside the 2-base range"
             )
-        parts = _search_base(a, b, 2, parity, seed, budget)
-        return 2, _certify(parts, parity, exact=True)
+        return _search_base(a, b, 2, parity, seed, budget)
     return _exact_by_enumeration(a, b, parity)
-
-
-def _certify(parts, parity, exact):
-    stab = partition_stabilizer(parts, parity)
-    if stab.order != 1:
-        raise CertificationError(
-            f"witness has joint stabilizer of order {stab.order}, not 1"
-        )
-    return {
-        "partitions": [format_partition(p) for p in parts],
-        "stabilizer_order": 1,
-        "base_size": len(parts),
-        "exact": exact,
-    }
 
 
 def _exact_by_enumeration(a, b, parity):
@@ -622,20 +607,10 @@ def _exact_by_enumeration(a, b, parity):
         G is the joint stabilizer of P1 and the prefix.  Representatives
         duplicating an earlier pick are skipped: at the minimal size no
         base repeats a partition, and orbit reduction by the running
-        stabilizer keeps that property.  The first level is scanned
-        smallest-stabilizer-first to reach witnesses early."""
+        stabilizer keeps that property."""
         if size_left == 0:
             return [P1] + prefix_blocks if G.order == 1 else None
-        reps = _orbit_reps(omega, index, G.generators)
-        if not prefix_blocks:
-            subs = [(stabilizer([omega[r]]), omega[r]) for r in reps if omega[r] != P1]
-            subs.sort(key=lambda t: t[0].order)
-            for sub, cand in subs:
-                result = extend([cand], sub, size_left - 1)
-                if result is not None:
-                    return result
-            return None
-        for rep in reps:
+        for rep in _orbit_reps(omega, index, G.generators):
             cand = omega[rep]
             if cand in prefix_blocks or cand == P1:
                 continue
@@ -646,13 +621,20 @@ def _exact_by_enumeration(a, b, parity):
                 return result
         return None
 
-    for k in range(2, len(omega) + 2):
-        result = extend([], W, k - 1)
-        if result is not None:
-            parts = [SetPartition.from_blocks(n, p) for p in result]
-            cert = _certify(parts, parity, exact=True)
-            cert["minimality"] = f"no base of size {k - 1} exists (exhausted)"
-            return k, cert
+    # The first pick ranges over W-orbit representatives, scanned
+    # smallest-stabilizer-first to reach witnesses early; every deepening
+    # round starts from the same list, so it is built once.
+    first = [
+        (stabilizer([omega[r]]), omega[r])
+        for r in _orbit_reps(omega, index, W.generators)
+        if omega[r] != P1
+    ]
+    first.sort(key=lambda t: t[0].order)
+    for size_left in range(len(omega)):
+        for sub, cand in first:
+            result = extend([cand], sub, size_left)
+            if result is not None:
+                return [SetPartition.from_blocks(n, p) for p in result]
     raise RuntimeError("unreachable: some tuple of partitions is always a base")
 
 

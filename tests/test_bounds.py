@@ -1,5 +1,3 @@
-import itertools
-import math
 from fractions import Fraction
 
 import pytest

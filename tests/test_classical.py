@@ -5,7 +5,6 @@ import pytest
 from minbase.classical import (
     BudgetError,
     isometry_group_elements,
-    orth_form,
     orth_odd_construct,
     orth_odd_pair_check,
     sp4_pair_stabilizer,

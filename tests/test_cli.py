@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import minbase
+from minbase import cli
 from minbase.cli import main
 from minbase.invariants import AlphaCertificate, BaseSizeCertificate
 from minbase.partitions import CertificationError
@@ -253,8 +255,22 @@ def test_verify_rederives_infinite_beta(tmp_path):
 
 
 def test_alpha_and_beta_raise_on_failed_self_check(monkeypatch):
-    monkeypatch.setattr(AlphaCertificate, "verify", lambda self, table: False)
-    monkeypatch.setattr(BaseSizeCertificate, "verify", lambda self, table: False)
+    # each witness loses its last subgroup, so verify's checker says no on
+    # the table the command built, and the command raises instead of printing
+    alpha, beta = cli.alpha, cli.beta
+
+    def short_alpha(lat):
+        cert = alpha(lat)
+        return AlphaCertificate(cert.value - 1, cert.witness[:-1], cert.frattini_order)
+
+    def short_beta(lat):
+        res = beta(lat)
+        c = res.chosen
+        return replace(res, value=res.value - 1, chosen=BaseSizeCertificate(
+            c.value - 1, c.subgroup, c.conjugators[:-1], c.core_order))
+
+    monkeypatch.setattr(cli, "alpha", short_alpha)
+    monkeypatch.setattr(cli, "beta", short_beta)
     with pytest.raises(CertificationError):
         main(["alpha", "--spec", "S4"])
     with pytest.raises(CertificationError):
@@ -291,22 +307,28 @@ def _tampered(value):
     [["soluble", "--spec", "S4"], ["theorem4", "--spec", "S4"],
      ["theorem4", "--spec", "S5"], ["sp4", "--q", "5"], ["sp4", "--q", "9", "--triple"],
      ["orth", "--n", "7", "--q", "9"], ["orth", "--pair-check"],
-     ["qhat", "--family", "g2", "--q", "9..25"]],
+     ["qhat", "--family", "g2", "--q", "9..25"],
+     ["stabilizer", "--ground", "6", "--partitions", "{1,2,3}|{4,5,6}"],
+     ["beta", "--spec", "Q8"]],
 )
 def test_verify_rejects_every_forged_result_field(tmp_path, capsys, argv):
+    # every command here is verified by re-running it, so an edit of any
+    # result or witness field, or an input it never reads, is rejected
     code, cert = run_json(tmp_path, argv)
     assert code == 0
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
     path = tmp_path / "forged.json"
     forged = 0
-    for field, value in cert["result"].items():
-        for label, new in _tampered(value):
-            path.write_text(json.dumps(dict(cert, result=dict(cert["result"], **{field: new}))))
-            capsys.readouterr()
-            assert main(["verify", str(path)]) == 1, field + label
-            assert "REJECTED" in capsys.readouterr().out, field + label
-            forged += 1
-    assert forged >= len(cert["result"])
+    for part in ("result", "witnesses"):
+        for field, value in cert[part].items():
+            for label, new in _tampered(value):
+                path.write_text(json.dumps(dict(cert, **{part: dict(cert[part], **{field: new})})))
+                capsys.readouterr()
+                assert main(["verify", str(path)]) == 1, field + label
+                assert "REJECTED" in capsys.readouterr().out, field + label
+                forged += 1
+    assert forged >= len(cert["result"]) + len(cert["witnesses"])
+    _assert_rejected(tmp_path, capsys, dict(cert, inputs=dict(cert["inputs"], extra=1)))
 
 
 def _assert_rejected(tmp_path, capsys, cert):
@@ -315,6 +337,29 @@ def _assert_rejected(tmp_path, capsys, cert):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert "REJECTED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, part, edit", [
+    (["stabilizer", "--ground", "6", "--partitions", "{1,2,3}|{4,5,6}"],
+     "witnesses", {"generators": ["(1,4)"]}),
+    (["beta", "--spec", "Q8"], "witnesses", {"core_orders_by_class": []}),
+    (["partition-base", "-a", "5", "-b", "3"], "result", {"claimed_value": 7}),
+])
+def test_verify_rejects_named_forgeries(tmp_path, capsys, argv, part, edit):
+    code, cert = run_json(tmp_path, argv)
+    assert code == 0
+    _assert_rejected(tmp_path, capsys, dict(cert, **{part: dict(cert[part], **edit)}))
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 3, -1])
+def test_orth_refuses_n_without_odd_construction(tmp_path, n):
+    # the construction needs odd n >= 7; verify refuses the rest too
+    assert main(["orth", "--n", str(n), "--q", "3"]) == 2
+    code, cert = run_json(tmp_path, ["orth", "--n", "7", "--q", "3"])
+    assert code == 0
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps(dict(cert, inputs=dict(cert["inputs"], n=n))))
+    assert main(["verify", str(path)]) == 2
 
 
 def test_verify_rejects_forged_orth_witness(tmp_path, capsys):

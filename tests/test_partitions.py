@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minbase import cli
 from minbase.partitions import (
     CertificationError,
     GridCoords,
     PreconditionError,
     SearchBudgetExceeded,
     SetPartition,
-    _certify,
     _forced_symmetry,
     _search_base,
     all_uniform_partitions,
@@ -229,24 +229,19 @@ def test_value_dispatch():
 
 
 def test_exact_small():
-    val, cert = base_size_partitions(3, 2, mode="exact")
-    assert val == 4
-    assert cert["exact"]
-    val, _ = base_size_partitions(4, 2, mode="exact")
-    assert val == 3
-    val, _ = base_size_partitions(3, 3, mode="exact")
-    assert val == 3
+    assert len(base_size_partitions(3, 2, mode="exact")) == 4
+    assert len(base_size_partitions(4, 2, mode="exact")) == 3
+    assert len(base_size_partitions(3, 3, mode="exact")) == 3
 
 
 def test_exact_alternating_32():
-    val, _ = base_size_partitions(3, 2, mode="exact", ambient="alt")
-    assert val == 3
+    assert len(base_size_partitions(3, 2, mode="exact", ambient="alt")) == 3
 
 
 def test_upper_pair_search():
-    val, cert = base_size_partitions(8, 3, mode="upper", seed=1)
-    assert val == 2
-    assert cert["stabilizer_order"] == 1
+    parts = base_size_partitions(8, 3, mode="upper", seed=1)
+    assert len(parts) == 2
+    assert partition_stabilizer(parts).order == 1
 
 
 def test_minimal_base_small_search_cases():
@@ -297,10 +292,14 @@ def test_cross_counts_consistency():
     assert all(m[r][s] == 1 for r in range(6) for s in range(6))
 
 
-def test_certify_raises_without_assert():
-    # a lone partition has a huge stabilizer; the check must survive -O
+def test_certify_raises_without_assert(monkeypatch):
+    # a lone partition has a huge stabilizer, so verify's checker says no
+    # and the command must raise rather than print; the check must survive -O
+    monkeypatch.setattr(
+        cli, "base_size_partitions", lambda *a, **k: [uniform_partition(4, 3)]
+    )
     with pytest.raises(CertificationError):
-        _certify([uniform_partition(4, 3)], "all", exact=False)
+        cli.main(["base-size", "-a", "4", "-b", "3", "--mode", "upper"])
 
 
 def test_forced_symmetry_parity():
@@ -414,5 +413,7 @@ def _element_filter_exact(a, b, ambient):
     [(3, 2, "sym"), (4, 2, "sym"), (3, 3, "sym"), (3, 2, "alt"), (4, 2, "alt")],
 )
 def test_exact_mode_matches_element_filter_oracle(a, b, ambient):
-    value, cert = base_size_partitions(a, b, mode="exact", ambient=ambient)
-    assert (value, cert["partitions"]) == _element_filter_exact(a, b, ambient)
+    parts = base_size_partitions(a, b, mode="exact", ambient=ambient)
+    assert (len(parts), [format_partition(p) for p in parts]) == _element_filter_exact(
+        a, b, ambient
+    )

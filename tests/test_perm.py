@@ -11,8 +11,6 @@ from minbase.perm import (
     coset_action,
     format_perm,
     identity,
-    inverse,
-    is_identity,
     orbit,
     orbits,
     parse_perm,
