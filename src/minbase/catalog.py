@@ -50,6 +50,8 @@ def alternating(n: int) -> PermGroup:
 
 
 def cyclic(n: int) -> PermGroup:
+    if n < 1:
+        raise ValueError("n >= 1")
     if n == 1:
         return PermGroup([], 1)
     return PermGroup([tuple((x + 1) % n for x in range(n))], n)
@@ -142,6 +144,8 @@ def pgl_2_7() -> PermGroup:
 
 def wreath_block_stabilizer(b: int, a: int) -> PermGroup:
     """Stabilizer of the canonical partition into a blocks of size b."""
+    if a < 1 or b < 1:
+        raise ValueError("wr(b,a) needs a >= 1 and b >= 1")
     return PermGroup(wreath_generators(a, b), a * b)
 
 

@@ -137,7 +137,7 @@ def cmd_stabilizer(args):
 
 
 def cmd_alpha(args):
-    lat = _lattice(args.spec, args.cap or 1000)
+    lat = _lattice(args.spec, args.cap)
     cert_a = alpha(lat)
     table = lat.table
     frat_rec = frattini(lat)
@@ -193,7 +193,7 @@ def _beta_body(inputs, cap=GroupTable.HARD_CAP):
 
 
 def cmd_beta(args):
-    cert = _beta_body(vars(args), args.cap or 1000)
+    cert = _beta_body(vars(args), args.cap)
     value = cert["result"]["beta"]
     if value == "infinity":
         line = f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"
@@ -368,7 +368,7 @@ def _soluble_body(inputs, cap=GroupTable.HARD_CAP):
 
 
 def cmd_soluble(args):
-    cert = _soluble_body(vars(args), args.cap or 1000)
+    cert = _soluble_body(vars(args), args.cap)
     result = cert["result"]
     ok = result["alpha_le_length"] and result["alpha_le_non_frattini"] in (True, None)
     lines = [
@@ -399,7 +399,7 @@ def _theorem4_body(inputs, cap=GroupTable.HARD_CAP):
 
 
 def cmd_theorem4(args):
-    cert = _theorem4_body(vars(args), args.cap or 1000)
+    cert = _theorem4_body(vars(args), args.cap)
     result = cert["result"]
     ok = result["verdict"]
     lines = [
@@ -469,9 +469,10 @@ def _table_of(cert):
     return GroupTable(group_from_spec(cert["inputs"]["spec"]), GroupTable.HARD_CAP)
 
 
-def _witness_subgroup_elems(table, words):
+def _witness_subgroup(table, words):
+    """(elements, generators) of the subgroup the words generate."""
     gens = [table.index[parse_perm(w, table.degree)] for w in words]
-    return table.closure(gens)
+    return table.closure(gens), gens
 
 
 def _meet(table, sets):
@@ -493,17 +494,17 @@ def _irredundant(table, sets):
 def _verify_alpha(cert, table=None):
     if table is None:
         table = _table_of(cert)
-    frat = _witness_subgroup_elems(
-        table, cert["witnesses"]["frattini_generators"]
-    )
+    frat, _ = _witness_subgroup(table, cert["witnesses"]["frattini_generators"])
     maxes = [
-        _witness_subgroup_elems(table, words)
+        _witness_subgroup(table, words)
         for words in cert["witnesses"]["maximal_subgroups"]
     ]
+    sets = [elems for elems, _ in maxes]
     return (
         cert["inputs"]["order"] == table.n
-        and _meet(table, maxes) == frat
-        and _irredundant(table, maxes)
+        and all(table.is_maximal(elems, gens) for elems, gens in maxes)
+        and _meet(table, sets) == frat
+        and _irredundant(table, sets)
         and len(maxes) == cert["result"]["alpha"]
         and len(frat) == cert["result"]["frattini_order"]
     )
@@ -516,13 +517,14 @@ def _verify_beta(cert, table=None):
         return _verify_rerun(cert)
     if table is None:
         table = _table_of(cert)
-    sub = _witness_subgroup_elems(table, cert["witnesses"]["subgroup_generators"])
+    sub, gens = _witness_subgroup(table, cert["witnesses"]["subgroup_generators"])
     conjugates = [sub] + [
         table.conjugate_set(sub, table.index[parse_perm(w, table.degree)])
         for w in cert["witnesses"]["conjugator_words"]
     ]
     return (
         cert["inputs"]["order"] == table.n
+        and table.is_maximal(sub, gens)
         and len(_meet(table, conjugates)) == cert["witnesses"]["core_order"]
         and _irredundant(table, conjugates)
         and len(cert["witnesses"]["conjugator_words"]) == cert["result"]["beta"] - 1

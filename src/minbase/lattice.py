@@ -9,7 +9,6 @@ representatives, which reaches every subgroup exactly once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .perm import PermGroup, format_perm, identity, inverse, perm_order
@@ -108,6 +107,37 @@ class GroupTable:
                     break
         return tuple(gens)
 
+    def double_coset_reps(self, elems, gens):
+        """Least element of each double coset HgH outside H, in increasing
+        order, where H is the subgroup on elems generated by gens."""
+        mul = self.mul
+        gens = list(gens) or [self.identity]
+        visited = bytearray(self.n)
+        for x in elems:
+            visited[x] = 1
+        for g in range(self.n):
+            if visited[g]:
+                continue
+            stack = [g]
+            visited[g] = 1
+            while stack:
+                x = stack.pop()
+                for h in gens:
+                    for y in (mul[h][x], mul[x][h]):
+                        if not visited[y]:
+                            visited[y] = 1
+                            stack.append(y)
+            yield g
+
+    def is_maximal(self, elems, gens):
+        """A proper subgroup H (on elems, generated by gens) is maximal
+        exactly when <H, g> is the whole group for every double coset HgH
+        outside H."""
+        return len(elems) < self.n and all(
+            len(self.closure(list(gens) + [g])) == self.n
+            for g in self.double_coset_reps(elems, gens)
+        )
+
     def perm_of(self, idx):
         return self.elements[idx]
 
@@ -175,25 +205,9 @@ class Lattice:
                 # only the whole group lies above: H keeps its maximal flag
                 continue
             gens = list(rec.generators)
-            visited = bytearray(m)
-            for x in elems:
-                visited[x] = 1
             reached_only_full = True
-            mul = self.table.mul
-            for g in range(m):
-                if visited[g]:
-                    continue
-                # mark the double coset H g H
-                stack = [g]
-                visited[g] = 1
-                while stack:
-                    x = stack.pop()
-                    for h in gens or [table.identity]:
-                        for y in (mul[h][x], mul[x][h]):
-                            if not visited[y]:
-                                visited[y] = 1
-                                stack.append(y)
-                new_elems = table.closure(list(gens) + [g])
+            for g in table.double_coset_reps(elems, gens):
+                new_elems = table.closure(gens + [g])
                 if len(new_elems) < m:
                     reached_only_full = False
                     add(new_elems, tuple(gens) + (g,))
@@ -296,29 +310,3 @@ def is_nilpotent_set(table: GroupTable, elems) -> bool:
         cur = nxt
     return True
 
-
-def lattice_to_json(lattice: Lattice) -> str:
-    """Subgroup list with orders, generator words and inclusion edges."""
-    subs = lattice.subgroups
-    entries = []
-    for i, rec in enumerate(subs):
-        entries.append(
-            {
-                "id": i,
-                "order": rec.order,
-                "generators": [lattice.table.word_of(g) for g in rec.generators],
-                "maximal": lattice.maximal_flags[i] and rec.order < lattice.table.n,
-            }
-        )
-    edges = []
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            if i != j and a.order < b.order and a.elements <= b.elements:
-                # keep only covering edges
-                if not any(
-                    a.elements <= c.elements < b.elements and c.order > a.order
-                    for k, c in enumerate(subs)
-                    if k not in (i, j) and c.elements < b.elements
-                ):
-                    edges.append([i, j])
-    return json.dumps({"subgroups": entries, "inclusions": edges}, indent=1)

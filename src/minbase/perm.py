@@ -43,11 +43,6 @@ def inverse(p):
     return tuple(inv)
 
 
-def conjugate_perm(p, g):
-    """g^-1 * p * g (left-first products)."""
-    return compose(compose(inverse(g), p), g)
-
-
 def sign(p) -> int:
     """+1 for even permutations, -1 for odd."""
     seen = [False] * len(p)
@@ -170,21 +165,29 @@ def orbits(n, gens):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit")
+    """One chain level: the base point, the strong generators fixing every
+    earlier base point, the orbit transversal (orbit point -> an element
+    taking the base point there), and, per orbit point, how many of the
+    generators have been applied to it."""
 
-    def __init__(self, point):
+    __slots__ = ("point", "gens", "orbit", "done")
+
+    def __init__(self, point, degree):
         self.point = point
         self.gens = []
-        self.orbit = {}
+        self.orbit = {point: identity(degree)}
+        self.done = {}
 
 
 class PermGroup:
     """Finite permutation group with a deterministic stabilizer chain.
 
-    Base points are always the smallest point moved at each level, and
-    orbits are built breadth-first in a fixed order, so two constructions
-    from the same generator list produce identical chains.  Immutable
-    after construction.
+    The chain is built by incremental Schreier-Sims: each Schreier
+    generator is sifted once.  A new base point is the smallest point
+    moved by the residue that needs it, and generators and orbit points
+    are taken in a fixed order, so two constructions from the same
+    generator list produce identical chains.  Immutable after
+    construction.
     """
 
     def __init__(self, generators, degree=None):
@@ -201,42 +204,24 @@ class PermGroup:
         self.degree = degree
         self.generators = [g for g in generators if not is_identity(g)]
         self._levels: list[_Level] = []
-        self._build()
+        for g in self.generators:
+            self._add(g, 0)
         self.order = 1
         for lvl in self._levels:
             self.order *= len(lvl.orbit)
 
     # -- chain construction ------------------------------------------------
-    # Level i stores the strong generators first introduced there (those
-    # fixing base points 0..i-1).  The generating set of the level-i
-    # stabilizer is the union of gens stored at levels >= i, since deeper
-    # generators fix the earlier base points but may still grow an orbit.
+    # Level i's generators generate the stabilizer of base points 0..i-1 once
+    # every level is closed: every (orbit point, generator) pair has been
+    # applied, and each Schreier generator it gave sifts to the identity
+    # through the levels below.  Closing level i adds residues to deeper
+    # levels only, so its own generator list is fixed while it is closed.
 
-    def _level_gens(self, i):
-        gens = []
-        for lvl in self._levels[i:]:
-            gens.extend(lvl.gens)
-        return gens
-
-    def _rebuild_orbit(self, i):
-        lvl = self._levels[i]
-        gens = self._level_gens(i)
-        lvl.orbit = {lvl.point: identity(self.degree)}
-        frontier = [lvl.point]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                u = lvl.orbit[pt]
-                for g in gens:
-                    img = g[pt]
-                    if img not in lvl.orbit:
-                        lvl.orbit[img] = compose(u, g)
-                        nxt.append(img)
-            frontier = nxt
-
-    def _sift(self, g):
-        """Strip g through the chain; return (residue, levels passed)."""
-        for i, lvl in enumerate(self._levels):
+    def _sift(self, g, start=0):
+        """Strip g through levels start.. of the chain; return (residue,
+        index of the level it stopped at)."""
+        for i in range(start, len(self._levels)):
+            lvl = self._levels[i]
             img = g[lvl.point]
             if img == lvl.point:
                 continue
@@ -245,31 +230,38 @@ class PermGroup:
             g = compose(g, inverse(lvl.orbit[img]))
         return g, len(self._levels)
 
-    def _build(self):
-        queue = list(self.generators)
-        while queue:
-            g = queue.pop(0)
-            if is_identity(g):
-                continue
-            residue, depth = self._sift(g)
-            if is_identity(residue):
-                continue
-            if depth == len(self._levels):
-                moved = min(i for i in range(self.degree) if residue[i] != i)
-                self._levels.append(_Level(moved))
-                depth = len(self._levels) - 1
-            self._levels[depth].gens.append(residue)
-            for i in range(depth, -1, -1):
-                self._rebuild_orbit(i)
-            for i in range(depth + 1):
-                lvl = self._levels[i]
-                gens = self._level_gens(i)
-                for pt in sorted(lvl.orbit):
-                    u = lvl.orbit[pt]
-                    for s in gens:
-                        schreier = compose(compose(u, s), inverse(lvl.orbit[s[pt]]))
-                        if not is_identity(schreier):
-                            queue.append(schreier)
+    def _add(self, g, start):
+        """Sift g from level start; a nontrivial residue joins the
+        generators of levels start..depth, which are then closed from the
+        bottom up."""
+        residue, depth = self._sift(g, start)
+        if is_identity(residue):
+            return
+        if depth == len(self._levels):
+            moved = min(i for i in range(self.degree) if residue[i] != i)
+            self._levels.append(_Level(moved, self.degree))
+        for i in range(start, depth + 1):
+            self._levels[i].gens.append(residue)
+        for i in range(depth, start - 1, -1):
+            self._close(i)
+
+    def _close(self, i):
+        """Apply every new (orbit point, generator) pair at level i: a new
+        image grows the orbit, a known one gives a Schreier generator,
+        which is sifted into level i + 1."""
+        lvl = self._levels[i]
+        points = list(lvl.orbit)
+        for pt in points:  # grows as the orbit does
+            u = lvl.orbit[pt]
+            for s in lvl.gens[lvl.done.get(pt, 0):]:
+                us = compose(u, s)
+                img = s[pt]
+                if img not in lvl.orbit:
+                    lvl.orbit[img] = us
+                    points.append(img)
+                elif us != lvl.orbit[img]:
+                    self._add(compose(us, inverse(lvl.orbit[img])), i + 1)
+            lvl.done[pt] = len(lvl.gens)
 
     # -- queries -----------------------------------------------------------
 
@@ -304,20 +296,6 @@ class PermGroup:
             transversal = [lvl.orbit[pt] for pt in sorted(lvl.orbit)]
             elems = [compose(e, t) for e in elems for t in transversal]
         return elems
-
-    def conjugate(self, g) -> "PermGroup":
-        """The group g^-1 * self * g, with a freshly built chain."""
-        g = tuple(g)
-        if len(g) != self.degree:
-            raise DegreeMismatch("conjugating element of wrong degree")
-        return PermGroup([conjugate_perm(h, g) for h in self.generators], self.degree)
-
-    def random_element(self, rng):
-        g = identity(self.degree)
-        for lvl in self._levels:
-            pts = sorted(lvl.orbit)
-            g = compose(lvl.orbit[pts[rng.randrange(len(pts))]], g)
-        return g
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -385,26 +363,17 @@ class CosetAction:
         return tuple(self.coset_index(compose(r, g)) for r in self.reps)
 
 
-def coset_action(G: PermGroup, H: PermGroup):
-    """Returns (image PermGroup of degree |G:H|, coset representatives,
-    image permutations of G's generators).  See CosetAction."""
-    action = CosetAction(G, H)
-    return action.image, action.reps, action.gen_images
-
-
 def read_group_file(path) -> PermGroup:
-    """Group file format: first line "degree n", then one generator per line."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("degree"):
-        raise ParseError('group file must start with a "degree n" line')
-    degree = int(lines[0].split()[1])
+    """Group file format: first line "degree n" with n >= 1, then one
+    generator per line."""
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except OSError as exc:
+        raise ParseError(f"cannot read group file: {exc}") from exc
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "degree" or not head[1].isdigit() or int(head[1]) < 1:
+        raise ParseError('group file must start with a "degree n" line, n >= 1')
+    degree = int(head[1])
     gens = [parse_perm(ln, degree) for ln in lines[1:]]
     return PermGroup(gens, degree)
-
-
-def write_group_file(path, G: PermGroup):
-    with open(path, "w") as fh:
-        fh.write(f"degree {G.degree}\n")
-        for g in G.generators:
-            fh.write(format_perm(g) + "\n")

@@ -351,6 +351,34 @@ def test_verify_rejects_named_forgeries(tmp_path, capsys, argv, part, edit):
     _assert_rejected(tmp_path, capsys, dict(cert, **{part: dict(cert[part], **edit)}))
 
 
+@pytest.mark.parametrize("argv, result, witnesses", [
+    (["alpha", "--spec", "S4"], {"alpha": 1, "frattini_order": 1},
+     {"maximal_subgroups": [[]], "frattini_generators": []}),
+    (["beta", "--spec", "S5"], {"beta": 1},
+     {"subgroup_generators": [], "conjugator_words": [], "core_order": 1}),
+])
+def test_verify_rejects_a_non_maximal_witness(tmp_path, capsys, argv, result, witnesses):
+    # the trivial subgroup stands in for a maximal one
+    code, cert = run_json(tmp_path, argv)
+    assert code == 0
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, result=dict(cert["result"], **result),
+        witnesses=dict(cert["witnesses"], **witnesses)))
+
+
+@pytest.mark.parametrize("argv", [
+    *(["alpha", "--spec", spec] for spec in ["C0", "wr(0,3)", "wr(2,0)", "C2xC0"]),
+    ["alpha", "--spec", "missing.grp"],
+    ["alpha", "--spec", "bare.grp"],
+    *([command, "--spec", "S4", "--cap", "0"]
+      for command in ["alpha", "beta", "soluble", "theorem4"]),
+])
+def test_malformed_input_is_refused(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bare.grp").write_text("degree\n(1,2)\n")
+    assert main(argv) == 2
+
+
 @pytest.mark.parametrize("n", [8, 10, 12, 3, -1])
 def test_orth_refuses_n_without_odd_construction(tmp_path, n):
     # the construction needs odd n >= 7; verify refuses the rest too

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from minbase.catalog import group_from_spec
@@ -12,7 +10,6 @@ from minbase.lattice import (
     frattini,
     is_nilpotent_set,
     is_soluble,
-    lattice_to_json,
     normal_subgroups,
 )
 
@@ -205,13 +202,14 @@ def test_closure_matches_brute(s4_lattice):
         assert got == frozenset(elems)
 
 
-def test_lattice_json_roundtrip():
-    lat = Lattice(GroupTable(group_from_spec("Q8")))
-    data = json.loads(lattice_to_json(lat))
-    assert len(data["subgroups"]) == 6
-    orders = sorted(e["order"] for e in data["subgroups"])
-    assert orders == [1, 2, 4, 4, 4, 8]
-    # the unique minimal subgroup sits below all three maximals
-    ids_c2 = [e["id"] for e in data["subgroups"] if e["order"] == 2]
-    edges_up = [e for e in data["inclusions"] if e[0] == ids_c2[0]]
-    assert len(edges_up) == 3
+@pytest.mark.parametrize("spec", ["S4", "S5", "PGL27"])
+def test_is_maximal_matches_the_lattice(spec):
+    # oracle: a proper subgroup is maximal when no subgroup lies strictly
+    # between it and the whole group
+    lat = Lattice(GroupTable(group_from_spec(spec)))
+    full = frozenset(range(lat.table.n))
+    for rec in lat.subgroups:
+        maximal = rec.elements < full and not any(
+            rec.elements < other.elements < full for other in lat.subgroups
+        )
+        assert lat.table.is_maximal(rec.elements, rec.generators) == maximal

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minbase import cli
+from minbase import cli, partitions, perm
 from minbase.partitions import (
     CertificationError,
     GridCoords,
@@ -268,12 +268,43 @@ def test_minimality_witness_on_exact_range():
 
 
 def test_wreath_generators_stabilize_canonical():
-    for a, b in [(3, 2), (4, 3), (2, 5)]:
+    for a, b in [(3, 2), (4, 3), (2, 5), (1, 5), (5, 1), (6, 4), (8, 3), (4, 8), (8, 8)]:
         part = uniform_partition(a, b).canonical()
         for g in wreath_generators(a, b):
             assert apply_to_canonical(g, part) == part
         W = PermGroup(wreath_generators(a, b), a * b)
         assert W.order == math.factorial(b) ** a * math.factorial(a)
+
+
+def _grid_rows_and_columns(a):
+    rows = [range(r * a, (r + 1) * a) for r in range(a)]
+    cols = [range(c, a * a, a) for c in range(a)]
+    return [SetPartition.from_blocks(a * a, rows), SetPartition.from_blocks(a * a, cols)]
+
+
+@pytest.mark.parametrize("parts, parity, order", [
+    ([uniform_partition(6, 4)], "even", math.factorial(4) ** 6 * math.factorial(6) // 2),
+    ([uniform_partition(8, 3)], "all", math.factorial(3) ** 8 * math.factorial(8)),
+    (_grid_rows_and_columns(8), "all", math.factorial(8) ** 2),
+])
+def test_symmetric_family_stabilizer_orders(parts, parity, order):
+    assert partition_stabilizer(parts, parity).order == order
+
+
+def test_grid_stabilizer_compose_budget(monkeypatch):
+    # the stabilizer chain sifts each Schreier generator once; rebuilding
+    # orbits and re-queueing Schreier generators took 337,575 composes here
+    calls = [0]
+    original = perm.compose
+
+    def counted(p, q):
+        calls[0] += 1
+        return original(p, q)
+
+    monkeypatch.setattr(perm, "compose", counted)
+    monkeypatch.setattr(partitions, "compose", counted)
+    assert partition_stabilizer(_grid_rows_and_columns(8)).order == math.factorial(8) ** 2
+    assert calls[0] < 20_000
 
 
 def test_all_uniform_partitions_counts():
