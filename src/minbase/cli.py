@@ -445,7 +445,8 @@ def cmd_verify(args):
 def _verify_partitions(cert):
     """partition-base and base-size: the witnesses are distinct partitions
     into a blocks of size b with trivial joint stabilizer, their number and
-    stabilizer order are as claimed, and so is the paper's value."""
+    stabilizer order are as claimed, and so is the paper's value; a base
+    size claimed exact is also least."""
     a, b = cert["inputs"]["a"], cert["inputs"]["b"]
     ambient = cert["inputs"].get("ambient", "sym")
     parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
@@ -462,7 +463,33 @@ def _verify_partitions(cert):
         order == 1
         and len(parts) == cert["result"]["base_size"]
         and cert["result"].get("stabilizer_order", 1) == 1
+        and (cert["result"].get("exact", False) is False
+             or _is_least_base_size(a, b, ambient, len(parts)))
     )
+
+
+def _is_least_base_size(a, b, ambient, size):
+    """No base of the (a,b) partition action is smaller than size, given
+    a base of that size.
+
+    A single partition is never a base: its stabilizer, the block
+    stabilizer, is never trivial.  Under sym with b = 2 or a - b <= 2 no
+    pair (P1, Q) is a base either.  If two points share a cell of P1 and
+    Q, their transposition fixes both.  Otherwise the points are the edges
+    of a b-regular simple bipartite graph on the blocks of P1 and of Q.
+    For b = 2 it is a union of even cycles; for a - b = 0, 1 or 2 its
+    complement in K_{a,a} is empty, a perfect matching or a union of even
+    cycles.  Each has a nontrivial automorphism keeping the two sides,
+    which moves some vertex and with it the edges, that is points, at it.
+    Any other size is compared with the exhaustive enumeration, which
+    covers ab <= 12 only."""
+    if size == 2:
+        return True
+    if ambient == "sym" and size == 3 and (b == 2 or a - b <= 2):
+        return True
+    if a * b > 12:
+        return False
+    return len(base_size_partitions(a, b, "exact", ambient)) == size
 
 
 def _table_of(cert):

@@ -18,7 +18,6 @@ from .lattice import (
     Lattice,
     SubgroupRecord,
     commutator_subgroup,
-    conjugacy_classes_of_subgroups,
     core,
     frattini,
     is_nilpotent_set,
@@ -56,7 +55,7 @@ def alpha(lattice: Lattice) -> AlphaCertificate:
         raise ValueError("the trivial group has no maximal subgroups")
     maxs = lattice.maximal_subgroups()
     frat = frattini(lattice).elements
-    reps = [cls[0] for cls in conjugacy_classes_of_subgroups(lattice, maxs)]
+    reps = [cls[0] for cls in lattice.classes if cls[0] in maxs]
     depth, chain = _fewest_intersections(
         {rec.elements: [rec] for rec in reps},
         [(rec.elements, rec) for rec in maxs],
@@ -111,8 +110,7 @@ def base_size_subgroup(lattice: Lattice, H: SubgroupRecord) -> BaseSizeCertifica
     """Minimal number of conjugates of the maximal subgroup H whose
     intersection is the core of H, by BFS over intersection states."""
     table = lattice.table
-    idx = lattice._by_key.get(H.elements)
-    if idx is None or not lattice.maximal_flags[idx] or H.order == table.n:
+    if H.elements not in {m.elements for m in lattice.maximal_subgroups()}:
         raise ValueError("H must be a maximal subgroup of the ambient group")
     conjugates = table.conjugates(H.elements)
     core_elems = frozenset.intersection(*conjugates)
@@ -133,14 +131,11 @@ class BetaCertificate:
 def beta(lattice: Lattice) -> BetaCertificate:
     """Minimum of b(G,H) over maximal H whose core equals the Frattini
     subgroup; infinity (with per-class core evidence) if there is none."""
-    table = lattice.table
     frat = frattini(lattice).elements
     maxs = lattice.maximal_subgroups()
-    classes = conjugacy_classes_of_subgroups(lattice, maxs)
     star_reps = []
     evidence = []
-    for cls in classes:
-        rec = cls[0]
+    for rec in (cls[0] for cls in lattice.classes if cls[0] in maxs):
         c = core(lattice, rec)
         if c.elements == frat:
             star_reps.append(rec)
@@ -178,20 +173,16 @@ class ChiefSeriesReport:
     non_frattini_count: int
 
 
-def _series_down(top, bottom, normals_of):
-    """Descending series from top to bottom.  Each next term is a largest
-    subgroup (ties: greatest key()) among normals_of(current term) that
-    lies properly inside the current term and contains bottom.  None of
-    those lies strictly between two consecutive terms, so when normals_of
-    lists the current term's normal subgroups every quotient is simple,
-    and when it lists the whole group's every quotient is a chief factor."""
+def _series_down(top, bottom, normals):
+    """Descending series from top to bottom through the given normal
+    subgroups.  Each next term is a largest one (ties: greatest key())
+    that lies properly inside the current term and contains bottom, so
+    none lies strictly between two consecutive terms and every quotient
+    is a chief factor."""
     series = [top]
     while series[-1].order > bottom.order:
         cur = series[-1].elements
-        below = [
-            r for r in normals_of(series[-1])
-            if bottom.elements <= r.elements < cur
-        ]
+        below = [r for r in normals if bottom.elements <= r.elements < cur]
         series.append(max(below, key=lambda r: (r.order, r.key())))
     return series
 
@@ -202,30 +193,30 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
 
     H/K lies in the Frattini subgroup of G/K exactly when H lies in every
     maximal subgroup of G containing K, since those are the preimages of
-    the maximal subgroups of G/K.  The composition length of H/K counts
-    the steps of a series from H down to K through subgroups containing K,
-    each normal in the one above with a simple quotient (Jordan-Hölder).
+    the maximal subgroups of G/K.  A chief factor is T^k for a simple T.
+    An abelian one has order p^d and composition length d.  A nonabelian
+    one has |T| >= 60, and 60^2 exceeds GroupTable.HARD_CAP, so k = 1 and
+    its composition length is 1.
     """
     table = lattice.table
     normals = normal_subgroups(lattice)
     maxs = lattice.maximal_subgroups()
     full = lattice.find(range(table.n))
-    series = _series_down(full, lattice.find([table.identity]), lambda _: normals)
+    series = _series_down(full, lattice.find([table.identity]), normals)
     factors = []
     for top, bottom in zip(series, series[1:]):
         over_bottom = [m.elements for m in maxs if bottom.elements <= m.elements]
         frattini_mod_bottom = full.elements.intersection(*over_bottom)
-        composition = _series_down(
-            top, bottom, lambda cur: normal_subgroups(lattice, cur)
-        )
+        order = top.order // bottom.order
+        abelian = commutator_subgroup(table, top.elements, top.elements) <= bottom.elements
         factors.append(
             ChiefFactor(
                 top,
                 bottom,
-                top.order // bottom.order,
-                commutator_subgroup(table, top.elements, top.elements) <= bottom.elements,
+                order,
+                abelian,
                 not top.elements <= frattini_mod_bottom,
-                len(composition) - 1,
+                factor_prime_power(order)[1] if abelian else 1,
             )
         )
     return ChiefSeriesReport(
@@ -239,9 +230,8 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
 def chief_length_mod_frattini(lattice: Lattice) -> int:
     """Chief length of the quotient by the Frattini subgroup: the normal
     subgroups of G/Phi are the images of those of G that contain Phi."""
-    normals = normal_subgroups(lattice)
     full = lattice.find(range(lattice.table.n))
-    return len(_series_down(full, frattini(lattice), lambda _: normals)) - 1
+    return len(_series_down(full, frattini(lattice), normal_subgroups(lattice))) - 1
 
 
 # ---------------------------------------------------------------------------

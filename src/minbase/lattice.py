@@ -3,8 +3,8 @@
 A GroupTable holds the full element list of an ambient permutation group
 (capped order) with a multiplication table, so subgroups become frozensets
 of element indices and intersections become set operations.  The lattice
-is generated by extending each known subgroup by double-coset
-representatives, which reaches every subgroup exactly once.
+is generated one conjugacy class at a time, by extending a representative
+of each class by double-coset representatives.
 """
 
 from __future__ import annotations
@@ -91,22 +91,6 @@ class GroupTable:
                     stack.append(conj)
         return out
 
-    def is_subgroup_set(self, elems):
-        mul = self.mul
-        return all(mul[a][b] in elems for a in elems for b in elems)
-
-    def subgroup_generators(self, elems):
-        """Greedy small generating list for a subgroup given as a set."""
-        gens = []
-        have = {self.identity}
-        for x in sorted(elems):
-            if x not in have:
-                gens.append(x)
-                have = self.closure(gens)
-                if len(have) == len(elems):
-                    break
-        return tuple(gens)
-
     def double_coset_reps(self, elems, gens):
         """Least element of each double coset HgH outside H, in increasing
         order, where H is the subgroup on elems generated by gens."""
@@ -138,9 +122,6 @@ class GroupTable:
             for g in self.double_coset_reps(elems, gens)
         )
 
-    def perm_of(self, idx):
-        return self.elements[idx]
-
     def word_of(self, idx) -> str:
         return format_perm(self.elements[idx])
 
@@ -152,86 +133,73 @@ class SubgroupRecord:
     order: int
     generators: tuple
 
-    @staticmethod
-    def from_set(table, elems, gens=None):
-        if gens is None:
-            gens = table.subgroup_generators(elems)
-        return SubgroupRecord(table, frozenset(elems), len(elems), tuple(gens))
-
     def key(self):
         return tuple(sorted(self.elements))
 
-    def contains(self, other: "SubgroupRecord") -> bool:
-        return other.elements <= self.elements
-
 
 class Lattice:
-    """All subgroups of the ambient group, with maximality flags."""
+    """All subgroups of the ambient group, walked one conjugacy class at a
+    time (cyclic extension).
+
+    Each subgroup is met as <H, g> for a class representative H and the
+    least element g of a double coset HgH outside H.  The first time a
+    subgroup is met, its whole class is recorded from one conjugates walk,
+    each member generated by the conjugated generators; only that first
+    member is extended.  This reaches every subgroup K: a maximal subgroup
+    of K is conjugate, say by x, to a representative H, and K^x = <H, g>
+    for some g.  A representative all of whose extensions give the whole
+    group is maximal, and so is its class.
+
+    subgroups lists every subgroup by (order, key()); classes lists the
+    conjugacy classes, each sorted by key(), ordered by their least member.
+    """
 
     def __init__(self, table: GroupTable):
         self.table = table
-        self.subgroups: list[SubgroupRecord] = []
-        self.maximal_flags: list[bool] = []
-        self._by_key = {}
-        self._build()
+        m, mul, inv = table.n, table.mul, table.inv
+        found = {}
+        classes = []
+        maximal = set()
 
-    def _build(self):
-        table = self.table
-        m = table.n
-        full = frozenset(range(m))
+        def meet(elems, gens):
+            if elems in found:
+                return
+            cls = []
+            for conj, c in table.conjugates(elems).items():
+                conj_gens = tuple(mul[mul[inv[c]][g]][c] for g in gens)
+                found[conj] = SubgroupRecord(table, conj, len(conj), conj_gens)
+                cls.append(found[conj])
+            classes.append(cls)
 
-        def add(elems, gens):
-            key = elems
-            if key in self._by_key:
-                return self._by_key[key]
-            rec = SubgroupRecord.from_set(table, elems, gens)
-            self._by_key[key] = len(self.subgroups)
-            self.subgroups.append(rec)
-            self.maximal_flags.append(True)
-            return len(self.subgroups) - 1
-
-        trivial = frozenset([table.identity])
-        add(trivial, ())
-        add(full, tuple(table.gen_idx))
-        worklist = [trivial]
-        processed = set()
-        while worklist:
-            elems = worklist.pop(0)
-            if elems in processed:
+        meet(frozenset([table.identity]), ())
+        meet(frozenset(range(m)), tuple(table.gen_idx))
+        for cls in classes:  # grows while it is walked
+            rep = cls[0]
+            if rep.order == m:
                 continue
-            processed.add(elems)
-            rec = self.subgroups[self._by_key[elems]]
-            if 2 * rec.order >= m:
-                # only the whole group lies above: H keeps its maximal flag
-                continue
-            gens = list(rec.generators)
             reached_only_full = True
-            for g in table.double_coset_reps(elems, gens):
-                new_elems = table.closure(gens + [g])
-                if len(new_elems) < m:
-                    reached_only_full = False
-                    add(new_elems, tuple(gens) + (g,))
-                    worklist.append(new_elems)
-            if rec.order < m:
-                self.maximal_flags[self._by_key[elems]] = reached_only_full
-        # canonical order: by order then element tuple
-        order = sorted(
-            range(len(self.subgroups)),
-            key=lambda i: (self.subgroups[i].order, self.subgroups[i].key()),
-        )
-        self.subgroups = [self.subgroups[i] for i in order]
-        self.maximal_flags = [self.maximal_flags[i] for i in order]
+            # above a subgroup of index 2 lies only the whole group
+            if 2 * rep.order < m:
+                gens = list(rep.generators)
+                for g in table.double_coset_reps(rep.elements, gens):
+                    new_elems = table.closure(gens + [g])
+                    if len(new_elems) < m:
+                        reached_only_full = False
+                        meet(new_elems, tuple(gens) + (g,))
+            if reached_only_full:
+                maximal.update(r.elements for r in cls)
+        for cls in classes:
+            cls.sort(key=SubgroupRecord.key)
+        self.classes = sorted(classes, key=lambda cls: cls[0].key())
+        self.subgroups = sorted(found.values(), key=lambda r: (r.order, r.key()))
         self._by_key = {rec.elements: i for i, rec in enumerate(self.subgroups)}
+        self._maximal = [rec for rec in self.subgroups if rec.elements in maximal]
 
     def find(self, elems) -> SubgroupRecord:
         return self.subgroups[self._by_key[frozenset(elems)]]
 
     def maximal_subgroups(self):
-        return [
-            rec
-            for rec, flag in zip(self.subgroups, self.maximal_flags)
-            if flag and rec.order < self.table.n
-        ]
+        return list(self._maximal)
 
 
 def frattini(lattice: Lattice) -> SubgroupRecord:
@@ -252,34 +220,12 @@ def core(lattice: Lattice, H: SubgroupRecord) -> SubgroupRecord:
     return lattice.find(frozenset.intersection(*table.conjugates(H.elements)))
 
 
-def conjugacy_classes_of_subgroups(lattice: Lattice, records):
-    """Partition records into conjugacy classes; reps are canonical-min."""
-    table = lattice.table
-    remaining = {rec.elements: rec for rec in records}
-    classes = []
-    while remaining:
-        start = min(remaining, key=lambda e: tuple(sorted(e)))
-        orbit = table.conjugates(start)
-        cls = [remaining.pop(e) for e in orbit if e in remaining]
-        cls.sort(key=lambda r: r.key())
-        classes.append(cls)
-    classes.sort(key=lambda cls: cls[0].key())
-    return classes
-
-
-def normal_subgroups(lattice: Lattice, within: SubgroupRecord = None):
-    """Normal subgroups of `within` (default the whole group), ascending."""
-    table = lattice.table
-    if within is None:
-        within = lattice.find(range(table.n))
-    out = []
-    for rec in lattice.subgroups:
-        if rec.elements <= within.elements and all(
-            table.conjugate_set(rec.elements, g) == rec.elements
-            for g in within.generators
-        ):
-            out.append(rec)
-    return out
+def normal_subgroups(lattice: Lattice):
+    """Normal subgroups, ascending: the classes of one member."""
+    return sorted(
+        (cls[0] for cls in lattice.classes if len(cls) == 1),
+        key=lambda r: (r.order, r.key()),
+    )
 
 
 def commutator_subgroup(table: GroupTable, A, B):

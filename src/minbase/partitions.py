@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CertificationError
@@ -583,10 +584,13 @@ def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=10000
                 f"exact mode needs ab <= 12 (got {n}) outside the 2-base range"
             )
         return _search_base(a, b, 2, parity, seed, budget)
-    return _exact_by_enumeration(a, b, parity)
+    return list(_exact_by_enumeration(a, b, parity))
 
 
+@lru_cache(maxsize=None)
 def _exact_by_enumeration(a, b, parity):
+    """A least base, as a tuple of partitions.  The result is cached: a
+    command's check of its own certificate re-runs the enumeration."""
     n = a * b
     omega = all_uniform_partitions(a, b)
     index = {P: i for i, P in enumerate(omega)}
@@ -634,7 +638,7 @@ def _exact_by_enumeration(a, b, parity):
         for sub, cand in first:
             result = extend([cand], sub, size_left)
             if result is not None:
-                return [SetPartition.from_blocks(n, p) for p in result]
+                return tuple(SetPartition.from_blocks(n, p) for p in result)
     raise RuntimeError("unreachable: some tuple of partitions is always a base")
 
 

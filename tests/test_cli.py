@@ -13,7 +13,7 @@ import minbase
 from minbase import cli
 from minbase.cli import main
 from minbase.invariants import AlphaCertificate, BaseSizeCertificate
-from minbase.partitions import CertificationError
+from minbase.partitions import CertificationError, format_partition, parse_partition
 
 
 def run_cli(args):
@@ -458,6 +458,60 @@ def test_verify_rejects_non_uniform_or_repeated_partitions(tmp_path, capsys):
     _assert_rejected(tmp_path, capsys, dict(
         cert, result=dict(cert["result"], base_size=4),
         witnesses={"partitions": parts + parts[:1]}))
+
+
+def _padded(cert, size):
+    """The certificate claiming an exact base size of `size`, its witness
+    padded with rotations of its first partition: a base still, but not
+    a least one."""
+    n = cert["inputs"]["a"] * cert["inputs"]["b"]
+    parts = list(cert["witnesses"]["partitions"])
+    seen = {parse_partition(p, n).canonical() for p in parts}
+    first = parse_partition(parts[0], n)
+    for shift in range(1, n):
+        rotated = first.apply(tuple((x + shift) % n for x in range(n)))
+        if len(parts) < size and rotated.canonical() not in seen:
+            seen.add(rotated.canonical())
+            parts.append(format_partition(rotated))
+    return dict(cert, result=dict(cert["result"], base_size=size, exact=True),
+                witnesses={"partitions": parts})
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["-a", "4", "-b", "2", "--mode", "exact"], 4),
+    (["-a", "3", "-b", "2", "--mode", "exact"], 5),
+    (["-a", "3", "-b", "2", "--mode", "exact", "--ambient", "alt"], 4),
+    # ab = 15: beyond the enumeration, an exact claim above 2 is refused
+    # unless the no-pair lemma gives it
+    (["-a", "5", "-b", "3", "--mode", "upper"], 4),
+])
+def test_verify_rejects_a_padded_exact_base_size(tmp_path, capsys, argv, size):
+    code, cert = run_json(tmp_path, ["base-size", *argv])
+    assert code == 0
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+    _assert_rejected(tmp_path, capsys, _padded(cert, size))
+
+
+@pytest.mark.parametrize("argv", [
+    ["-a", "3", "-b", "2"],
+    ["-a", "3", "-b", "2", "--ambient", "alt"],
+    ["-a", "4", "-b", "2"],
+    ["-a", "4", "-b", "3"],
+    ["-a", "8", "-b", "3", "--ambient", "alt"],
+])
+def test_verify_accepts_genuine_exact_base_sizes(tmp_path, argv):
+    code, cert = run_json(tmp_path, ["base-size", *argv, "--mode", "exact"])
+    assert code == 0 and cert["result"]["exact"] is True
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+
+
+def test_verify_accepts_an_upper_base_the_lemma_shows_exact(tmp_path):
+    # sym (5,3): a - b = 2, so no pair is a base and 3 is least
+    code, cert = run_json(tmp_path, ["base-size", "-a", "5", "-b", "3", "--mode", "upper"])
+    assert code == 0 and cert["result"]["base_size"] == 3
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(_padded(cert, 3)))
+    assert main(["verify", str(path)]) == 0
 
 
 @pytest.mark.parametrize("spec, field, key", [

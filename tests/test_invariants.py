@@ -18,7 +18,6 @@ from minbase.invariants import (
 from minbase.lattice import (
     GroupTable,
     Lattice,
-    conjugacy_classes_of_subgroups,
     core,
     frattini,
     normal_subgroups,
@@ -105,7 +104,7 @@ def test_base_size_point_stabilizer_s5(s5):
         r
         for r in s5.subgroups
         if r.order == 24
-        and all(s5.table.perm_of(x)[4] == 4 for x in r.elements)
+        and all(s5.table.elements[x][4] == 4 for x in r.elements)
     )
     cert = base_size_subgroup(s5, stab)
     assert cert.value == 4
@@ -124,10 +123,10 @@ def test_base_size_a5_over_a4():
     fix2 = [
         x
         for x in a4.elements
-        if table.perm_of(x)[3] == 3
+        if table.elements[x][3] == 3
     ]
     assert len(fix2) == 3  # C3
-    fix3 = [x for x in fix2 if table.perm_of(x)[2] == 2]
+    fix3 = [x for x in fix2 if table.elements[x][2] == 2]
     assert len(fix3) == 1
 
 
@@ -141,12 +140,11 @@ def test_beta_a5_exhaustive_oracle():
     lat = lat_of("A5")
     res = beta(lat)
     assert res.value == 2
-    # oracle: over every maximal class rep, try all conjugate pairs
+    # oracle: over every maximal subgroup, try all conjugate pairs
     table = lat.table
     fr = frattini(lat).elements
     best = None
-    for cls in conjugacy_classes_of_subgroups(lat, lat.maximal_subgroups()):
-        H = cls[0]
+    for H in lat.maximal_subgroups():
         if core(lat, H).elements != fr:
             continue
         conjs = {H.elements}
@@ -220,7 +218,7 @@ def test_factor_orders_multiply(s4):
 
 
 def _sub_perm_group(table, gens):
-    return PermGroup([table.perm_of(g) for g in gens], table.degree)
+    return PermGroup([table.elements[g] for g in gens], table.degree)
 
 
 def _quotient(lat, K):
@@ -255,7 +253,7 @@ def oracle_chief_flags(lat):
     flags = []
     for f in chief_series(lat).factors:
         qlat, image = _quotient(lat, f.bottom)
-        gens = [image(lat.table.perm_of(g)) for g in f.top.generators]
+        gens = [image(lat.table.elements[g]) for g in f.top.generators]
         img = qlat.table.closure([qlat.table.index[g] for g in gens])
         nf = not img <= frattini(qlat).elements
         flags.append((nf, oracle_composition_length(PermGroup(gens, qlat.table.degree))))
@@ -384,7 +382,7 @@ def test_qhat_empirical_s5_point_stabilizer(s5):
         r
         for r in s5.subgroups
         if r.order == 24
-        and all(s5.table.perm_of(x)[4] == 4 for x in r.elements)
+        and all(s5.table.elements[x][4] == 4 for x in r.elements)
     )
     q4 = qhat_empirical(s5.table, stab, 4)
     # with exact base size 4, the c=4 sum must not certify (it is >= 1);
@@ -418,11 +416,7 @@ def _is_prime(n):
 
 def test_qhat_implication_on_s6_wreath():
     lat = Lattice(GroupTable(group_from_spec("S6")))
-    wreath = next(
-        r
-        for i, r in enumerate(lat.subgroups)
-        if r.order == 48 and lat.maximal_flags[i]
-    )
+    wreath = next(r for r in lat.maximal_subgroups() if r.order == 48)
     val = qhat_empirical(lat.table, wreath, 4)
     cert = base_size_subgroup(lat, wreath)
     assert cert.value == 4

@@ -1,6 +1,6 @@
 import pytest
 
-from minbase.catalog import group_from_spec
+from minbase.catalog import BUILTIN_NAMES, SOLUBLE_CATALOG, group_from_spec
 from minbase.lattice import (
     GroupTable,
     Lattice,
@@ -88,8 +88,9 @@ def test_non_maximals_lie_under_some_maximal():
 
 
 def test_every_subgroup_is_closed(s4_lattice):
+    mul = s4_lattice.table.mul
     for rec in s4_lattice.subgroups:
-        assert s4_lattice.table.is_subgroup_set(rec.elements)
+        assert all(mul[a][b] in rec.elements for a in rec.elements for b in rec.elements)
         assert rec.order == len(rec.elements)
 
 
@@ -213,3 +214,87 @@ def test_is_maximal_matches_the_lattice(spec):
             rec.elements < other.elements < full for other in lat.subgroups
         )
         assert lat.table.is_maximal(rec.elements, rec.generators) == maximal
+
+
+def full_walk(table):
+    """Oracle: the walk that extends every subgroup, not one per class, by
+    each double-coset representative.  Returns the element sets of all
+    subgroups and of the maximal ones."""
+    m = table.n
+    trivial, full = frozenset([table.identity]), frozenset(range(m))
+    gens_of = {trivial: (), full: tuple(table.gen_idx)}
+    maximal = set()
+    worklist = [trivial]
+    for elems in worklist:
+        gens = list(gens_of[elems])
+        reached_only_full = True
+        if 2 * len(elems) < m:
+            for g in table.double_coset_reps(elems, gens):
+                new_elems = table.closure(gens + [g])
+                if len(new_elems) < m:
+                    reached_only_full = False
+                    if new_elems not in gens_of:
+                        gens_of[new_elems] = tuple(gens) + (g,)
+                        worklist.append(new_elems)
+        if reached_only_full and len(elems) < m:
+            maximal.add(elems)
+    return set(gens_of), maximal
+
+
+@pytest.mark.parametrize(
+    "spec", sorted((set(BUILTIN_NAMES) | set(SOLUBLE_CATALOG)) - {"S6"})
+)
+def test_class_walk_matches_the_full_walk(spec):
+    table = GroupTable(group_from_spec(spec))
+    lat = Lattice(table)
+    subgroups, maximal = full_walk(table)
+    assert {r.elements for r in lat.subgroups} == subgroups
+    assert len(lat.subgroups) == len(subgroups)
+    assert {r.elements for r in lat.maximal_subgroups()} == maximal
+    assert {r.elements for r in normal_subgroups(lat)} == {
+        s for s in subgroups
+        if all(table.conjugate_set(s, g) == s for g in table.gen_idx)
+    }
+    # each class is one conjugacy class, closed under every element
+    for cls in lat.classes:
+        members = {r.elements for r in cls}
+        assert members == {
+            table.conjugate_set(cls[0].elements, g) for g in range(table.n)
+        }
+        assert [r.key() for r in cls] == sorted(r.key() for r in cls)
+    assert [cls[0].key() for cls in lat.classes] == sorted(
+        cls[0].key() for cls in lat.classes
+    )
+    assert sum(len(cls) for cls in lat.classes) == len(lat.subgroups)
+    # conjugated generators generate the member they are listed for
+    for rec in lat.subgroups:
+        assert table.closure(rec.generators) == rec.elements
+    assert [(r.order, r.key()) for r in lat.subgroups] == sorted(
+        (r.order, r.key()) for r in lat.subgroups
+    )
+
+
+def test_s6_class_walk_counts(monkeypatch):
+    # the full walk takes 47,403 closures here: one per double coset of
+    # every subgroup, not of one subgroup per class
+    table = GroupTable(group_from_spec("S6"))
+    calls = [0]
+    original = GroupTable.closure
+
+    def counted(self, gens):
+        calls[0] += 1
+        return original(self, gens)
+
+    monkeypatch.setattr(GroupTable, "closure", counted)
+    lat = Lattice(table)
+    assert len(lat.subgroups) == 1455
+    assert len(lat.classes) == 56
+    assert len(lat.maximal_subgroups()) == 53
+    assert calls[0] < 5000
+
+
+def test_hard_cap_admits_no_nonabelian_chief_factor_t_squared():
+    # chief_series gives a nonabelian chief factor T^k composition length
+    # 1 because k = 1: |T| >= 60, so k >= 2 needs order >= 60 ** 2.  Raising
+    # the cap past that needs the composition lengths computed another way.
+    assert GroupTable.HARD_CAP < 60 ** 2

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minbase import cli, partitions, perm
@@ -360,6 +360,31 @@ def test_forced_symmetry_implies_nontrivial_stabilizer(ab, k, parity, rng):
     parts = [random_uniform_partition(*ab, rng) for _ in range(k)]
     if _forced_symmetry(parts, parity):
         assert partition_stabilizer(parts, parity).order > 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(10, 2), (6, 6), (7, 6), (9, 7)]), st.data())
+def test_no_pair_is_a_base_when_b_is_2_or_a_minus_b_at_most_2(ab, data):
+    # verify takes 3 as the least sym base size here without enumerating.
+    # A Q sharing a cell with P1 has a transposition (the test above), so
+    # draw Q sharing none: the blocks of Q met by block i of P1 are the
+    # values pi(i) of k disjoint permutations pi (b = 2, k = 2), or all
+    # blocks but those (k = a - b); the points of block i go to them in a
+    # drawn order.
+    a, b = ab
+    k = 2 if b == 2 else a - b
+    pis = [data.draw(st.permutations(range(a))) for _ in range(k)]
+    assume(all(len({pi[i] for pi in pis}) == k for i in range(a)))
+    blocks = [[] for _ in range(a)]
+    for i in range(a):
+        marked = {pi[i] for pi in pis}
+        met = sorted(marked) if b == 2 else [j for j in range(a) if j not in marked]
+        for x, j in zip(data.draw(st.permutations(range(i * b, (i + 1) * b))), met):
+            blocks[j].append(x)
+    Q = SetPartition.from_blocks(a * b, blocks)
+    P1 = uniform_partition(a, b)
+    assert not _forced_symmetry([P1, Q], "all")
+    assert partition_stabilizer([P1, Q]).order > 1
 
 
 def _unfiltered_search(a, b, size, parity, seed):
