@@ -9,6 +9,7 @@ are errors, never guesses.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 
@@ -61,6 +62,8 @@ def dihedral(order: int) -> PermGroup:
     if order < 4 or order % 2:
         raise ValueError("dihedral groups here have even order >= 4")
     n = order // 2
+    if n == 2:  # a 2-gon's reflection fixes both vertices: D4 is C2 x C2
+        return direct_product(cyclic(2), cyclic(2))
     rot = tuple((x + 1) % n for x in range(n))
     ref = tuple((n - x) % n for x in range(n))
     return PermGroup([rot, ref], n)
@@ -187,10 +190,59 @@ def _atom(name: str) -> PermGroup:
     raise ValueError(f"unknown group descriptor: {name!r}")
 
 
+def _atom_order(name: str):
+    """Order of the group _atom(name) builds, read from the name alone;
+    None where _atom refuses the name."""
+    fixed = {"SL23": 24, "L27": 168, "PGL27": 336}
+    if name in fixed:
+        return fixed[name]
+    m = re.fullmatch(r"wr\((\d+),(\d+)\)", name)
+    if m:
+        b, a = int(m.group(1)), int(m.group(2))
+        if a < 1 or b < 1:
+            return None
+        return math.factorial(b) ** a * math.factorial(a)
+    m = _ATOM_RE.match(name)
+    if not m:
+        return None
+    kind, num = m.group(1), int(m.group(2))
+    if kind == "S":
+        return math.factorial(num) if num >= 1 else None
+    if kind == "A":
+        return math.factorial(num) // 2 if num >= 3 else 1
+    if kind == "C":
+        return num if num >= 1 else None
+    if kind == "D":
+        return num if num >= 4 and num % 2 == 0 else None
+    if kind == "Q":
+        return num if num >= 8 and num % 4 == 0 else None
+    return num if num in (20, 21, 42) else None
+
+
+def _is_file_spec(spec: str) -> bool:
+    return os.path.sep in spec or spec.endswith(".grp") or os.path.isfile(spec)
+
+
+def spec_order(spec: str):
+    """Order of the group a builtin descriptor names, without building its
+    stabilizer chain; None for a generator file or a descriptor that
+    group_from_spec refuses."""
+    spec = spec.strip()
+    if _is_file_spec(spec):
+        return None
+    order = 1
+    for part in spec.split("x"):
+        atom = _atom_order(part)
+        if atom is None:
+            return None
+        order *= atom
+    return order
+
+
 def group_from_spec(spec: str) -> PermGroup:
     """Resolve a descriptor string or generator-file path to a group."""
     spec = spec.strip()
-    if os.path.sep in spec or spec.endswith(".grp") or os.path.isfile(spec):
+    if _is_file_spec(spec):
         return read_group_file(spec)
     parts = spec.split("x")
     group = _atom(parts[0])

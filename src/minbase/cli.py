@@ -19,7 +19,7 @@ import time
 
 from . import bounds as bounds_mod
 from .bounds import FAMILY_BUILDERS, evaluate_qhat
-from .catalog import BUILTIN_NAMES, group_from_spec
+from .catalog import BUILTIN_NAMES, group_from_spec, spec_order
 from .classical import (
     orth_odd_construct,
     orth_odd_pair_check,
@@ -63,6 +63,12 @@ def _emit(args, cert, human_lines, elapsed):
 
 
 def _lattice(spec, cap):
+    """The subgroup lattice of the spec's group.  A builtin descriptor's
+    order is read from its name, so an over-cap group is refused before
+    its stabilizer chain is built."""
+    order = spec_order(spec)
+    if order is not None:
+        GroupTable.check_order(order, cap)
     return Lattice(GroupTable(group_from_spec(spec), cap))
 
 
@@ -153,13 +159,13 @@ def cmd_alpha(args):
             "frattini_generators": [table.word_of(g) for g in frat_rec.generators],
         },
     }
-    _check(_verify_alpha, cert, table)
+    _check(_verify_alpha, cert, lat)
     return PASS, cert, [f"alpha({args.spec}) = {cert_a.value} (proved minimal)"]
 
 
 def _beta_body(inputs, cap=GroupTable.HARD_CAP):
     """An infinite beta is re-run by verify; a finite one is checked here
-    by its witness, on the table already built."""
+    by its witness, on the lattice already built."""
     lat = _lattice(inputs["spec"], cap)
     table = lat.table
     res = beta(lat)
@@ -188,7 +194,7 @@ def _beta_body(inputs, cap=GroupTable.HARD_CAP):
         "witnesses": witnesses,
     }
     if value != "infinity":
-        _check(_verify_beta, cert, table)
+        _check(_verify_beta, cert, lat)
     return cert
 
 
@@ -438,8 +444,8 @@ def cmd_verify(args):
 
 
 # -- certificate checkers -----------------------------------------------------
-# One per kind of certificate; the witness checkers take the group table a
-# command has already built, and build their own under verify.
+# One per kind of certificate; the alpha and beta checkers take the lattice
+# a command has already built, and build their own under verify.
 
 
 def _verify_partitions(cert):
@@ -492,8 +498,8 @@ def _is_least_base_size(a, b, ambient, size):
     return len(base_size_partitions(a, b, "exact", ambient)) == size
 
 
-def _table_of(cert):
-    return GroupTable(group_from_spec(cert["inputs"]["spec"]), GroupTable.HARD_CAP)
+def _lattice_of(cert):
+    return _lattice(cert["inputs"]["spec"], GroupTable.HARD_CAP)
 
 
 def _witness_subgroup(table, words):
@@ -518,9 +524,15 @@ def _irredundant(table, sets):
     )
 
 
-def _verify_alpha(cert, table=None):
-    if table is None:
-        table = _table_of(cert)
+def _verify_alpha(cert, lat=None):
+    """The witnesses are irredundant maximal subgroups meeting in the
+    claimed Frattini subgroup, and alpha and |Phi(G)| are as re-derived
+    from the lattice: the witness alone shows neither that no shorter list
+    exists nor that the meet is Phi(G) and not a subgroup above it."""
+    if lat is None:
+        lat = _lattice_of(cert)
+    table = lat.table
+    derived = alpha(lat)
     frat, _ = _witness_subgroup(table, cert["witnesses"]["frattini_generators"])
     maxes = [
         _witness_subgroup(table, words)
@@ -532,18 +544,21 @@ def _verify_alpha(cert, table=None):
         and all(table.is_maximal(elems, gens) for elems, gens in maxes)
         and _meet(table, sets) == frat
         and _irredundant(table, sets)
-        and len(maxes) == cert["result"]["alpha"]
-        and len(frat) == cert["result"]["frattini_order"]
+        and len(maxes) == cert["result"]["alpha"] == derived.value
+        and len(frat) == cert["result"]["frattini_order"] == derived.frattini_order
     )
 
 
-def _verify_beta(cert, table=None):
-    """A finite beta (an int) by its witness; any other claim, such as
-    infinity, which no witness can show, by re-running the command."""
+def _verify_beta(cert, lat=None):
+    """A finite beta (an int) by its witness, with beta and |Phi(G)| as
+    re-derived from the lattice; any other claim, such as infinity, which
+    no witness can show, by re-running the command."""
     if type(cert["result"]["beta"]) is not int:
         return _verify_rerun(cert)
-    if table is None:
-        table = _table_of(cert)
+    if lat is None:
+        lat = _lattice_of(cert)
+    table = lat.table
+    derived = beta(lat)
     sub, gens = _witness_subgroup(table, cert["witnesses"]["subgroup_generators"])
     conjugates = [sub] + [
         table.conjugate_set(sub, table.index[parse_perm(w, table.degree)])
@@ -555,6 +570,8 @@ def _verify_beta(cert, table=None):
         and len(_meet(table, conjugates)) == cert["witnesses"]["core_order"]
         and _irredundant(table, conjugates)
         and len(cert["witnesses"]["conjugator_words"]) == cert["result"]["beta"] - 1
+        and cert["result"]["beta"] == derived.value
+        and cert["result"]["frattini_order"] == derived.frattini_order
         and cert["witnesses"]["core_order"] == cert["result"]["frattini_order"]
     )
 

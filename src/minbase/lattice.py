@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perm import PermGroup, format_perm, identity, inverse, perm_order
+from .perm import PermGroup, compose, format_perm, identity, inverse, perm_order
 
 
 class OrderCapExceeded(ValueError):
@@ -24,11 +24,7 @@ class GroupTable:
     HARD_CAP = 2000
 
     def __init__(self, group: PermGroup, order_cap: int = 1000):
-        cap = min(order_cap, self.HARD_CAP)
-        if group.order > cap:
-            raise OrderCapExceeded(
-                f"group order {group.order} exceeds cap {cap}"
-            )
+        self.check_order(group.order, order_cap)
         self.group = group
         self.degree = group.degree
         elems = sorted(group.elements())
@@ -37,18 +33,34 @@ class GroupTable:
         index = {p: i for i, p in enumerate(elems)}
         self.index = index
         self.identity = index[identity(group.degree)]
-        # multiplication via short keys: an element is pinned down by its
-        # images of the chain base, so row building avoids full composes
-        base = group.base if group.base else [0]
-        key_of = {tuple(p[b] for b in base): i for i, p in enumerate(elems)}
-        self.mul = [
-            [key_of[tuple(q[p[b]] for b in base)] for q in elems] for p in elems
+        # row x is the map y -> x*y, so the row of g*x is the row of x read
+        # through the row of g: one composed row per generator, then one
+        # C-level map per element, walking out from the identity
+        gen_rows = [
+            [index[compose(g, q)] for q in elems] for g in group.generators
         ]
+        mul = [None] * self.n
+        mul[self.identity] = list(range(self.n))
+        frontier = [self.identity]
+        for x in frontier:  # grows as the walk does
+            for row_g in gen_rows:
+                y = row_g[x]
+                if mul[y] is None:
+                    mul[y] = list(map(row_g.__getitem__, mul[x]))
+                    frontier.append(y)
+        self.mul = mul
         self.inv = [index[inverse(p)] for p in elems]
         self.gen_idx = [index[g] for g in group.generators]
         if not self.gen_idx:
             self.gen_idx = [self.identity]
         self.element_order = [perm_order(p) for p in elems]
+
+    @classmethod
+    def check_order(cls, order: int, order_cap: int):
+        """Refuse a group of this order: above order_cap or the hard cap."""
+        cap = min(order_cap, cls.HARD_CAP)
+        if order > cap:
+            raise OrderCapExceeded(f"group order {order} exceeds cap {cap}")
 
     # -- elementary operations ----------------------------------------------
 

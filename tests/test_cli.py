@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +13,10 @@ import pytest
 
 import minbase
 from minbase import cli
+from minbase.catalog import BUILTIN_NAMES, group_from_spec, spec_order
 from minbase.cli import main
 from minbase.invariants import AlphaCertificate, BaseSizeCertificate
+from minbase.lattice import GroupTable, Lattice
 from minbase.partitions import CertificationError, format_partition, parse_partition
 
 
@@ -541,3 +545,94 @@ def test_verify_under_python_O(tmp_path):
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == expected, proc.stdout + proc.stderr
+
+
+# Each forgery's witness passes every witness check -- maximal subgroups,
+# irredundant, meeting in the claimed subgroup -- so only the re-derived
+# alpha, beta or |Phi(G)| tells it from a genuine certificate.
+@pytest.mark.parametrize("argv, result, witnesses", [
+    # S4's point stabilizer S3 claimed as its Frattini subgroup
+    (["alpha", "--spec", "S4"], {"alpha": 1, "frattini_order": 6},
+     {"maximal_subgroups": [["(3,4)", "(2,3)"]],
+      "frattini_generators": ["(3,4)", "(2,3)"]}),
+    # a D8 whose two conjugates meet in the Klein four-group; beta(S4) = 3
+    (["beta", "--spec", "S4"], {"beta": 2, "frattini_order": 4},
+     {"subgroup_generators": ["(3,4)", "(1,3)(2,4)"], "conjugator_words": ["(2,3)"],
+      "core_order": 4}),
+    # three maximal subgroups of A5 meeting irredundantly in 1; alpha(A5) = 2
+    (["alpha", "--spec", "A5"], {"alpha": 3},
+     {"maximal_subgroups": [["(3,4,5)", "(1,2)(4,5)"], ["(1,2,3)", "(1,2)(4,5)"],
+                            ["(2,3)(4,5)", "(1,2)(3,4)"]]}),
+])
+def test_verify_rejects_a_value_below_or_above_the_least(tmp_path, capsys, argv, result,
+                                                         witnesses):
+    code, cert = run_json(tmp_path, argv)
+    assert code == 0
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, result=dict(cert["result"], **result),
+        witnesses=dict(cert["witnesses"], **witnesses)))
+
+
+def test_verify_rejects_a_padded_a5_beta(tmp_path, capsys):
+    # three conjugates of A4 (point stabilizers) meet irredundantly in 1, so
+    # b(A5, A4) = 3; but beta(A5) = 2, through D10 or S3
+    code, cert = run_json(tmp_path, ["beta", "--spec", "A5"])
+    assert code == 0 and cert["result"]["beta"] == 2
+    lat = Lattice(GroupTable(group_from_spec("A5")))
+    table = lat.table
+    a4 = next(rec for rec in lat.maximal_subgroups() if rec.order == 12)
+    others = [(conj, g) for conj, g in table.conjugates(a4.elements).items()
+              if conj != a4.elements][:2]
+    sets = [a4.elements] + [conj for conj, _ in others]
+    assert len(frozenset.intersection(*sets)) == 1
+    assert all(len(x & y) == 3 for i, x in enumerate(sets) for y in sets[i + 1:])
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, result=dict(cert["result"], beta=3),
+        witnesses={"subgroup_generators": [table.word_of(g) for g in a4.generators],
+                   "conjugator_words": [table.word_of(g) for _, g in others],
+                   "core_order": 1}))
+
+
+def test_verify_refuses_an_alpha_of_the_trivial_group(tmp_path):
+    # an empty witness list meets in the whole group, which is Phi(1); but
+    # the trivial group has no maximal subgroups and no alpha
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps({
+        "command": "alpha", "seed": 1, "inputs": {"spec": "C1", "order": 1},
+        "result": {"alpha": 0, "frattini_order": 1, "exhaustive": True},
+        "witnesses": {"maximal_subgroups": [], "frattini_generators": []}}))
+    assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["alpha", "beta"])
+@pytest.mark.parametrize("spec", BUILTIN_NAMES)
+def test_genuine_alpha_and_beta_certificates_verify(tmp_path, command, spec):
+    code, _ = run_json(tmp_path, [command, "--spec", spec])
+    assert code == 0
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["alpha", "--spec", "S100"], math.factorial(100)),
+    (["beta", "--spec", "S60xC2"], 2 * math.factorial(60)),
+])
+def test_over_cap_spec_is_refused_before_its_chain(capsys, argv, order):
+    # building S100's stabilizer chain alone takes seconds
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"refused: group order {order} exceeds cap 1000\n"
+
+
+@pytest.mark.parametrize("spec", [
+    *BUILTIN_NAMES, "S1", "A1", "A2", "A3", "S7", "A7", "C1", "C9", "D4", "D14",
+    "Q12", "wr(1,3)", "wr(3,1)", "wr(3,2)", "S3xS3", "A4xC2xC2",
+    "S0", "C0", "D3", "D6x", "Q6", "Q4", "F30", "wr(0,3)", "wr(2,0)", "X5", "S4xC0",
+])
+def test_spec_order_is_the_order_built(spec):
+    # None exactly where group_from_spec refuses the descriptor
+    try:
+        order = group_from_spec(spec).order
+    except ValueError:
+        order = None
+    assert spec_order(spec) == order

@@ -1,5 +1,6 @@
 import pytest
 
+from minbase import lattice, perm
 from minbase.catalog import BUILTIN_NAMES, SOLUBLE_CATALOG, group_from_spec
 from minbase.lattice import (
     GroupTable,
@@ -298,3 +299,41 @@ def test_hard_cap_admits_no_nonabelian_chief_factor_t_squared():
     # 1 because k = 1: |T| >= 60, so k >= 2 needs order >= 60 ** 2.  Raising
     # the cap past that needs the composition lengths computed another way.
     assert GroupTable.HARD_CAP < 60 ** 2
+
+
+def base_key_table(group):
+    """Oracle: the multiplication table and inverses built element by
+    element, each product found by its images of the chain base."""
+    elems = sorted(group.elements())
+    index = {p: i for i, p in enumerate(elems)}
+    base = group.base if group.base else [0]
+    key_of = {tuple(p[b] for b in base): i for i, p in enumerate(elems)}
+    mul = [[key_of[tuple(q[p[b]] for b in base)] for q in elems] for p in elems]
+    return mul, [index[perm.inverse(p)] for p in elems]
+
+
+@pytest.mark.parametrize(
+    # S1: no generators, a table of one row
+    "spec", sorted(set(BUILTIN_NAMES) | set(SOLUBLE_CATALOG) | {"S1"})
+)
+def test_row_walk_table_matches_the_base_key_table(spec):
+    group = group_from_spec(spec)
+    table = GroupTable(group)
+    assert (table.mul, table.inv) == base_key_table(group)
+
+
+def test_s6_table_compose_budget(monkeypatch):
+    # one composed row per generator (2 * 720) beside the element list;
+    # every other row is read through a generator row
+    group = group_from_spec("S6")
+    calls = [0]
+    original = perm.compose
+
+    def counted(p, q):
+        calls[0] += 1
+        return original(p, q)
+
+    monkeypatch.setattr(perm, "compose", counted)
+    monkeypatch.setattr(lattice, "compose", counted)
+    assert GroupTable(group).n == 720
+    assert calls[0] < 5000
