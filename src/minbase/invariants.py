@@ -39,7 +39,6 @@ class AlphaCertificate:
     value: int
     witness: list
     frattini_order: int
-    exhaustive: bool = True
 
 
 def alpha(lattice: Lattice) -> AlphaCertificate:

@@ -561,34 +561,43 @@ def _orbit_reps(omega, index, gens):
 
 
 def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=100000):
-    """A base of the (a,b) partition action, as a list of partitions: of
-    the least size in mode "exact" (by enumeration for n = ab <= 12), or of
-    an upper bound from construction and randomized search in mode
-    "upper".  The caller certifies the list before printing it."""
-    _validate_ab(a, b)
-    if ambient not in ("sym", "alt"):
-        raise ValueError("ambient must be 'sym' or 'alt'")
-    n = a * b
-    parity = "all" if ambient == "sym" else "even"
-    if mode == "upper":
-        return minimal_partition_base(a, b, ambient=ambient, seed=seed, budget=budget)
-    if mode != "exact":
+    """A base of the (a,b) partition action, for the caller to certify:
+    minimal_partition_base's in mode "upper", and in mode "exact" where
+    _least_without_enumeration shows its size least; else a least one by
+    enumeration for ab <= 12."""
+    if mode not in ("exact", "upper"):
         raise ValueError("mode must be 'exact' or 'upper'")
-    if n > 12:
-        # Exactness beyond the enumeration cap is only attainable when a
-        # certified pair exists: 1 is ruled out because the block stabilizer
-        # is never normal here, so a 2-witness pins the value.  The search
-        # is only worth running inside the known 2-base range.
-        if partition_base_size_value(a, b, ambient) != 2:
-            raise PreconditionError(
-                f"exact mode needs ab <= 12 (got {n}) outside the 2-base range"
-            )
-        return _search_base(a, b, 2, parity, seed, budget)
-    return list(_exact_by_enumeration(a, b, parity))
+    claimed = partition_base_size_value(a, b, ambient)
+    if mode == "upper" or _least_without_enumeration(a, b, ambient, claimed):
+        return minimal_partition_base(a, b, ambient=ambient, seed=seed, budget=budget)
+    if a * b > 12:
+        raise PreconditionError(f"exact mode needs a lemma or ab <= 12 (got {a * b})")
+    return list(_exact_by_enumeration(a, b, ambient))
+
+
+def _least_without_enumeration(a, b, ambient, size):
+    """No base of the (a,b) action is smaller than size, without enumerating.
+
+    A single partition is never a base: its stabilizer, the block
+    stabilizer, is never trivial.  Under sym with b = 2 or a - b <= 2 no
+    pair (P1, Q) is a base either.  If two points share a cell of P1 and
+    Q, their transposition fixes both.  Otherwise the points are the edges
+    of a b-regular simple bipartite graph on the blocks of P1 and of Q.
+    For b = 2 it is a union of even cycles; for a - b = 0, 1 or 2 its
+    complement in K_{a,a} is empty, a perfect matching or a union of even
+    cycles.  Each has a nontrivial automorphism keeping the two sides,
+    which moves some vertex and with it the edges, that is points, at it."""
+    return size == 2 or (ambient == "sym" and size == 3 and (b == 2 or a - b <= 2))
+
+
+def _is_least_base_size(a, b, ambient, size):
+    """Given a base of that size, none is smaller, by the lemma or by enumerating ab <= 12."""
+    return _least_without_enumeration(a, b, ambient, size) or (
+        a * b <= 12 and len(_exact_by_enumeration(a, b, ambient)) == size)
 
 
 @lru_cache(maxsize=None)
-def _exact_by_enumeration(a, b, parity):
+def _exact_by_enumeration(a, b, ambient):
     """A least base, as a tuple of partitions.  The result is cached: a
     command's check of its own certificate re-runs the enumeration."""
     n = a * b
@@ -598,6 +607,7 @@ def _exact_by_enumeration(a, b, parity):
     # No base of size 1: _validate_ab gives n >= 6 and |S_n : W| >= 15, so
     # the block stabilizer W is none of 1, A_n, S_n and is not normal.
     W = PermGroup(wreath_generators(a, b), n)
+    parity = "all" if ambient == "sym" else "even"
     if parity == "even":
         W = _even_subgroup(W)
 
@@ -701,7 +711,6 @@ def minimal_partition_base(a, b, ambient="sym", seed=1, budget=100000):
     where the swapped-pair triple admits an order-2 symmetry exchanging
     rows 2,4 and columns 1,5), the search path takes over.
     """
-    _validate_ab(a, b)
     parity = "all" if ambient == "sym" else "even"
     target = partition_base_size_value(a, b, ambient)
     parts = None

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -167,7 +168,7 @@ def test_stabilizer_command(tmp_path):
 
 
 def test_refusal_exit_codes():
-    assert main(["base-size", "-a", "4", "-b", "4", "--mode", "exact"]) == 2
+    assert main(["base-size", "-a", "6", "-b", "3", "--mode", "exact"]) == 2
     assert main(["sp4", "--q", "4"]) == 2
     assert main(["orth", "--n", "11", "--q", "3", "--pair-check"]) == 2
     assert main(["alpha", "--spec", "NOPE"]) == 2
@@ -465,9 +466,9 @@ def test_verify_rejects_non_uniform_or_repeated_partitions(tmp_path, capsys):
 
 
 def _padded(cert, size):
-    """The certificate claiming an exact base size of `size`, its witness
-    padded with rotations of its first partition: a base still, but not
-    a least one."""
+    """The certificate claiming an exact base size of `size` in mode exact,
+    its witness padded with rotations of its first partition: a base
+    still, but not a least one."""
     n = cert["inputs"]["a"] * cert["inputs"]["b"]
     parts = list(cert["witnesses"]["partitions"])
     seen = {parse_partition(p, n).canonical() for p in parts}
@@ -477,7 +478,8 @@ def _padded(cert, size):
         if len(parts) < size and rotated.canonical() not in seen:
             seen.add(rotated.canonical())
             parts.append(format_partition(rotated))
-    return dict(cert, result=dict(cert["result"], base_size=size, exact=True),
+    return dict(cert, inputs=dict(cert["inputs"], mode="exact"),
+                result=dict(cert["result"], base_size=size, exact=True),
                 witnesses={"partitions": parts})
 
 
@@ -502,11 +504,22 @@ def test_verify_rejects_a_padded_exact_base_size(tmp_path, capsys, argv, size):
     ["-a", "4", "-b", "2"],
     ["-a", "4", "-b", "3"],
     ["-a", "8", "-b", "3", "--ambient", "alt"],
+    # ab > 12 with b = 2 or a - b <= 2: the no-pair lemma shows 3 least
+    *(["-a", str(a), "-b", str(b)] for a, b in [(7, 2), (20, 2), (4, 4), (6, 4), (64, 2)]),
 ])
 def test_verify_accepts_genuine_exact_base_sizes(tmp_path, argv):
     code, cert = run_json(tmp_path, ["base-size", *argv, "--mode", "exact"])
     assert code == 0 and cert["result"]["exact"] is True
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
+
+
+def test_verify_rejects_a_partition_base_above_the_claimed_value(tmp_path, capsys):
+    # four partitions are still a base, but not of the paper's size 3
+    code, cert = run_json(tmp_path, ["partition-base", "-a", "5", "-b", "3"])
+    assert code == 0
+    _assert_rejected(tmp_path, capsys, dict(
+        cert, result=dict(cert["result"], base_size=4),
+        witnesses=_padded(cert, 4)["witnesses"]))
 
 
 def test_verify_accepts_an_upper_base_the_lemma_shows_exact(tmp_path):
@@ -516,6 +529,62 @@ def test_verify_accepts_an_upper_base_the_lemma_shows_exact(tmp_path):
     path = tmp_path / "exact.json"
     path.write_text(json.dumps(_padded(cert, 3)))
     assert main(["verify", str(path)]) == 0
+
+
+def _field_edits(node, path):
+    """(path, new value) for each single-field edit at or below node: a
+    bool flipped, an int + 1, a non-empty list's last item dropped.
+    Strings are not edited."""
+    if isinstance(node, bool):
+        yield path, not node
+    elif isinstance(node, int):
+        yield path, node + 1
+    elif isinstance(node, (dict, list)):
+        if isinstance(node, list) and node:
+            yield path, node[:-1]
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _field_edits(child, path + (key,))
+
+
+def _edited(cert, path, new):
+    cert = copy.deepcopy(cert)
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return cert
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition-base", "-a", "5", "-b", "3"],
+    ["partition-base", "-a", "8", "-b", "3"],
+    ["base-size", "-a", "4", "-b", "2", "--mode", "exact"],
+    ["base-size", "-a", "3", "-b", "2", "--mode", "exact", "--ambient", "alt"],
+    ["base-size", "-a", "8", "-b", "3", "--mode", "exact", "--ambient", "alt"],
+    ["base-size", "-a", "5", "-b", "3", "--mode", "upper"],
+    ["base-size", "-a", "8", "-b", "3", "--mode", "upper"],
+    ["alpha", "--spec", "S4"],
+    ["alpha", "--spec", "A5"],
+    ["beta", "--spec", "S4"],
+    ["beta", "--spec", "A5"],
+])
+def test_verify_catches_every_single_field_edit(tmp_path, capsys, argv):
+    # Each edit of an input, result or witness field is REJECTED or refused
+    # (exit 2).  The command and seed are not claims.  No edit is let
+    # through: the one that keeps its claim true, an upper-mode 2-base
+    # flipped to exact (a 2-base is always least), is rejected because
+    # exact must say whether the mode was exact.
+    code, cert = run_json(tmp_path, argv)
+    assert code == 0
+    path = tmp_path / "edited.json"
+    edits = [edit for part in ("inputs", "result", "witnesses")
+             for edit in _field_edits(cert[part], (part,))]
+    assert len(edits) >= 4
+    for where, new in edits:
+        path.write_text(json.dumps(_edited(cert, where, new)))
+        capsys.readouterr()
+        code = main(["verify", str(path)])
+        assert code == 2 or (code == 1 and "REJECTED" in capsys.readouterr().out), where
 
 
 @pytest.mark.parametrize("spec, field, key", [

@@ -13,6 +13,7 @@ from minbase.partitions import (
     PreconditionError,
     SearchBudgetExceeded,
     SetPartition,
+    _exact_by_enumeration,
     _forced_symmetry,
     _search_base,
     all_uniform_partitions,
@@ -469,7 +470,42 @@ def _element_filter_exact(a, b, ambient):
     [(3, 2, "sym"), (4, 2, "sym"), (3, 3, "sym"), (3, 2, "alt"), (4, 2, "alt")],
 )
 def test_exact_mode_matches_element_filter_oracle(a, b, ambient):
-    parts = base_size_partitions(a, b, mode="exact", ambient=ambient)
+    # the enumeration itself: exact mode answers sym (4,2) and (3,3) by the
+    # no-pair lemma instead
+    parts = _exact_by_enumeration(a, b, ambient)
     assert (len(parts), [format_partition(p) for p in parts]) == _element_filter_exact(
         a, b, ambient
     )
+
+
+# pairs with ab <= 12 whose claimed value the no-pair lemma shows least
+_LEMMA_SMALL = [(4, 2), (5, 2), (6, 2), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("a,b", _LEMMA_SMALL)
+def test_exact_mode_by_lemma_agrees_with_enumeration(a, b):
+    parts = base_size_partitions(a, b, mode="exact", seed=1)
+    assert [p.canonical() for p in parts] == [
+        p.canonical() for p in minimal_partition_base(a, b, seed=1)]
+    assert len(parts) == len(_exact_by_enumeration(a, b, "sym"))
+
+
+@pytest.mark.parametrize("a,b,ambient", [
+    (a, b, ambient)
+    for a, b in [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)]
+    for ambient in ("sym", "alt")
+    if (a, b, ambient) not in {(a, b, "sym") for a, b in _LEMMA_SMALL}
+])
+def test_exact_mode_enumerates_where_no_lemma_applies(a, b, ambient):
+    parts = base_size_partitions(a, b, mode="exact", ambient=ambient)
+    assert tuple(parts) == _exact_by_enumeration(a, b, ambient)
+
+
+@pytest.mark.parametrize("a,b,ambient", [
+    (6, 3, "sym"), (7, 3, "sym"), (7, 4, "sym"),
+    (4, 4, "alt"), (5, 3, "alt"), (6, 4, "alt"), (5, 5, "alt"),
+])
+def test_exact_mode_refuses_beyond_its_proofs(a, b, ambient):
+    # ab > 12, a claimed value of 3, and no lemma: refused before any search
+    with pytest.raises(PreconditionError, match="exact mode needs a lemma or ab <= 12"):
+        base_size_partitions(a, b, mode="exact", ambient=ambient, budget=0)
