@@ -12,8 +12,10 @@ timing appears only in the human-readable report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 
@@ -52,15 +54,17 @@ PASS, FAIL, REFUSED = 0, 1, 2
 
 
 def _emit(args, cert, human_lines, elapsed):
+    """Write --out, then print: a reader that closes stdout early does not
+    cost the file."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(cert, fh, indent=1, sort_keys=True, default=str)
     if args.json:
         print(json.dumps(cert, indent=1, sort_keys=True, default=str))
     else:
         for line in human_lines:
             print(line)
         print(f"[{elapsed:.2f}s]")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(cert, fh, indent=1, sort_keys=True, default=str)
 
 
 def _lattice(spec, cap):
@@ -684,7 +688,7 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one subcommand: print its report or certificate, write --out,
+    """Run one subcommand: write --out, print its report or certificate,
     and map refusals (every ValueError, and an exhausted search budget)
     to exit code 2."""
     args = build_parser().parse_args(argv)
@@ -697,11 +701,19 @@ def main(argv=None):
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSED
-    if cert is None:
-        print("\n".join(lines))
-    else:
-        cert.update(command=args.cmd, seed=args.seed)
-        _emit(args, cert, lines, time.time() - t0)
+    try:
+        if cert is None:
+            print("\n".join(lines))
+        else:
+            cert.update(command=args.cmd, seed=args.seed)
+            _emit(args, cert, lines, time.time() - t0)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`minbase ... | head -1`).  The status
+        # stands; what stdout still buffers goes to the null device, or the
+        # flush at exit would fail again.
+        with contextlib.suppress(OSError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     return status
 
 

@@ -561,95 +561,67 @@ def _orbit_reps(omega, index, gens):
 
 
 def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=100000):
-    """A base of the (a,b) partition action, for the caller to certify:
-    minimal_partition_base's in mode "upper", and in mode "exact" where
-    _least_without_enumeration shows its size least; else a least one by
-    enumeration for ab <= 12."""
+    """minimal_partition_base's base of the (a,b) partition action, for the
+    caller to certify.  Mode "exact" first refuses, before any search,
+    unless _is_least_base_size proves the paper's value least."""
     if mode not in ("exact", "upper"):
         raise ValueError("mode must be 'exact' or 'upper'")
     claimed = partition_base_size_value(a, b, ambient)
-    if mode == "upper" or _least_without_enumeration(a, b, ambient, claimed):
-        return minimal_partition_base(a, b, ambient=ambient, seed=seed, budget=budget)
-    if a * b > 12:
+    if mode == "exact" and not _is_least_base_size(a, b, ambient, claimed):
         raise PreconditionError(f"exact mode needs a lemma or ab <= 12 (got {a * b})")
-    return list(_exact_by_enumeration(a, b, ambient))
-
-
-def _least_without_enumeration(a, b, ambient, size):
-    """No base of the (a,b) action is smaller than size, without enumerating.
-
-    A single partition is never a base: its stabilizer, the block
-    stabilizer, is never trivial.  Under sym with b = 2 or a - b <= 2 no
-    pair (P1, Q) is a base either.  If two points share a cell of P1 and
-    Q, their transposition fixes both.  Otherwise the points are the edges
-    of a b-regular simple bipartite graph on the blocks of P1 and of Q.
-    For b = 2 it is a union of even cycles; for a - b = 0, 1 or 2 its
-    complement in K_{a,a} is empty, a perfect matching or a union of even
-    cycles.  Each has a nontrivial automorphism keeping the two sides,
-    which moves some vertex and with it the edges, that is points, at it."""
-    return size == 2 or (ambient == "sym" and size == 3 and (b == 2 or a - b <= 2))
+    return minimal_partition_base(a, b, ambient=ambient, seed=seed, budget=budget)
 
 
 def _is_least_base_size(a, b, ambient, size):
-    """Given a base of that size, none is smaller, by the lemma or by enumerating ab <= 12."""
-    return _least_without_enumeration(a, b, ambient, size) or (
-        a * b <= 12 and len(_exact_by_enumeration(a, b, ambient)) == size)
+    """Given a base of that size, none is smaller: by the lemma, or for
+    ab <= 12 because no base one smaller exists.
+
+    The lemma: a single partition is never a base, since its stabilizer,
+    the block stabilizer, is never trivial.  Under sym with b = 2 or
+    a - b <= 2 no pair (P1, Q) is a base either.  If two points share a
+    cell of P1 and Q, their transposition fixes both.  Otherwise the points
+    are the edges of a b-regular simple bipartite graph on the blocks of P1
+    and of Q.  For b = 2 it is a union of even cycles; for a - b = 0, 1 or
+    2 its complement in K_{a,a} is empty, a perfect matching or a union of
+    even cycles.  Each has a nontrivial automorphism keeping the two sides,
+    which moves some vertex and with it the edges, that is points, at it."""
+    return (size == 2 or (ambient == "sym" and size == 3 and (b == 2 or a - b <= 2))
+            or (a * b <= 12 and not _has_base(a, b, ambient, size - 1)))
 
 
 @lru_cache(maxsize=None)
-def _exact_by_enumeration(a, b, ambient):
-    """A least base, as a tuple of partitions.  The result is cached: a
-    command's check of its own certificate re-runs the enumeration."""
+def _has_base(a, b, ambient, size):
+    """Whether some `size` partitions form a base, by exhaustive DFS.
+
+    The symmetric and alternating groups are transitive on the partitions,
+    so a base may start with the canonical partition P1; each further pick
+    ranges over orbit representatives of the running stabilizer, first the
+    block stabilizer W.  An earlier pick is skipped: the stabilizer fixes
+    it, so picking it again changes nothing.  The result is cached: a
+    command's check of its own certificate asks again."""
     n = a * b
     omega = all_uniform_partitions(a, b)
     index = {P: i for i, P in enumerate(omega)}
-    P1 = uniform_partition(a, b).canonical()
-    # No base of size 1: _validate_ab gives n >= 6 and |S_n : W| >= 15, so
-    # the block stabilizer W is none of 1, A_n, S_n and is not normal.
-    W = PermGroup(wreath_generators(a, b), n)
     parity = "all" if ambient == "sym" else "even"
+    W = PermGroup(wreath_generators(a, b), n)
     if parity == "even":
         W = _even_subgroup(W)
 
-    def stabilizer(blocks):
-        parts = [SetPartition.from_blocks(n, p) for p in [P1] + blocks]
-        return partition_stabilizer(parts, parity)
-
-    def extend(prefix_blocks, G, size_left):
-        """DFS for a tuple completing the prefix to a base; exhaustive.
-
-        G is the joint stabilizer of P1 and the prefix.  Representatives
-        duplicating an earlier pick are skipped: at the minimal size no
-        base repeats a partition, and orbit reduction by the running
-        stabilizer keeps that property."""
-        if size_left == 0:
-            return [P1] + prefix_blocks if G.order == 1 else None
+    def extend(picked, G, left):
+        if G.order == 1:
+            return True
+        if left <= 0:
+            return False
         for rep in _orbit_reps(omega, index, G.generators):
-            cand = omega[rep]
-            if cand in prefix_blocks or cand == P1:
+            if omega[rep] in picked:
                 continue
-            result = extend(
-                prefix_blocks + [cand], stabilizer(prefix_blocks + [cand]), size_left - 1
-            )
-            if result is not None:
-                return result
-        return None
+            nxt = picked + [omega[rep]]
+            sub = partition_stabilizer([SetPartition.from_blocks(n, P) for P in nxt], parity)
+            if extend(nxt, sub, left - 1):
+                return True
+        return False
 
-    # The first pick ranges over W-orbit representatives, scanned
-    # smallest-stabilizer-first to reach witnesses early; every deepening
-    # round starts from the same list, so it is built once.
-    first = [
-        (stabilizer([omega[r]]), omega[r])
-        for r in _orbit_reps(omega, index, W.generators)
-        if omega[r] != P1
-    ]
-    first.sort(key=lambda t: t[0].order)
-    for size_left in range(len(omega)):
-        for sub, cand in first:
-            result = extend([cand], sub, size_left)
-            if result is not None:
-                return tuple(SetPartition.from_blocks(n, p) for p in result)
-    raise RuntimeError("unreachable: some tuple of partitions is always a base")
+    return extend([uniform_partition(a, b).canonical()], W, size - 1)
 
 
 def random_uniform_partition(a, b, rng) -> SetPartition:

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import math
 import os
@@ -224,6 +225,44 @@ def test_runner_output_modes(tmp_path, capsys):
     assert stdout == out.read_text() + "\n"
     cert = json.loads(stdout)
     assert (cert["command"], cert["seed"]) == ("stabilizer", 1)
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as under `minbase ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_the_status_and_the_out_file(tmp_path, monkeypatch):
+    out = tmp_path / "cert.json"
+    argv = ["stabilizer", "--ground", "4", "--partitions", "{1,2}|{3,4}", "--out", str(out)]
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(out.read_text())["result"]["order"] == 8
+    forged = tmp_path / "forged.json"
+    forged.write_text(out.read_text().replace('"order": 8', '"order": 9'))
+    out.unlink()
+    assert main(argv) == 0 and out.exists()
+    assert main(["verify", str(forged)]) == 1
+
+
+def test_closed_pipe_ends_without_a_traceback(tmp_path):
+    # buffered stdout, as by default: the flush at exit must not fail
+    out = tmp_path / "cert.json"
+    src = str(Path(minbase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minbase.cli", "stabilizer", "--ground", "4",
+         "--partitions", "{1,2}|{3,4}", "--json", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    assert proc.wait() == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert json.loads(out.read_text())["result"]["order"] == 8
 
 
 @pytest.mark.parametrize(
@@ -567,6 +606,15 @@ def _edited(cert, path, new):
     ["alpha", "--spec", "A5"],
     ["beta", "--spec", "S4"],
     ["beta", "--spec", "A5"],
+    # the re-run commands; orth --pair-check is left out for its run time
+    ["stabilizer", "--ground", "6", "--partitions", "{1,2,3}|{4,5,6};{1,4}|{2,5}|{3,6}"],
+    ["sp4", "--q", "5"],
+    ["sp4", "--q", "9", "--triple"],
+    ["orth", "--n", "7", "--q", "3"],
+    ["qhat", "--family", "sp4", "--q", "64..81"],
+    ["soluble", "--spec", "S4"],
+    ["theorem4", "--spec", "S4"],
+    ["beta", "--spec", "Q8"],
 ])
 def test_verify_catches_every_single_field_edit(tmp_path, capsys, argv):
     # Each edit of an input, result or witness field is REJECTED or refused

@@ -13,8 +13,8 @@ from minbase.partitions import (
     PreconditionError,
     SearchBudgetExceeded,
     SetPartition,
-    _exact_by_enumeration,
     _forced_symmetry,
+    _has_base,
     _search_base,
     all_uniform_partitions,
     apply_to_canonical,
@@ -424,10 +424,11 @@ def test_exact_mode_budget_refusal_beyond_enumeration():
 
 
 def _element_filter_exact(a, b, ambient):
-    """Oracle: exact mode as a DFS over explicit element lists.  Every
-    element of the block stabilizer W is listed, each pick keeps the
-    elements that fix it, and orbit representatives are the first
-    partition (in enumeration order) of each orbit of the kept elements."""
+    """Oracle: the least base size, by iterative deepening over explicit
+    element lists.  Every element of the block stabilizer W is listed, each
+    pick keeps the elements that fix it, and orbit representatives are the
+    first partition (in enumeration order) of each orbit of the kept
+    elements."""
     n = a * b
     omega = all_uniform_partitions(a, b)
     P1 = uniform_partition(a, b).canonical()
@@ -445,24 +446,13 @@ def _element_filter_exact(a, b, ambient):
 
     def extend(prefix, elems, size_left):
         if size_left == 0:
-            return [P1] + prefix if len(elems) == 1 else None
-        subs = [
-            ([g for g in elems if apply_to_canonical(g, P) == P], P)
-            for P in reps(elems)
-            if P != P1 and P not in prefix
-        ]
-        if not prefix:
-            subs.sort(key=lambda t: len(t[0]))
-        for sub, P in subs:
-            result = extend(prefix + [P], sub, size_left - 1)
-            if result is not None:
-                return result
-        return None
+            return len(elems) == 1
+        return any(
+            extend(prefix + [P], [g for g in elems if apply_to_canonical(g, P) == P],
+                   size_left - 1)
+            for P in reps(elems) if P != P1 and P not in prefix)
 
-    for k in range(2, len(omega) + 2):
-        result = extend([], elems, k - 1)
-        if result is not None:
-            return k, [format_partition(SetPartition.from_blocks(n, P)) for P in result]
+    return next(k for k in range(2, len(omega) + 2) if extend([], elems, k - 1))
 
 
 @pytest.mark.parametrize(
@@ -470,35 +460,23 @@ def _element_filter_exact(a, b, ambient):
     [(3, 2, "sym"), (4, 2, "sym"), (3, 3, "sym"), (3, 2, "alt"), (4, 2, "alt")],
 )
 def test_exact_mode_matches_element_filter_oracle(a, b, ambient):
-    # the enumeration itself: exact mode answers sym (4,2) and (3,3) by the
-    # no-pair lemma instead
-    parts = _exact_by_enumeration(a, b, ambient)
-    assert (len(parts), [format_partition(p) for p in parts]) == _element_filter_exact(
-        a, b, ambient
-    )
-
-
-# pairs with ab <= 12 whose claimed value the no-pair lemma shows least
-_LEMMA_SMALL = [(4, 2), (5, 2), (6, 2), (3, 3), (4, 3)]
-
-
-@pytest.mark.parametrize("a,b", _LEMMA_SMALL)
-def test_exact_mode_by_lemma_agrees_with_enumeration(a, b):
-    parts = base_size_partitions(a, b, mode="exact", seed=1)
-    assert [p.canonical() for p in parts] == [
-        p.canonical() for p in minimal_partition_base(a, b, seed=1)]
-    assert len(parts) == len(_exact_by_enumeration(a, b, "sym"))
+    # the enumeration itself, on the oracle's least size k
+    k = _element_filter_exact(a, b, ambient)
+    assert _has_base(a, b, ambient, k) and not _has_base(a, b, ambient, k - 1)
 
 
 @pytest.mark.parametrize("a,b,ambient", [
     (a, b, ambient)
     for a, b in [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)]
     for ambient in ("sym", "alt")
-    if (a, b, ambient) not in {(a, b, "sym") for a, b in _LEMMA_SMALL}
 ])
-def test_exact_mode_enumerates_where_no_lemma_applies(a, b, ambient):
-    parts = base_size_partitions(a, b, mode="exact", ambient=ambient)
-    assert tuple(parts) == _exact_by_enumeration(a, b, ambient)
+def test_exact_mode_is_the_search_base_proved_least(a, b, ambient):
+    # every pair with ab <= 12: the lemma or the enumeration proves the
+    # upper-mode base least, so no base is one smaller
+    parts = base_size_partitions(a, b, mode="exact", ambient=ambient, seed=1)
+    assert [p.canonical() for p in parts] == [
+        p.canonical() for p in minimal_partition_base(a, b, ambient=ambient, seed=1)]
+    assert not _has_base(a, b, ambient, len(parts) - 1)
 
 
 @pytest.mark.parametrize("a,b,ambient", [
