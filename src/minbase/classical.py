@@ -1,7 +1,8 @@
 """Verification of explicit base constructions in small classical
 groups: totally-isotropic pair stabilizers in Sp4(q), solved as linear
 systems, and nondegenerate-subspace pairs in odd orthogonal groups, by
-enumeration.
+counting every element of the stabilizer of U as a pair of isometry
+factors joined on their share of the condition g W = W.
 
 All verdicts are proofs by exhaustion, so enumeration budgets are hard
 gates: a partial enumeration proves nothing.
@@ -19,7 +20,6 @@ from .fq import (
     bilinear,
     factor_prime_power,
     frobenius_subspace,
-    gram_matrix,
     mat_det,
     mat_identity,
     mat_mul,
@@ -296,65 +296,6 @@ def orth_odd_construct(m: int, variant: str, q: int) -> OrthConstruction:
     return OrthConstruction(n, q, m, variant, form, U, W, Wp, names)
 
 
-def witt_index(F, form, basis):
-    """Witt index of the restriction of the form to span(basis), by
-    iterated hyperbolic splitting (exhaustive isotropic search)."""
-    basis = list(subspace_canonical(F, basis))
-    if len(basis) == 0:
-        return 0
-    if F.q ** len(basis) > 10**6:
-        raise BudgetError("Witt-index search budget exceeded")
-    # coordinates relative to the basis; work with the restricted Gram
-    gram = gram_matrix(F, form, basis)
-    return _witt_index_gram(F, gram)
-
-
-def _witt_index_gram(F, gram):
-    d = len(gram)
-    if d == 0:
-        return 0
-    iso = None
-    for v in all_vectors(F, d):
-        if any(v) and bilinear(F, gram, v, v) == 0:
-            iso = v
-            break
-    if iso is None:
-        return 0
-    partner = None
-    for w in all_vectors(F, d):
-        if bilinear(F, gram, iso, w) != 0:
-            partner = w
-            break
-    if partner is None:
-        raise CertificationError("degenerate restriction")
-    c = bilinear(F, gram, iso, partner)
-    partner = tuple(F.mul[F.inv[c]][x] for x in partner)
-    ww = bilinear(F, gram, partner, partner)
-    half = F.mul[ww][F.inv[2 % F.q]]
-    partner = tuple(
-        F.sub(a, F.mul[half][b]) for a, b in zip(partner, iso)
-    )
-    # complement: vectors orthogonal to both, inside the span (the form is
-    # symmetric, so v's constraint row is gram * v)
-    rows = nullspace(F, [mat_vec(F, gram, v) for v in (iso, partner)], d)
-    sub_gram = tuple(
-        tuple(bilinear(F, gram, u, v) for v in rows) for u in rows
-    )
-    return 1 + _witt_index_gram(F, sub_gram)
-
-
-def is_nondegenerate(F, form, basis):
-    return mat_det(F, gram_matrix(F, form, basis)) != 0
-
-
-def is_plus_type(F, form, basis):
-    """A nondegenerate 2k-space is plus-type iff its Witt index is k."""
-    k2 = len(basis)
-    if k2 % 2:
-        raise ValueError("type is defined for even-dimensional spaces")
-    return witt_index(F, form, list(basis)) == k2 // 2
-
-
 # ---------------------------------------------------------------------------
 # exhaustive pair check for n = 7, q = 3
 
@@ -421,29 +362,52 @@ def orth_odd_pair_check(n: int = 7, q: int = 3) -> OrthPairReport:
     if (n, q) != (7, 3):
         raise BudgetError("the exhaustive pair check is budgeted for (7,3) only")
     cons = orth_odd_construct(1, "4m+3", q)
-    F = Fq(q)
-    form = cons.form
-    U = cons.U
-    W = cons.W
-    # U is spanned by coordinate vectors (e*, f*, e, f); its complement is
-    # the remaining coordinates, so the stabilizer factors blockwise
+    return _orth_pair_join(Fq(q), cons.form, cons.U, cons.W)
+
+
+def _orth_pair_join(F, form, U, W) -> OrthPairReport:
+    """Count the pairs (gU, gP) of isometries of U and of its complement
+    whose block sum g has determinant 1, and those of them with g W = W
+    (W a canonical basis, as `subspace_canonical` returns).
+
+    U is spanned by coordinate vectors and the form is block diagonal on
+    U and the remaining coordinates, so g ranges over the stabilizer of U.
+    g fixes W exactly when a . (g w) = 0 for every row a of W's
+    annihilator and every basis vector w of W, and a . (g w) splits as
+    a_U . (gU w_U) + a_P . (gP w_P).  So each gP is bucketed by its
+    determinant and its negated P-side values, and each gU meets the
+    bucket of det(gU)^-1 and its U-side values: every pair is counted,
+    and only the joined survivors are rebuilt and re-checked as n x n
+    matrices.  Buckets keep GP's order, so the counterexample is the first
+    non-identity survivor of the loop over GU x GP."""
+    n = len(form)
+    ann = nullspace(F, W, n)
     u_coords = tuple(sorted({next(i for i, x in enumerate(v) if x) for v in U}))
     p_coords = tuple(i for i in range(n) if i not in u_coords)
-    gram_u = tuple(tuple(form[i][j] for j in u_coords) for i in u_coords)
-    gram_p = tuple(tuple(form[i][j] for j in p_coords) for i in p_coords)
-    GU = isometry_group_elements(F, gram_u)
-    GP = isometry_group_elements(F, gram_p)
-    survivors = 0
+
+    def factor(coords):
+        """(g, det g, the values a_C . (g w_C)) for each isometry g on the
+        coordinates C."""
+        gram = tuple(tuple(form[i][j] for j in coords) for i in coords)
+        ann_c = [tuple(a[i] for i in coords) for a in ann]
+        w_c = [tuple(w[i] for i in coords) for w in W]
+        for g in isometry_group_elements(F, gram):
+            values = tuple(x for w in w_c for x in mat_vec(F, ann_c, mat_vec(F, g, w)))
+            yield g, mat_det(F, g), values
+
+    buckets = {}
+    det_count = {}
+    for gP, d, values in factor(p_coords):
+        det_count[d] = det_count.get(d, 0) + 1
+        buckets.setdefault((d, tuple(F.neg[x] for x in values)), []).append(gP)
     ident = mat_identity(n)
+    total = survivors = 0
     identity_seen = False
     counterexample = None
-    total = 0
-    for gU in GU:
-        dU = mat_det(F, gU)
-        for gP in GP:
-            if F.mul[dU][mat_det(F, gP)] != 1:
-                continue
-            total += 1
+    for gU, d, values in factor(u_coords):
+        d_p = F.inv[d]
+        total += det_count.get(d_p, 0)
+        for gP in buckets.get((d_p, values), ()):
             g = [[0] * n for _ in range(n)]
             for a, i in enumerate(u_coords):
                 for b, j in enumerate(u_coords):
@@ -452,12 +416,13 @@ def orth_odd_pair_check(n: int = 7, q: int = 3) -> OrthPairReport:
                 for b, j in enumerate(p_coords):
                     g[i][j] = gP[a][b]
             g = tuple(tuple(r) for r in g)
-            if subspace_canonical(F, [mat_vec(F, g, w) for w in W]) == W:
-                survivors += 1
-                if g == ident:
-                    identity_seen = True
-                elif counterexample is None:
-                    counterexample = g
+            if subspace_canonical(F, [mat_vec(F, g, w) for w in W]) != W:
+                raise CertificationError("a joined pair does not fix W")
+            survivors += 1
+            if g == ident:
+                identity_seen = True
+            elif counterexample is None:
+                counterexample = g
     if not identity_seen:
         raise CertificationError("the identity does not fix the pair")
-    return OrthPairReport(n, q, total, survivors, survivors == 1, counterexample)
+    return OrthPairReport(n, F.q, total, survivors, survivors == 1, counterexample)

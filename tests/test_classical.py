@@ -4,22 +4,27 @@ import pytest
 
 from minbase.classical import (
     BudgetError,
+    OrthPairReport,
+    _orth_pair_join,
     isometry_group_elements,
     orth_odd_construct,
     orth_odd_pair_check,
     sp4_pair_stabilizer,
     sp4_similitude_check,
     sp4_triple_base_check,
-    is_nondegenerate,
-    is_plus_type,
-    witt_index,
 )
+from minbase.errors import CertificationError
 from minbase.fq import (
     Fq,
+    all_vectors,
+    bilinear,
     frobenius_subspace,
+    gram_matrix,
+    mat_det,
     mat_identity,
     mat_mul,
     mat_vec,
+    nullspace,
     subspace_canonical,
 )
 
@@ -135,6 +140,65 @@ def test_sp4_triple_q27():
     assert rep.phi_moves_gamma == [True, True]
 
 
+def witt_index(F, form, basis):
+    """Witt index of the restriction of the form to span(basis), by
+    iterated hyperbolic splitting (exhaustive isotropic search)."""
+    basis = list(subspace_canonical(F, basis))
+    if len(basis) == 0:
+        return 0
+    if F.q ** len(basis) > 10**6:
+        raise BudgetError("Witt-index search budget exceeded")
+    # coordinates relative to the basis; work with the restricted Gram
+    gram = gram_matrix(F, form, basis)
+    return _witt_index_gram(F, gram)
+
+
+def _witt_index_gram(F, gram):
+    d = len(gram)
+    if d == 0:
+        return 0
+    iso = None
+    for v in all_vectors(F, d):
+        if any(v) and bilinear(F, gram, v, v) == 0:
+            iso = v
+            break
+    if iso is None:
+        return 0
+    partner = None
+    for w in all_vectors(F, d):
+        if bilinear(F, gram, iso, w) != 0:
+            partner = w
+            break
+    if partner is None:
+        raise CertificationError("degenerate restriction")
+    c = bilinear(F, gram, iso, partner)
+    partner = tuple(F.mul[F.inv[c]][x] for x in partner)
+    ww = bilinear(F, gram, partner, partner)
+    half = F.mul[ww][F.inv[2 % F.q]]
+    partner = tuple(
+        F.sub(a, F.mul[half][b]) for a, b in zip(partner, iso)
+    )
+    # complement: vectors orthogonal to both, inside the span (the form is
+    # symmetric, so v's constraint row is gram * v)
+    rows = nullspace(F, [mat_vec(F, gram, v) for v in (iso, partner)], d)
+    sub_gram = tuple(
+        tuple(bilinear(F, gram, u, v) for v in rows) for u in rows
+    )
+    return 1 + _witt_index_gram(F, sub_gram)
+
+
+def is_nondegenerate(F, form, basis):
+    return mat_det(F, gram_matrix(F, form, basis)) != 0
+
+
+def is_plus_type(F, form, basis):
+    """A nondegenerate 2k-space is plus-type iff its Witt index is k."""
+    k2 = len(basis)
+    if k2 % 2:
+        raise ValueError("type is defined for even-dimensional spaces")
+    return witt_index(F, form, list(basis)) == k2 // 2
+
+
 def test_orth_construct_7_3_shapes():
     cons = orth_odd_construct(1, "4m+3", 3)
     F = Fq(3)
@@ -176,6 +240,69 @@ def test_orth_pair_check_7_3():
     assert rep.verdict
     assert rep.survivors == 1
     assert rep.stabilizer_size == 27648  # |O4+(3)| * |O3(3)| / 2
+
+
+def orth_pair_enumeration(F, form, U, W):
+    """Oracle: every pair (gU, gP) of isometries of U and of its
+    complement coordinates with det gU * det gP = 1, built as one n x n
+    matrix and kept when it maps W onto W."""
+    n = len(form)
+    u_coords = tuple(sorted({next(i for i, x in enumerate(v) if x) for v in U}))
+    p_coords = tuple(i for i in range(n) if i not in u_coords)
+    gram_u = tuple(tuple(form[i][j] for j in u_coords) for i in u_coords)
+    gram_p = tuple(tuple(form[i][j] for j in p_coords) for i in p_coords)
+    GU = isometry_group_elements(F, gram_u)
+    GP = isometry_group_elements(F, gram_p)
+    survivors = 0
+    ident = mat_identity(n)
+    identity_seen = False
+    counterexample = None
+    total = 0
+    for gU in GU:
+        dU = mat_det(F, gU)
+        for gP in GP:
+            if F.mul[dU][mat_det(F, gP)] != 1:
+                continue
+            total += 1
+            g = [[0] * n for _ in range(n)]
+            for a, i in enumerate(u_coords):
+                for b, j in enumerate(u_coords):
+                    g[i][j] = gU[a][b]
+            for a, i in enumerate(p_coords):
+                for b, j in enumerate(p_coords):
+                    g[i][j] = gP[a][b]
+            g = tuple(tuple(r) for r in g)
+            if subspace_canonical(F, [mat_vec(F, g, w) for w in W]) == W:
+                survivors += 1
+                if g == ident:
+                    identity_seen = True
+                elif counterexample is None:
+                    counterexample = g
+    assert identity_seen
+    return OrthPairReport(n, F.q, total, survivors, survivors == 1, counterexample)
+
+
+def _coordinate_span(F, n, *supports):
+    return subspace_canonical(
+        F, [tuple(1 if i in s else 0 for i in range(n)) for s in supports])
+
+
+@pytest.mark.parametrize("W, survivors", [
+    (None, 1),  # the construction's W: a base
+    # U's complement coordinates e1, f1, x: every pair fixes it
+    (((0,), (1,), (6,)), 27648),
+    # <e1 + e*1, x>: W's annihilator has rows on both factors
+    (((0, 2), (6,)), 72),
+])
+def test_orth_pair_join_matches_enumeration(W, survivors):
+    F = Fq(3)
+    cons = orth_odd_construct(1, "4m+3", 3)
+    W = cons.W if W is None else _coordinate_span(F, 7, *W)
+    rep = _orth_pair_join(F, cons.form, cons.U, W)
+    assert rep == orth_pair_enumeration(F, cons.form, cons.U, W)
+    assert rep.stabilizer_size == 27648 and rep.survivors == survivors
+    assert rep.verdict == (survivors == 1)
+    assert (rep.counterexample is None) == (survivors == 1)
 
 
 def test_orth_pair_check_budget():

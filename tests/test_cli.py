@@ -606,11 +606,12 @@ def _edited(cert, path, new):
     ["alpha", "--spec", "A5"],
     ["beta", "--spec", "S4"],
     ["beta", "--spec", "A5"],
-    # the re-run commands; orth --pair-check is left out for its run time
+    # the re-run commands
     ["stabilizer", "--ground", "6", "--partitions", "{1,2,3}|{4,5,6};{1,4}|{2,5}|{3,6}"],
     ["sp4", "--q", "5"],
     ["sp4", "--q", "9", "--triple"],
     ["orth", "--n", "7", "--q", "3"],
+    ["orth", "--n", "7", "--q", "3", "--pair-check"],
     ["qhat", "--family", "sp4", "--q", "64..81"],
     ["soluble", "--spec", "S4"],
     ["theorem4", "--spec", "S4"],
