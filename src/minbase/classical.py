@@ -68,15 +68,45 @@ def sp4_pair_stabilizer(q: int) -> Sp4PairReport:
     entries: g vanishes off its blocks, and every annihilator of a target
     space kills g times every basis vector of its source.  The points of
     each of the four nullspaces that pass the similitude check are the
-    survivors.  `candidates` is the size of the similitude space
-    searched, 2|GL2(q)|(q-1): a block-shaped g is a similitude exactly
-    when its second block is +-lambda A^-T."""
+    survivors.  Since (lambda g)^T J (lambda g) = lambda^2 g^T J g and
+    lambda^2 is nonzero for lambda nonzero, whether g is a similitude
+    depends only on the line through g, and 0 is not one: so the check
+    runs on one point per line of each nullspace (coefficients whose
+    first nonzero entry is 1), and each passing point brings its q-1
+    nonzero multiples, every one of them re-checked.  `candidates` is the
+    size of the similitude space searched, 2|GL2(q)|(q-1): a block-shaped
+    g is a similitude exactly when its second block is +-lambda A^-T."""
     if q % 2 == 0 or q < 5:
         raise BudgetError("q must be odd and at least 5")
     F = Fq(q)
-    mul, add = F.mul, F.add
-    annihilator = {s: nullspace(F, s, 4) for s in (_U_PRIME, _W_PRIME)}
     survivors = set()
+    for basis in _sp4_pair_systems(F):
+        for coeffs in _line_points(F, len(basis)):
+            g = _sp4_point(F, coeffs, basis)
+            if not sp4_similitude_check(F, g):
+                continue
+            for lam in range(1, q):
+                h = tuple(tuple(F.mul[lam][x] for x in row) for row in g)
+                if not sp4_similitude_check(F, h):
+                    raise CertificationError(
+                        "a nonzero multiple of a similitude is not one")
+                survivors.add(h)
+    scalars = {
+        tuple(tuple(lam if i == j else 0 for j in range(4)) for i in range(4))
+        for lam in range(1, q)
+    }
+    return Sp4PairReport(
+        q, 2 * (q * q - 1) * (q * q - q) * (q - 1), sorted(survivors),
+        survivors == scalars,
+    )
+
+
+def _sp4_pair_systems(F):
+    """Nullspace bases of the four linear systems in g's 16 entries, one
+    per block shape (diagonal or antidiagonal) and pair {U', W'} kept or
+    swapped."""
+    mul = F.mul
+    annihilator = {s: nullspace(F, s, 4) for s in (_U_PRIME, _W_PRIME)}
     for anti in (False, True):
         off = [_unit(16, 4 * i + j) for i in range(4) for j in range(4)
                if ((i < 2) == (j < 2)) == anti]
@@ -87,22 +117,25 @@ def sp4_pair_stabilizer(q: int) -> Sp4PairReport:
                 for a in annihilator[dst]
                 for u in src
             ]
-            basis = nullspace(F, rows, 16)
-            for coeffs in all_vectors(F, len(basis)):
-                flat = [0] * 16
-                for c, v in zip(coeffs, basis):
-                    flat = [add[x][mul[c][y]] for x, y in zip(flat, v)]
-                g = tuple(tuple(flat[4 * i:4 * i + 4]) for i in range(4))
-                if sp4_similitude_check(F, g):
-                    survivors.add(g)
-    scalars = {
-        tuple(tuple(lam if i == j else 0 for j in range(4)) for i in range(4))
-        for lam in range(1, q)
-    }
-    return Sp4PairReport(
-        q, 2 * (q * q - 1) * (q * q - q) * (q - 1), sorted(survivors),
-        survivors == scalars,
-    )
+            yield nullspace(F, rows, 16)
+
+
+def _sp4_point(F, coeffs, basis):
+    """The 4x4 matrix sum of c v over the coefficients c and the basis
+    vectors v of a system's nullspace."""
+    add, mul = F.add, F.mul
+    flat = [0] * 16
+    for c, v in zip(coeffs, basis):
+        flat = [add[x][mul[c][y]] for x, y in zip(flat, v)]
+    return tuple(tuple(flat[4 * i:4 * i + 4]) for i in range(4))
+
+
+def _line_points(F, k):
+    """Coefficient vectors of length k whose first nonzero entry is 1: one
+    point on each line through the origin of F^k."""
+    for lead in range(k):
+        for tail in all_vectors(F, k - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 def sp4_similitude_check(F, g):
@@ -320,26 +353,37 @@ def _reflections(F, gram):
 
 
 def isometry_group_elements(F, gram):
-    """Full orthogonal group of the form, generated by reflections and
-    expanded to an element list; every element is re-checked against the
-    form."""
-    gens = _reflections(F, gram)
+    """Full orthogonal group of the form, generated by its reflections,
+    as a list in a fixed order; every element is re-checked against the
+    form.
+
+    The group is closed by Dimino's method.  The reflections are taken in
+    sorted order, and one becomes a generator only when the closure so far
+    misses it.  Then the group H closed so far grows by whole right cosets
+    H w: a representative w = reps[i] s, for a generator s, starts a new
+    coset exactly when it is not yet seen, and the closure is done when
+    every reps[i] s is seen.  Each reflection is a generator or already in
+    the closure, so the result is the group all the reflections generate."""
     ident = mat_identity(len(gram))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = mat_mul(F, a, g)
-                if c not in elems:
-                    elems.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    gram_t = gram
+    elems = [ident]
+    seen = {ident}
+    gens = []
+    for r in sorted(_reflections(F, gram)):
+        if r in seen:
+            continue
+        gens.append(r)
+        H = list(elems)
+        reps = [ident]
+        for rep in reps:  # reps grows while it is walked
+            for s in gens:
+                w = mat_mul(F, rep, s)
+                if w not in seen:
+                    reps.append(w)
+                    coset = [mat_mul(F, h, w) for h in H]
+                    elems.extend(coset)
+                    seen.update(coset)
     for g in elems:
-        gt = mat_transpose(g)
-        if mat_mul(F, gt, mat_mul(F, gram_t, g)) != gram_t:
+        if mat_mul(F, mat_transpose(g), mat_mul(F, gram, g)) != gram:
             raise CertificationError("a generated element does not preserve the form")
     return elems
 

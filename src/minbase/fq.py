@@ -268,20 +268,6 @@ def subspace_canonical(F, vectors):
     return rref(F, [v for v in vectors if any(v)])
 
 
-def gram_matrix(F, form, vectors):
-    out = []
-    for u in vectors:
-        row = []
-        fu = mat_vec(F, form, u)
-        for v in vectors:
-            acc = 0
-            for a, b in zip(fu, v):
-                acc = F.add[acc][F.mul[a][b]]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def bilinear(F, form, u, v):
     fu = mat_vec(F, form, u)
     acc = 0

@@ -2,10 +2,16 @@ import itertools
 
 import pytest
 
+from minbase import classical
 from minbase.classical import (
     BudgetError,
     OrthPairReport,
+    Sp4PairReport,
+    _line_points,
     _orth_pair_join,
+    _reflections,
+    _sp4_pair_systems,
+    _sp4_point,
     isometry_group_elements,
     orth_odd_construct,
     orth_odd_pair_check,
@@ -19,14 +25,15 @@ from minbase.fq import (
     all_vectors,
     bilinear,
     frobenius_subspace,
-    gram_matrix,
     mat_det,
     mat_identity,
     mat_mul,
+    mat_transpose,
     mat_vec,
     nullspace,
     subspace_canonical,
 )
+from test_fq import gram_matrix
 
 _U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))
 _W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))
@@ -92,6 +99,46 @@ def test_sp4_pair_solve_matches_enumeration(q):
     rep = sp4_pair_stabilizer(q)
     assert rep.candidates == candidates
     assert rep.survivors == sorted(survivors)
+
+
+def sp4_pair_all_points(q):
+    """Oracle: the similitude check on every point of each of the four
+    nullspaces, not one point per line."""
+    F = Fq(q)
+    survivors = set()
+    for basis in _sp4_pair_systems(F):
+        for coeffs in all_vectors(F, len(basis)):
+            g = _sp4_point(F, coeffs, basis)
+            if sp4_similitude_check(F, g):
+                survivors.add(g)
+    scalars = {tuple(tuple(lam if i == j else 0 for j in range(4)) for i in range(4))
+               for lam in range(1, q)}
+    gl2 = (q * q - 1) * (q * q - q)
+    return Sp4PairReport(q, 2 * gl2 * (q - 1), sorted(survivors), survivors == scalars)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
+def test_sp4_pair_one_point_per_line_matches_all_points(q):
+    assert sp4_pair_stabilizer(q) == sp4_pair_all_points(q)
+
+
+def test_sp4_pair_rechecks_every_multiple(monkeypatch):
+    # a check that holds on no multiple but the line's point itself
+    monkeypatch.setattr(classical, "sp4_similitude_check",
+                        lambda F, g: sp4_similitude_check(F, g) and g[0][0] == 1)
+    with pytest.raises(CertificationError):
+        sp4_pair_stabilizer(5)
+
+
+@pytest.mark.parametrize("q, k", [(3, 1), (5, 2), (9, 3)])
+def test_line_points_meet_every_line_once(q, k):
+    F = Fq(q)
+    points = list(_line_points(F, k))
+    assert len(points) == (q**k - 1) // (q - 1)
+    lines = {frozenset(tuple(F.mul[lam][x] for x in p) for lam in range(1, q))
+             for p in points}
+    assert len(lines) == len(points)
+    assert set().union(*lines) == {v for v in all_vectors(F, k) if any(v)}
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])
@@ -310,6 +357,96 @@ def test_orth_pair_check_budget():
         orth_odd_pair_check(11, 3)
     with pytest.raises(BudgetError):
         orth_odd_pair_check(7, 5)
+
+
+def isometry_closure_bfs(F, gram):
+    """Oracle: the closure of the identity under right multiplication by
+    every reflection of the form, breadth first."""
+    gens = _reflections(F, gram)
+    ident = mat_identity(len(gram))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = mat_mul(F, a, g)
+                if c not in elems:
+                    elems.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return elems
+
+
+def orthogonal_group_order(n, q, eps):
+    """|O^eps_n(q)| for q odd: eps is +1 or -1 when n is even, 0 when odd."""
+    m = n // 2
+    order = 2 * q ** (m * (m - 1) if n % 2 == 0 else m * m)
+    for i in range(1, m + (n % 2)):
+        order *= q ** (2 * i) - 1
+    return order * (q**m - eps if n % 2 == 0 else 1)
+
+
+_HYPERBOLIC = ((0, 1), (1, 0))
+_ANISOTROPIC_3 = ((1, 0), (0, 1))  # x^2 + y^2 over F_3: -1 is a non-square
+
+
+def _block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return tuple(tuple(r) for r in out)
+
+
+@pytest.mark.parametrize("q, eps, gram", [
+    (3, 1, _HYPERBOLIC),
+    (3, -1, _ANISOTROPIC_3),
+    (3, 0, _block_sum(_HYPERBOLIC, ((1,),))),
+    (5, 0, _block_sum(_HYPERBOLIC, ((1,),))),
+    (3, 1, _block_sum(_HYPERBOLIC, _HYPERBOLIC)),
+    (3, -1, _block_sum(_HYPERBOLIC, _ANISOTROPIC_3)),
+])
+def test_isometry_cosets_match_reflection_bfs(q, eps, gram):
+    F = Fq(q)
+    elems = isometry_group_elements(F, gram)
+    assert len(elems) == len(set(elems))
+    assert set(elems) == isometry_closure_bfs(F, gram)
+    assert len(elems) == orthogonal_group_order(len(gram), q, eps)
+    for g in elems:
+        assert mat_mul(F, mat_transpose(g), mat_mul(F, gram, g)) == gram
+
+
+def test_isometry_cosets_skip_most_products(monkeypatch):
+    """O4+(3) has 1152 elements and 24 reflections: the coset closure makes
+    far fewer than the 27,648 products of multiplying each element by each
+    reflection, two of them per element being its form check."""
+    F = Fq(3)
+    gram = _block_sum(_HYPERBOLIC, _HYPERBOLIC)
+    calls = []
+
+    def counting_mat_mul(*args):
+        calls.append(1)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(classical, "mat_mul", counting_mat_mul)
+    elems = isometry_group_elements(F, gram)
+    assert len(_reflections(F, gram)) == 24 and len(elems) == 1152
+    assert 2 * len(elems) < len(calls) < 4 * len(elems)
+
+
+def test_isometry_closure_checks_every_element_against_the_form(monkeypatch):
+    F = Fq(3)
+    gram = _block_sum(_HYPERBOLIC, ((1,),))
+    # a transvection: not an isometry, so its closure holds non-isometries
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    monkeypatch.setattr(classical, "_reflections",
+                        lambda F, gram: _reflections(F, gram) | {shear})
+    with pytest.raises(CertificationError):
+        isometry_group_elements(F, gram)
 
 
 def test_isometry_group_sizes():

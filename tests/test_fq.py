@@ -10,11 +10,15 @@ from minbase.fq import (
     bilinear,
     factor_prime_power,
     frobenius_subspace,
-    gram_matrix,
     mat_vec,
     nullspace,
     subspace_canonical,
 )
+
+
+def gram_matrix(F, form, vectors):
+    """The matrix of the form's values on every pair of the vectors."""
+    return tuple(tuple(bilinear(F, form, u, v) for v in vectors) for u in vectors)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 49])
