@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import CertificationError
 from .fq import (
-    Field,
     Fq,
     all_vectors,
     bilinear,
@@ -107,8 +106,9 @@ def _sp4_pair_systems(F):
     swapped."""
     mul = F.mul
     annihilator = {s: nullspace(F, s, 4) for s in (_U_PRIME, _W_PRIME)}
+    unit = mat_identity(16)
     for anti in (False, True):
-        off = [_unit(16, 4 * i + j) for i in range(4) for j in range(4)
+        off = [unit[4 * i + j] for i in range(4) for j in range(4)
                if ((i < 2) == (j < 2)) == anti]
         for targets in ((_U_PRIME, _W_PRIME), (_W_PRIME, _U_PRIME)):
             rows = off + [
@@ -208,10 +208,6 @@ def sp4_triple_base_check(q: int) -> Sp4TripleReport:
 
 @dataclass
 class OrthConstruction:
-    n: int
-    q: int
-    m: int
-    variant: str
     form: tuple
     U: tuple
     W: tuple
@@ -219,114 +215,61 @@ class OrthConstruction:
     basis_names: list
 
 
-def orth_form(F: Field, m: int, variant: str):
-    """Gram matrix of the standard basis.
-
-    variant "4m+1": e_1..e_m f_1..f_m e*_1..e*_m f*_1..f*_m x with
-    (e_i,f_i) = (e*_i,f*_i) = (x,x) = 1;
-    variant "4m+3": the same plus one extra hyperbolic pair (e,f)."""
-    if variant == "4m+1":
-        n = 4 * m + 1
-        names = (
-            [f"e{i}" for i in range(1, m + 1)]
-            + [f"f{i}" for i in range(1, m + 1)]
-            + [f"e*{i}" for i in range(1, m + 1)]
-            + [f"f*{i}" for i in range(1, m + 1)]
-            + ["x"]
-        )
-        gram = [[0] * n for _ in range(n)]
-        for i in range(m):
-            gram[i][m + i] = gram[m + i][i] = 1
-            gram[2 * m + i][3 * m + i] = gram[3 * m + i][2 * m + i] = 1
-        gram[n - 1][n - 1] = 1
-    elif variant == "4m+3":
-        n = 4 * m + 3
-        names = (
-            [f"e{i}" for i in range(1, m + 1)]
-            + [f"f{i}" for i in range(1, m + 1)]
-            + [f"e*{i}" for i in range(1, m + 1)]
-            + [f"f*{i}" for i in range(1, m + 1)]
-            + ["e", "f", "x"]
-        )
-        gram = [[0] * n for _ in range(n)]
-        for i in range(m):
-            gram[i][m + i] = gram[m + i][i] = 1
-            gram[2 * m + i][3 * m + i] = gram[3 * m + i][2 * m + i] = 1
-        gram[4 * m][4 * m + 1] = gram[4 * m + 1][4 * m] = 1
-        gram[n - 1][n - 1] = 1
-    else:
-        raise ValueError("variant must be '4m+1' or '4m+3'")
-    return tuple(tuple(r) for r in gram), names
-
-
-def _unit(n, i, val=1):
-    v = [0] * n
-    v[i] = val
-    return tuple(v)
-
-
-def _sum_units(F, n, pairs):
-    v = [0] * n
-    for i, val in pairs:
-        v[i] = F.add[v[i]][val]
-    return tuple(v)
-
-
-def orth_odd_construct(m: int, variant: str, q: int) -> OrthConstruction:
+def orth_odd_construct(n: int, q: int) -> OrthConstruction:
     """The two nondegenerate plus-type subspaces U, W and the scaled
-    variant W' over F_q (q odd).
+    variant W' of the n-dimensional orthogonal space over F_q (q odd).
 
-    4m+1 (n >= 9): U spans the unstarred hyperbolic pairs; W chains each
-    unstarred vector to a starred one starting at e1+x; W' replaces e1+x
-    by mu*e1+x.
-    4m+3 (n >= 7): U spans the starred pairs plus (e,f); W is the graph
-    chain e*1+x, e1+f*1, f1+e*2, ..., e_m+f*_m, f_m+e together with f;
-    W' scales the first generator to mu*e*1+x.
+    The basis is e_1..e_m f_1..f_m e*_1..e*_m f*_1..f*_m, then e f when
+    n = 4m+3, then x, with (e_i,f_i) = (e*_i,f*_i) = (e,f) = (x,x) = 1.
+    n = 4m+1: U spans the unstarred hyperbolic pairs; W chains each
+    unstarred vector to a starred one starting at e1+x: e1+x, f1+e*1,
+    e2+f*1, f2+e*2, ..., e_m+f*_(m-1), f_m+e*_m.
+    n = 4m+3: U spans the starred pairs plus (e,f); W is the graph chain
+    e*1+x, e1+f*1, f1+e*2, ..., e_m+f*_m, f_m+e together with f.
+    W' scales the first term of W's first vector by mu.
     """
+    if n % 2 == 0 or n < 7:  # n = 4m+1 needs m >= 2, n = 4m+3 needs m >= 1
+        raise ValueError(f"n must be odd and at least 7 (got {n})")
     if q % 2 == 0:
         raise ValueError("q must be odd")
     F = Fq(q)
-    form, names = orth_form(F, m, variant)
-    n = len(form)
-    mu = F.mu
-    e = lambda i: i - 1
-    f = lambda i: m + i - 1
-    es = lambda i: 2 * m + i - 1
-    fs = lambda i: 3 * m + i - 1
-    if variant == "4m+1":
-        if n < 9:
-            raise ValueError("variant 4m+1 needs n >= 9")
-        x = n - 1
-        u_gens = [_unit(n, e(i)) for i in range(1, m + 1)]
-        u_gens += [_unit(n, f(i)) for i in range(1, m + 1)]
-        w_gens = [
-            _sum_units(F, n, [(e(1), 1), (x, 1)]),
-            _sum_units(F, n, [(f(1), 1), (es(1), 1)]),
-        ]
+    m = (n - 1) // 4
+    ms = range(1, m + 1)
+    names = [f"{v}{i}" for v in ("e", "f", "e*", "f*") for i in ms]
+    if n % 4 == 1:
+        u_names = [f"e{i}" for i in ms] + [f"f{i}" for i in ms]
+        w_sums = [("e1", "x"), ("f1", "e*1")]
         for i in range(2, m + 1):
-            w_gens.append(_sum_units(F, n, [(e(i), 1), (fs(i - 1), 1)]))
-            w_gens.append(_sum_units(F, n, [(f(i), 1), (es(i), 1)]))
-        wp_gens = [_sum_units(F, n, [(e(1), mu), (x, 1)])] + w_gens[1:]
+            w_sums += [(f"e{i}", f"f*{i - 1}"), (f"f{i}", f"e*{i}")]
     else:
-        if n < 7:
-            raise ValueError("variant 4m+3 needs n >= 7")
-        ee, ff, x = n - 3, n - 2, n - 1
-        u_gens = [_unit(n, es(i)) for i in range(1, m + 1)]
-        u_gens += [_unit(n, fs(i)) for i in range(1, m + 1)]
-        u_gens += [_unit(n, ee), _unit(n, ff)]
-        w_gens = [_sum_units(F, n, [(es(1), 1), (x, 1)])]
-        for i in range(1, m + 1):
-            w_gens.append(_sum_units(F, n, [(e(i), 1), (fs(i), 1)]))
-            if i < m:
-                w_gens.append(_sum_units(F, n, [(f(i), 1), (es(i + 1), 1)]))
-            else:
-                w_gens.append(_sum_units(F, n, [(f(i), 1), (ee, 1)]))
-        w_gens.append(_unit(n, ff))
-        wp_gens = [_sum_units(F, n, [(es(1), mu), (x, 1)])] + w_gens[1:]
-    U = subspace_canonical(F, u_gens)
-    W = subspace_canonical(F, w_gens)
-    Wp = subspace_canonical(F, wp_gens)
-    return OrthConstruction(n, q, m, variant, form, U, W, Wp, names)
+        names += ["e", "f"]
+        u_names = [f"e*{i}" for i in ms] + [f"f*{i}" for i in ms] + ["e", "f"]
+        w_sums = [("e*1", "x")]
+        for i in ms:
+            w_sums += [(f"e{i}", f"f*{i}"), (f"f{i}", f"e*{i + 1}" if i < m else "e")]
+        w_sums.append(("f",))
+    names.append("x")
+    pos = {name: k for k, name in enumerate(names)}
+    partner = {"x": "x"}  # (u, v) = 1 exactly when v is u's partner
+    for u in names:
+        if u[0] == "e":  # e_i, e*_i and e pair with the f of the same suffix
+            partner[u], partner["f" + u[1:]] = "f" + u[1:], u
+
+    def vec(*terms, lead=1):
+        """The sum of the named basis vectors, the first one scaled by lead."""
+        v = [0] * n
+        for name in terms:
+            v[pos[name]] = 1
+        v[pos[terms[0]]] = lead
+        return tuple(v)
+
+    W = [vec(*terms) for terms in w_sums]
+    W_prime = [vec(*w_sums[0], lead=F.mu)] + W[1:]
+    return OrthConstruction(
+        tuple(tuple(int(partner[u] == v) for v in names) for u in names),
+        *(subspace_canonical(F, gens) for gens in ([vec(u) for u in u_names], W, W_prime)),
+        names,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +278,7 @@ def orth_odd_construct(m: int, variant: str, q: int) -> OrthConstruction:
 
 def _reflections(F, gram):
     d = len(gram)
+    ident = mat_identity(d)
     out = set()
     two = 2 % F.q
     for v in all_vectors(F, d):
@@ -344,8 +288,7 @@ def _reflections(F, gram):
         if vv == 0:
             continue
         cols = []
-        for j in range(d):
-            ej = _unit(d, j)
+        for ej in ident:
             coef = F.mul[F.mul[two][bilinear(F, gram, ej, v)]][F.inv[vv]]
             cols.append(tuple(F.sub(ej[i], F.mul[coef][v[i]]) for i in range(d)))
         out.add(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
@@ -403,9 +346,9 @@ def orth_odd_pair_check(n: int = 7, q: int = 3) -> OrthPairReport:
     U and its complement (with the determinant condition) and count the
     elements fixing W setwise; the pair {U, W} is a base iff only the
     identity survives."""
+    cons = orth_odd_construct(n, 3)  # refuses an n without the construction first
     if (n, q) != (7, 3):
         raise BudgetError("the exhaustive pair check is budgeted for (7,3) only")
-    cons = orth_odd_construct(1, "4m+3", q)
     return _orth_pair_join(Fq(q), cons.form, cons.U, cons.W)
 
 

@@ -35,7 +35,7 @@ from .invariants import (
     chief_factor_bound,
     soluble_bounds_report,
 )
-from .lattice import GroupTable, Lattice, frattini
+from .lattice import GroupTable, Lattice, core, frattini
 from .partitions import (
     CertificationError,
     PreconditionError,
@@ -48,7 +48,7 @@ from .partitions import (
     partition_base_size_value,
     partition_stabilizer,
 )
-from .perm import format_perm, parse_perm
+from .perm import ParseError, format_perm, parse_perm
 
 PASS, FAIL, REFUSED = 0, 1, 2
 
@@ -81,7 +81,7 @@ def _lattice(spec, cap):
 # Each returns (exit status, certificate or None, human-readable lines);
 # main() stamps the command and seed, times the call and prints.
 #
-# Witness commands (partition-base, base-size, alpha, finite beta) run
+# Witness commands (partition-base, base-size, alpha, beta) run
 # verify's own checker on the certificate before printing it.  Every other
 # command is deterministic: its body maps the certificate's inputs to the
 # certificate it prints (inputs, result, witnesses), and verify runs the
@@ -166,10 +166,8 @@ def cmd_alpha(args):
     return PASS, cert, [f"alpha({args.spec}) = {cert_a.value} (proved minimal)"]
 
 
-def _beta_body(inputs, cap=GroupTable.HARD_CAP):
-    """An infinite beta is re-run by verify; a finite one is checked here
-    by its witness, on the lattice already built."""
-    lat = _lattice(inputs["spec"], cap)
+def cmd_beta(args):
+    lat = _lattice(args.spec, args.cap)
     table = lat.table
     res = beta(lat)
     if res.value is math.inf:
@@ -181,6 +179,7 @@ def _beta_body(inputs, cap=GroupTable.HARD_CAP):
                 for rec, order in res.empty_star_evidence
             ]
         }
+        line = f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"
     else:
         chosen = res.chosen
         value = res.value
@@ -191,23 +190,13 @@ def _beta_body(inputs, cap=GroupTable.HARD_CAP):
             "conjugator_words": [table.word_of(g) for g in chosen.conjugators],
             "core_order": chosen.core_order,
         }
+        line = f"beta({args.spec}) = {value}"
     cert = {
-        "inputs": {"spec": inputs["spec"], "order": table.n},
+        "inputs": {"spec": args.spec, "order": table.n},
         "result": {"beta": value, "frattini_order": res.frattini_order},
         "witnesses": witnesses,
     }
-    if value != "infinity":
-        _check(_verify_beta, cert, lat)
-    return cert
-
-
-def cmd_beta(args):
-    cert = _beta_body(vars(args), args.cap)
-    value = cert["result"]["beta"]
-    if value == "infinity":
-        line = f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"
-    else:
-        line = f"beta({args.spec}) = {value}"
+    _check(_verify_beta, cert, lat)
     return PASS, cert, [line]
 
 
@@ -311,8 +300,6 @@ def cmd_sp4(args):
 def _orth_body(inputs):
     n, q, pair_check = inputs["n"], inputs["q"], inputs["pair_check"]
     inputs = {"n": n, "q": q, "pair_check": pair_check}
-    if n % 2 == 0 or n < 7:
-        raise PreconditionError(f"n must be odd and at least 7 (got {n})")
     if pair_check:
         rep = orth_odd_pair_check(n, q)
         result = {
@@ -326,9 +313,7 @@ def _orth_body(inputs):
             else {"counterexample": [list(r) for r in rep.counterexample]}
         )
         return {"inputs": inputs, "result": result, "witnesses": witnesses}
-    variant = "4m+1" if n % 4 == 1 else "4m+3"
-    m = (n - (1 if variant == "4m+1" else 3)) // 4
-    cons = orth_odd_construct(m, variant, q)
+    cons = orth_odd_construct(n, q)
     F = Fq(q)
     phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime if F.f > 1 else None
     result = {
@@ -497,9 +482,20 @@ def _lattice_of(cert):
 
 
 def _witness_subgroup(table, words):
-    """(elements, generators) of the subgroup the words generate."""
-    gens = [table.index[parse_perm(w, table.degree)] for w in words]
-    return table.closure(gens), gens
+    """(elements, generators) of the subgroup the words generate; None
+    unless each word names an element of G outside the subgroup the words
+    before it generate, so a padded or unreadable list is no witness."""
+    elems, gens = frozenset([table.identity]), []
+    for word in words:
+        try:
+            g = table.index.get(parse_perm(word, table.degree))
+        except ParseError:
+            return None
+        if g is None or g in elems:
+            return None
+        gens.append(g)
+        elems = table.closure(gens)
+    return elems, gens
 
 
 def _meet(table, sets):
@@ -527,11 +523,14 @@ def _verify_alpha(cert, lat=None):
         lat = _lattice_of(cert)
     table = lat.table
     derived = alpha(lat)
-    frat, _ = _witness_subgroup(table, cert["witnesses"]["frattini_generators"])
+    frat = _witness_subgroup(table, cert["witnesses"]["frattini_generators"])
     maxes = [
         _witness_subgroup(table, words)
         for words in cert["witnesses"]["maximal_subgroups"]
     ]
+    if frat is None or None in maxes:
+        return False
+    frat = frat[0]
     sets = [elems for elems, _ in maxes]
     return (
         cert["result"]["exhaustive"] is True
@@ -545,16 +544,19 @@ def _verify_alpha(cert, lat=None):
 
 
 def _verify_beta(cert, lat=None):
-    """A finite beta (an int) by its witness, with beta and |Phi(G)| as
-    re-derived from the lattice; any other claim, such as infinity, which
-    no witness can show, by re-running the command."""
-    if type(cert["result"]["beta"]) is not int:
-        return _verify_rerun(cert)
+    """A finite beta (an int) by its witness, an infinite one by its
+    per-class core evidence; beta and |Phi(G)| as re-derived from the
+    lattice."""
     if lat is None:
         lat = _lattice_of(cert)
+    if type(cert["result"]["beta"]) is not int:
+        return _verify_infinite_beta(cert, lat)
     table = lat.table
     derived = beta(lat)
-    sub, gens = _witness_subgroup(table, cert["witnesses"]["subgroup_generators"])
+    witness = _witness_subgroup(table, cert["witnesses"]["subgroup_generators"])
+    if witness is None:
+        return False
+    sub, gens = witness
     conjugates = [sub] + [
         table.conjugate_set(sub, table.index[parse_perm(w, table.degree)])
         for w in cert["witnesses"]["conjugator_words"]
@@ -569,6 +571,34 @@ def _verify_beta(cert, lat=None):
         and cert["result"]["frattini_order"] == derived.frattini_order
         and cert["witnesses"]["core_order"] == cert["result"]["frattini_order"]
     )
+
+
+def _verify_infinite_beta(cert, lat):
+    """beta is infinite when no maximal subgroup has core Phi(G).  Phi(G)
+    lies in every core, so that holds exactly when each maximal class's
+    core order exceeds |Phi(G)|.  The evidence lists, per class, words
+    generating one member and that member's core order: each listed
+    subgroup must be maximal, the list must meet every maximal class
+    exactly once, and each core order must be its subgroup's.  Any member
+    of a class, by any words, will do."""
+    maximal = {rec.elements for rec in lat.maximal_subgroups()}
+    classes = [{rec.elements for rec in cls} for cls in lat.classes if cls[0].elements in maximal]
+    listed = cert["witnesses"]["core_orders_by_class"]
+    subgroups = [_witness_subgroup(lat.table, entry["generators"]) for entry in listed]
+    hits = sorted(i for sub in subgroups if sub is not None
+                  for i, cls in enumerate(classes) if sub[0] in cls)
+    if not hits == list(range(len(classes))) == list(range(len(listed))):
+        return False
+    frattini_order = frattini(lat).order
+    evidence = [
+        {"generators": entry["generators"], "core_order": core(lat, lat.find(sub[0])).order}
+        for entry, sub in zip(listed, subgroups)
+    ]
+    return all(e["core_order"] > frattini_order for e in evidence) and _same_result(cert, {
+        "inputs": {"spec": cert["inputs"]["spec"], "order": lat.table.n},
+        "result": {"beta": "infinity", "frattini_order": frattini_order},
+        "witnesses": {"core_orders_by_class": evidence},
+    })
 
 
 def _verify_rerun(cert):
@@ -586,7 +616,6 @@ def _same_result(cert, derived):
 
 _BODIES = {
     "stabilizer": _stabilizer_body,
-    "beta": _beta_body,
     "qhat": _qhat_body,
     "sp4": _sp4_body,
     "orth": _orth_body,

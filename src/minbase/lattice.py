@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perm import PermGroup, compose, format_perm, identity, inverse, perm_order
+from .perm import PermGroup, compose, format_perm, identity, inverse
 
 
 class OrderCapExceeded(ValueError):
@@ -53,7 +53,6 @@ class GroupTable:
         self.gen_idx = [index[g] for g in group.generators]
         if not self.gen_idx:
             self.gen_idx = [self.identity]
-        self.element_order = [perm_order(p) for p in elems]
 
     @classmethod
     def check_order(cls, order: int, order_cap: int):

@@ -131,134 +131,73 @@ def apply_to_canonical(g, blocks):
 
 
 # ---------------------------------------------------------------------------
-# grid coordinate systems for the three explicit constructions
+# the three explicit grid constructions
 
 
-@dataclass(frozen=True)
-class GridCoords:
-    """Row-major enumeration of a grid-like index domain.
-
-    case "plus2": pairs (i,j) in (Z/a)^2 with i-j != +-1 (a(a-2) points);
-    case "plus1": pairs with j-i != 1 (a(a-1) points);
-    case "equal": all of {1..a}x{1..a} (a^2 points, 1-based pairs).
-    """
-
-    case: str
-    a: int
-    pairs: tuple
-
-    @staticmethod
-    def build(case, a):
-        if case == "plus2":
-            pairs = [
-                (i, j)
-                for i in range(a)
-                for j in range(a)
-                if (i - j) % a not in (1, a - 1)
-            ]
-        elif case == "plus1":
-            pairs = [
-                (i, j) for i in range(a) for j in range(a) if (j - i) % a != 1
-            ]
-        elif case == "equal":
-            pairs = [(i, j) for i in range(1, a + 1) for j in range(1, a + 1)]
-        else:
-            raise ValueError(f"unknown case {case!r}")
-        return GridCoords(case, a, tuple(pairs))
-
-    @property
-    def size(self):
-        return len(self.pairs)
-
-    def index(self):
-        return {pair: k for k, pair in enumerate(self.pairs)}
-
-
-def _rows_and_columns(grid: GridCoords):
-    a = grid.a
-    idx = grid.index()
-    base = 1 if grid.case == "equal" else 0
-    rows = [[] for _ in range(a)]
-    cols = [[] for _ in range(a)]
-    for (i, j), k in idx.items():
-        rows[i - base].append(k)
-        cols[j - base].append(k)
-    n = grid.size
-    B = SetPartition.from_blocks(n, rows)
-    C = SetPartition.from_blocks(n, cols)
-    return idx, B, C
+def _grid_triple(pairs, d_blocks):
+    """Rows B, columns C and the partition D with the given blocks of grid
+    points (i, j), the points numbered in the row-major order of pairs."""
+    index = {p: k for k, p in enumerate(pairs)}
+    rows = [[p for p in pairs if p[0] == i] for i in sorted({i for i, _ in pairs})]
+    cols = [[p for p in pairs if p[1] == j] for j in sorted({j for _, j in pairs})]
+    return tuple(
+        SetPartition.from_blocks(len(pairs), [[index[p] for p in blk] for blk in blocks])
+        for blocks in (rows, cols, d_blocks)
+    )
 
 
 def construct_bcd_plus2(a: int):
-    """Row/column/swapped-row partition triple on the a-by-(a-2) domain."""
+    """Rows, columns and the rows with (0,2) and (1,3) exchanged, on the
+    pairs (i,j) of (Z/a)^2 with i-j != +-1: an a-by-(a-2) domain."""
     if a < 4:
         raise PreconditionError("a >= 4 required (block size a-2 >= 2)")
-    grid = GridCoords.build("plus2", a)
-    idx, B, C = _rows_and_columns(grid)
-    d_blocks = [list(blk) for blk in B.blocks]
-    d_blocks[0] = [k for k in d_blocks[0] if k != idx[(0, 2)]] + [idx[(1, 3)]]
-    d_blocks[1] = [k for k in d_blocks[1] if k != idx[(1, 3)]] + [idx[(0, 2)]]
-    D = SetPartition.from_blocks(grid.size, d_blocks)
-    return B, C, D
+    pairs = [(i, j) for i in range(a) for j in range(a) if (i - j) % a not in (1, a - 1)]
+    swap = {(0, 2): (1, 3), (1, 3): (0, 2)}
+    return _grid_triple(pairs, [[swap.get(p, p) for p in pairs if p[0] == i] for i in range(a)])
 
 
 def construct_bcd_plus1(a: int):
-    """Row/column/zigzag-swap triple on the a-by-(a-1) domain (a >= 5)."""
+    """Rows, columns and the zigzag swap on the pairs (i,j) of (Z/a)^2 with
+    j-i != 1, an a-by-(a-1) domain (a >= 5): D exchanges (2i, 2j) with
+    (2i+1, 2j+1), j = 1..i+1, between rows 2i and 2i+1."""
     if a < 5:
         raise PreconditionError("a >= 5 required; a = 4 is handled by search")
-    grid = GridCoords.build("plus1", a)
-    idx, B, C = _rows_and_columns(grid)
-    d_blocks = [list(blk) for blk in B.blocks]
+    pairs = [(i, j) for i in range(a) for j in range(a) if (j - i) % a != 1]
+    swap = {}
     for i in range(a // 2):
-        y = [idx[(2 * i, (2 * j) % a)] for j in range(1, i + 2)]
-        z = [idx[((2 * i + 1), (2 * j + 1) % a)] for j in range(1, i + 2)]
-        d_blocks[2 * i] = [k for k in d_blocks[2 * i] if k not in set(y)] + z
-        d_blocks[2 * i + 1] = [
-            k for k in d_blocks[2 * i + 1] if k not in set(z)
-        ] + y
-    D = SetPartition.from_blocks(grid.size, d_blocks)
-    return B, C, D
+        for j in range(1, i + 2):
+            y, z = (2 * i, 2 * j % a), (2 * i + 1, (2 * j + 1) % a)
+            swap[y], swap[z] = z, y
+    return _grid_triple(pairs, [[swap.get(p, p) for p in pairs if p[0] == i] for i in range(a)])
 
 
 def construct_bcd_equal(a: int):
-    """Row/column/interleaved triple on the a-by-a grid (a >= 6)."""
+    """Rows, columns and the interleaved partition D on the a-by-a grid
+    {1..a}^2 (a >= 6)."""
     if a < 6:
         raise PreconditionError("a >= 6 required; a in {3,4,5} handled by search")
-    grid = GridCoords.build("equal", a)
-    idx, B, C = _rows_and_columns(grid)
+    pairs = [(i, j) for i in range(1, a + 1) for j in range(1, a + 1)]
     k = a // 2
     d_blocks = []
     for i in range(k - 1):
         r1, r2 = 2 * i + 1, 2 * i + 2
-        blk1 = [idx[(r2, 2 * j)] for j in range(1, i + 2)]
-        blk1 += [idx[(r1, 2 * j)] for j in range(1, i + 2)]
-        blk1 += [idx[(r1, y)] for y in range(2 * i + 3, a + 1)]
-        blk2 = [idx[(r1, 2 * j - 1)] for j in range(1, i + 2)]
-        blk2 += [idx[(r2, 2 * j - 1)] for j in range(1, i + 2)]
-        blk2 += [idx[(r2, y)] for y in range(2 * i + 3, a + 1)]
-        d_blocks.append(blk1)
-        d_blocks.append(blk2)
+        d_blocks.append([(r, 2 * j) for r in (r1, r2) for j in range(1, i + 2)]
+                        + [(r1, y) for y in range(2 * i + 3, a + 1)])
+        d_blocks.append([(r, 2 * j - 1) for r in (r1, r2) for j in range(1, i + 2)]
+                        + [(r2, y) for y in range(2 * i + 3, a + 1)])
+    r1, r2 = 2 * k - 1, 2 * k
     if a % 2 == 0:
-        top = [idx[(2 * k - 1, 1)]]
-        top += [idx[(r, 2 * j)] for j in range(1, k) for r in (2 * k - 1, 2 * k)]
-        top += [idx[(2 * k - 1, 2 * k)]]
-        bot = [idx[(2 * k, 1)]]
-        bot += [idx[(r, 2 * j + 1)] for j in range(1, k) for r in (2 * k - 1, 2 * k)]
-        bot += [idx[(2 * k, 2 * k)]]
-        d_blocks.append(top)
-        d_blocks.append(bot)
+        d_blocks.append([(r1, 1), (r1, 2 * k)]
+                        + [(r, 2 * j) for j in range(1, k) for r in (r1, r2)])
+        d_blocks.append([(r2, 1), (r2, 2 * k)]
+                        + [(r, 2 * j + 1) for j in range(1, k) for r in (r1, r2)])
     else:
-        top = [idx[(2 * k - 1, 1)], idx[(2 * k - 1, 3)]]
-        top += [idx[(r, 2 * j)] for j in range(2, k + 1) for r in (2 * k - 1, 2 * k)]
-        top += [idx[(2 * k - 1, 2 * k + 1)]]
-        bot = [idx[(2 * k, 1)], idx[(2 * k - 1, 2)], idx[(2 * k, 2)], idx[(2 * k, 3)]]
-        bot += [idx[(r, 2 * j + 1)] for j in range(2, k) for r in (2 * k - 1, 2 * k)]
-        bot += [idx[(2 * k, 2 * k + 1)]]
-        d_blocks.append(top)
-        d_blocks.append(bot)
-        d_blocks.append([idx[(a, y)] for y in range(1, a + 1)])
-    D = SetPartition.from_blocks(grid.size, d_blocks)
-    return B, C, D
+        d_blocks.append([(r1, 1), (r1, 3), (r1, 2 * k + 1)]
+                        + [(r, 2 * j) for j in range(2, k + 1) for r in (r1, r2)])
+        d_blocks.append([(r2, 1), (r1, 2), (r2, 2), (r2, 3), (r2, 2 * k + 1)]
+                        + [(r, 2 * j + 1) for j in range(2, k) for r in (r1, r2)])
+        d_blocks.append([(a, y) for y in range(1, a + 1)])
+    return _grid_triple(pairs, d_blocks)
 
 
 # ---------------------------------------------------------------------------

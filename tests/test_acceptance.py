@@ -155,7 +155,7 @@ def test_criterion_08_sp4():
 
 def test_criterion_09_orthogonal():
     pair = orth_odd_pair_check(7, 3)
-    cons = orth_odd_construct(1, "4m+3", 9)
+    cons = orth_odd_construct(7, 9)
     F = Fq(9)
     phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime
     phi_fixes = (

@@ -1,0 +1,54 @@
+"""Stored certificates: every one verifies, and every deterministic command
+re-emits its certificate byte for byte."""
+
+from pathlib import Path
+
+import pytest
+
+from minbase.cli import main
+
+CORPUS = Path(__file__).parent / "data" / "certs"
+
+# The command that emitted each stored certificate.  None marks alpha and
+# beta: their witness words follow the lattice walk, so they are only
+# verified.  beta-wr-2-3-older-words.json was emitted before the lattice
+# was walked one conjugacy class at a time, and names its maximal classes
+# by other members and words than the current walk does.
+ARGV = {
+    "partition-base-7-5.json": ["partition-base", "-a", "7", "-b", "5"],
+    "partition-base-7-6.json": ["partition-base", "-a", "7", "-b", "6"],
+    "partition-base-7-7.json": ["partition-base", "-a", "7", "-b", "7"],
+    "partition-base-6-4.json": ["partition-base", "-a", "6", "-b", "4"],
+    **{f"orth-{n}-{q}.json": ["orth", "--n", str(n), "--q", str(q)]
+       for n in (7, 9, 11) for q in (3, 9)},
+    "orth-7-3-pair-check.json": ["orth", "--n", "7", "--q", "3", "--pair-check"],
+    "sp4-5.json": ["sp4", "--q", "5"],
+    "sp4-9-triple.json": ["sp4", "--q", "9", "--triple"],
+    "stabilizer.json": ["stabilizer", "--ground", "6",
+                        "--partitions", "{1,2,3}|{4,5,6};{1,4}|{2,5}|{3,6}"],
+    "qhat-g2.json": ["qhat", "--family", "g2", "--q", "9..81"],
+    "soluble-S4.json": ["soluble", "--spec", "S4"],
+    "theorem4-S4.json": ["theorem4", "--spec", "S4"],
+    "alpha-A5.json": None,
+    "beta-A5.json": None,
+    "beta-Q8.json": None,
+    "beta-wr-2-3.json": None,
+    "beta-wr-2-3-older-words.json": None,
+}
+
+
+def test_every_stored_certificate_is_listed():
+    assert sorted(path.name for path in CORPUS.glob("*.json")) == sorted(ARGV)
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_stored_certificate_verifies(name, capsys):
+    assert main(["verify", str(CORPUS / name)]) == 0
+    assert capsys.readouterr().out.endswith(": verified\n")
+
+
+@pytest.mark.parametrize("name", sorted(name for name, argv in ARGV.items() if argv))
+def test_deterministic_command_re_emits_its_certificate(tmp_path, name):
+    out = tmp_path / name
+    assert main(ARGV[name] + ["--json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (CORPUS / name).read_bytes()

@@ -247,7 +247,7 @@ def is_plus_type(F, form, basis):
 
 
 def test_orth_construct_7_3_shapes():
-    cons = orth_odd_construct(1, "4m+3", 3)
+    cons = orth_odd_construct(7, 3)
     F = Fq(3)
     assert len(cons.U) == 4 and len(cons.W) == 4 and len(cons.W_prime) == 4
     for space in (cons.U, cons.W, cons.W_prime):
@@ -259,7 +259,7 @@ def test_orth_construct_7_3_shapes():
 
 
 def test_orth_construct_9_3_shapes():
-    cons = orth_odd_construct(2, "4m+1", 3)
+    cons = orth_odd_construct(9, 3)
     F = Fq(3)
     assert len(cons.U) == 4 and len(cons.W) == 4
     for space in (cons.U, cons.W, cons.W_prime):
@@ -268,14 +268,14 @@ def test_orth_construct_9_3_shapes():
 
 
 def test_w_prime_differs_by_mu_scaling_only():
-    cons = orth_odd_construct(1, "4m+3", 3)
+    cons = orth_odd_construct(7, 3)
     assert cons.W != cons.W_prime
-    cons91 = orth_odd_construct(2, "4m+1", 3)
+    cons91 = orth_odd_construct(9, 3)
     assert cons91.W != cons91.W_prime
 
 
 def test_phi_fixes_u_w_and_moves_w_prime():
-    cons = orth_odd_construct(1, "4m+3", 9)
+    cons = orth_odd_construct(7, 9)
     F = Fq(9)
     assert frobenius_subspace(F, cons.U) == cons.U
     assert frobenius_subspace(F, cons.W) == cons.W
@@ -343,7 +343,7 @@ def _coordinate_span(F, n, *supports):
 ])
 def test_orth_pair_join_matches_enumeration(W, survivors):
     F = Fq(3)
-    cons = orth_odd_construct(1, "4m+3", 3)
+    cons = orth_odd_construct(7, 3)
     W = cons.W if W is None else _coordinate_span(F, 7, *W)
     rep = _orth_pair_join(F, cons.form, cons.U, W)
     assert rep == orth_pair_enumeration(F, cons.form, cons.U, W)
@@ -451,7 +451,7 @@ def test_isometry_closure_checks_every_element_against_the_form(monkeypatch):
 
 def test_isometry_group_sizes():
     F = Fq(3)
-    cons = orth_odd_construct(1, "4m+3", 3)
+    cons = orth_odd_construct(7, 3)
     u_coords = (2, 3, 4, 5)
     gram_u = tuple(tuple(cons.form[i][j] for j in u_coords) for i in u_coords)
     assert len(isometry_group_elements(F, gram_u)) == 1152  # O4+(3)

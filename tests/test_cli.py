@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,13 @@ from minbase.catalog import BUILTIN_NAMES, group_from_spec, spec_order
 from minbase.cli import main
 from minbase.invariants import AlphaCertificate, BaseSizeCertificate
 from minbase.lattice import GroupTable, Lattice
-from minbase.partitions import CertificationError, format_partition, parse_partition
+from minbase.partitions import (
+    CertificationError,
+    format_partition,
+    parse_partition,
+    partition_stabilizer,
+)
+from minbase.perm import compose, format_perm, inverse, parse_perm
 
 
 def run_cli(args):
@@ -298,6 +305,46 @@ def test_verify_rederives_infinite_beta(tmp_path):
     assert main(["verify", str(path)]) == 1
 
 
+def test_verify_checks_infinite_beta_by_subgroups(tmp_path, capsys):
+    # Q8's maximal subgroups are its three cyclic subgroups of order 4, all
+    # normal; each class is named again by other words for the same
+    # subgroup: the inverse of its generator, or g^2 and then g^-1
+    code, cert = run_json(tmp_path, ["beta", "--spec", "Q8"])
+    assert code == 0
+    classes = cert["witnesses"]["core_orders_by_class"]
+    g = [parse_perm(entry["generators"][0], 8) for entry in classes]
+    renamed = [
+        classes[2],
+        dict(classes[1], generators=[format_perm(compose(g[1], g[1])),
+                                     format_perm(inverse(g[1]))]),
+        dict(classes[0], generators=[format_perm(inverse(g[0]))]),
+    ]
+    assert [entry["generators"] for entry in renamed] != [e["generators"] for e in classes]
+    _assert_verified(tmp_path, capsys, dict(cert, witnesses={"core_orders_by_class": renamed}))
+    # a missing class, a repeated class, a wrong core order, a repeated word
+    for listed in (classes[:2], classes + classes[:1],
+                   [dict(classes[0], core_order=2)] + classes[1:],
+                   [dict(classes[0], generators=classes[0]["generators"] * 2)] + classes[1:]):
+        _assert_rejected(tmp_path, capsys, dict(cert, witnesses={"core_orders_by_class": listed}))
+
+
+def test_verify_accepts_infinite_beta_evidence_by_conjugate_subgroups(tmp_path, capsys):
+    # wr(2,3) has non-normal maximal subgroups: conjugating every word by
+    # one element names another member of each class
+    code, cert = run_json(tmp_path, ["beta", "--spec", "wr(2,3)"])
+    assert code == 0 and cert["result"]["beta"] == "infinity"
+    x = parse_perm("(1,3,5)(2,4,6)", 6)
+    classes = cert["witnesses"]["core_orders_by_class"]
+    conjugated = [
+        dict(entry, generators=[
+            format_perm(compose(compose(inverse(x), parse_perm(w, 6)), x))
+            for w in entry["generators"]])
+        for entry in classes
+    ]
+    assert conjugated != classes
+    _assert_verified(tmp_path, capsys, dict(cert, witnesses={"core_orders_by_class": conjugated}))
+
+
 def test_alpha_and_beta_raise_on_failed_self_check(monkeypatch):
     # each witness loses its last subgroup, so verify's checker says no on
     # the table the command built, and the command raises instead of printing
@@ -375,6 +422,14 @@ def test_verify_rejects_every_forged_result_field(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, dict(cert, inputs=dict(cert["inputs"], extra=1)))
 
 
+def _assert_verified(tmp_path, capsys, cert):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
 def _assert_rejected(tmp_path, capsys, cert):
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(cert))
@@ -423,10 +478,30 @@ def test_malformed_input_is_refused(tmp_path, monkeypatch, argv):
     assert main(argv) == 2
 
 
-@pytest.mark.parametrize("n", [8, 10, 12, 3, -1])
-def test_orth_refuses_n_without_odd_construction(tmp_path, n):
-    # the construction needs odd n >= 7; verify refuses the rest too
-    assert main(["orth", "--n", str(n), "--q", "3"]) == 2
+@pytest.mark.parametrize("a, b", [(6, 3), (7, 3), (7, 4), (7, 5)])
+def test_alt_two_bases_share_one_cell(tmp_path, a, b):
+    # The seeded search certifies these alt 2-bases, and each shares one
+    # 2-point cell: its transposition is odd, so the alt stabilizer stays
+    # trivial.  Cell-free partners were not found here, so the search keeps
+    # drawing partners that may share a cell.
+    code, cert = run_json(tmp_path, ["partition-base", "-a", str(a), "-b", str(b),
+                                     "--ambient", "alt"])
+    assert code == 0 and cert["result"]["base_size"] == 2
+    parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
+    cells = Counter(zip(*(p.block_of() for p in parts)))
+    assert [k for k in cells.values() if k > 1] == [2]
+    assert partition_stabilizer(parts).order == 2
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 3, -1, 5])
+def test_orth_refuses_n_without_odd_construction(tmp_path, capsys, n):
+    # the construction needs odd n >= 7, and so does the pair check, whose
+    # (7,3) budget comes second; verify refuses the rest too
+    for pair_check in ([], ["--pair-check"]):
+        capsys.readouterr()
+        assert main(["orth", "--n", str(n), "--q", "3"] + pair_check) == 2
+        assert capsys.readouterr().err == f"refused: n must be odd and at least 7 (got {n})\n"
     code, cert = run_json(tmp_path, ["orth", "--n", "7", "--q", "3"])
     assert code == 0
     path = tmp_path / "even.json"

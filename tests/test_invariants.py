@@ -22,7 +22,7 @@ from minbase.lattice import (
     frattini,
     normal_subgroups,
 )
-from minbase.perm import CosetAction, PermGroup
+from minbase.perm import CosetAction, PermGroup, perm_order
 
 
 def lat_of(name, cap=1000):
@@ -369,7 +369,7 @@ def qhat_empirical(table, H, c):
     seen = set()
     total = Fraction(0)
     for x in range(table.n):
-        if x in seen or not _is_prime(table.element_order[x]):
+        if x in seen or not _is_prime(perm_order(table.elements[x])):
             continue
         cls = set().union(*table.conjugates({x}))
         seen |= cls
@@ -392,7 +392,7 @@ def test_qhat_empirical_s5_point_stabilizer(s5):
     brute = Fraction(0)
     done = set()
     for x in range(table.n):
-        if x in done or not _is_prime(table.element_order[x]):
+        if x in done or not _is_prime(perm_order(table.elements[x])):
             continue
         cls = set()
         stack = [x]
@@ -450,7 +450,7 @@ def test_class_collapse_dominates_empirical_sums(s5):
     visited = set()
     terms = []
     for x in range(table.n):
-        if x in visited or not _is_prime(table.element_order[x]):
+        if x in visited or not _is_prime(perm_order(table.elements[x])):
             continue
         cls = {x}
         stack = [x]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from minbase import cli, partitions, perm
 from minbase.partitions import (
     CertificationError,
-    GridCoords,
     PreconditionError,
     SearchBudgetExceeded,
     SetPartition,
@@ -65,11 +64,11 @@ def test_partition_validation():
 
 def test_grid_domain_sizes():
     for a in range(4, 9):
-        assert GridCoords.build("plus2", a).size == a * (a - 2)
+        assert construct_bcd_plus2(a)[0].ground_size == a * (a - 2)
     for a in range(5, 9):
-        assert GridCoords.build("plus1", a).size == a * (a - 1)
-    for a in range(3, 9):
-        assert GridCoords.build("equal", a).size == a * a
+        assert construct_bcd_plus1(a)[0].ground_size == a * (a - 1)
+    for a in range(6, 9):
+        assert construct_bcd_equal(a)[0].ground_size == a * a
 
 
 @pytest.mark.parametrize("a", [4, 5, 6, 10])
@@ -121,12 +120,8 @@ def test_construction_preconditions():
 
 def test_stabilizer_rows_and_columns_small_grid():
     # 3x3 grid rows+columns: order (3!)^2 = 36, cross-checked by 9!-filter.
-    grid = GridCoords.build("equal", 3)
-    idx = grid.index()
-    rows = [[idx[(i, j)] for j in range(1, 4)] for i in range(1, 4)]
-    cols = [[idx[(i, j)] for i in range(1, 4)] for j in range(1, 4)]
-    B = SetPartition.from_blocks(9, rows)
-    C = SetPartition.from_blocks(9, cols)
+    B = SetPartition.from_blocks(9, [[3 * i + j for j in range(3)] for i in range(3)])
+    C = SetPartition.from_blocks(9, [[3 * i + j for i in range(3)] for j in range(3)])
     G = partition_stabilizer([B, C])
     assert G.order == 36
     assert brute_stabilizer_order([B, C]) == 36
