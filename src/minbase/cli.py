@@ -481,16 +481,22 @@ def _lattice_of(cert):
     return _lattice(cert["inputs"]["spec"], GroupTable.HARD_CAP)
 
 
+def _element(table, word):
+    """The element of G a word names; None for an unreadable word or one
+    naming no element of G."""
+    try:
+        return table.index.get(parse_perm(word, table.degree))
+    except ParseError:
+        return None
+
+
 def _witness_subgroup(table, words):
     """(elements, generators) of the subgroup the words generate; None
     unless each word names an element of G outside the subgroup the words
     before it generate, so a padded or unreadable list is no witness."""
     elems, gens = frozenset([table.identity]), []
     for word in words:
-        try:
-            g = table.index.get(parse_perm(word, table.degree))
-        except ParseError:
-            return None
+        g = _element(table, word)
         if g is None or g in elems:
             return None
         gens.append(g)
@@ -554,13 +560,11 @@ def _verify_beta(cert, lat=None):
     table = lat.table
     derived = beta(lat)
     witness = _witness_subgroup(table, cert["witnesses"]["subgroup_generators"])
-    if witness is None:
+    conjugators = [_element(table, w) for w in cert["witnesses"]["conjugator_words"]]
+    if witness is None or None in conjugators:
         return False
     sub, gens = witness
-    conjugates = [sub] + [
-        table.conjugate_set(sub, table.index[parse_perm(w, table.degree)])
-        for w in cert["witnesses"]["conjugator_words"]
-    ]
+    conjugates = [sub] + [table.conjugate_set(sub, g) for g in conjugators]
     return (
         cert["inputs"]["order"] == table.n
         and table.is_maximal(sub, gens)

@@ -153,15 +153,6 @@ class Field:
     def sub(self, x, y):
         return self.add[x][self.neg[y]]
 
-    def element_order(self, x):
-        if x == 0:
-            raise ValueError("zero has no multiplicative order")
-        k, acc = 1, x
-        while acc != 1:
-            acc = self.mul[acc][x]
-            k += 1
-        return k
-
 
 # ---------------------------------------------------------------------------
 # matrices and subspaces (tuples of tuples of field codes)

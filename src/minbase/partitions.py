@@ -295,34 +295,46 @@ class _StabContext:
                     )
         ranked = {s: i for i, s in enumerate(sorted({tuple(s) for s in seeds}))}
         self.seed_colors = tuple(ranked[tuple(s)] for s in seeds)
+        # input coloring -> its refinement: the backtrack individualizes
+        # the same source-side colorings once for every target
+        self.refined = {}
 
     def refine(self, colors):
-        """Iterate block-signature refinement to a fixpoint; returns colors."""
-        n = self.n
+        """Iterate block-signature refinement to a fixpoint; returns colors.
+
+        A point's signature is its color followed, for each partition, by
+        the color tally of its block: the sorted (color, count) pairs.
+        Tallies are ranked within their partition and the signature is
+        folded into one integer in mixed radix, the radix of a partition
+        being its number of distinct tallies.  Ranks keep the tallies'
+        order and each digit is below its radix, so the integers sort as
+        the tuples would and the labels are the tuple ranks.  Each input
+        coloring is refined once per context."""
+        hit = self.refined.get(colors)
+        if hit is not None:
+            return hit
+        start = colors
+        count = len(set(colors))
         while True:
-            sigs = []
-            profiles = []
-            for kk, blocks in enumerate(self.blocks):
-                prof_per_block = []
+            sigs = colors
+            for blocks, block_of in zip(self.blocks, self.block_of):
+                tallies = []
                 for blk in blocks:
                     tally = {}
                     for x in blk:
                         tally[colors[x]] = tally.get(colors[x], 0) + 1
-                    prof_per_block.append(tuple(sorted(tally.items())))
-                profiles.append(prof_per_block)
-            for x in range(n):
-                sigs.append(
-                    (colors[x],)
-                    + tuple(
-                        profiles[kk][self.block_of[kk][x]]
-                        for kk in range(len(self.blocks))
-                    )
-                )
+                    tallies.append(tuple(sorted(tally.items())))
+                distinct = set(tallies)
+                if len(distinct) > 1:
+                    rank = {t: i for i, t in enumerate(sorted(distinct))}
+                    digits = [rank[t] for t in tallies]
+                    sigs = [s * len(rank) + digits[i] for s, i in zip(sigs, block_of)]
             ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = tuple(ranked[s] for s in sigs)
-            if len(set(new)) == len(set(colors)):
-                return new
-            colors = new
+            colors = tuple([ranked[s] for s in sigs])
+            if len(ranked) == count:
+                self.refined[start] = colors
+                return colors
+            count = len(ranked)
 
     def class_profile(self, colors):
         tally = {}
@@ -571,16 +583,17 @@ def random_uniform_partition(a, b, rng) -> SetPartition:
     )
 
 
-def _forced_symmetry(cand, parity):
-    """True when the partitions in `cand` visibly share a nontrivial
-    symmetry of the given parity, without building their stabilizer.
+def _forced_symmetry(block_ofs, parity):
+    """True when partitions, given by their block_of() arrays, visibly
+    share a nontrivial symmetry of the given parity, without building
+    their stabilizer.
 
     Points with the same block in every partition form a cell; any
     permutation of a cell fixes every block.  Under parity "all" a cell of
     two points gives a transposition.  A transposition is odd, so under
     parity "even" it takes a cell of three points (a 3-cycle) or two cells
     of two (a double transposition)."""
-    tally = Counter(zip(*(p.block_of() for p in cand)))
+    tally = Counter(zip(*block_ofs))
     cells = [k for k in tally.values() if k > 1]
     if parity == "all":
         return bool(cells)
@@ -595,10 +608,11 @@ def _search_base(a, b, size, parity, seed, budget):
     skip never changes which candidate is accepted."""
     rng = random.Random(seed)
     P1 = uniform_partition(a, b)
+    P1_of = P1.block_of()
     rejected = 0
     for _ in range(budget):
         cand = [P1] + [random_uniform_partition(a, b, rng) for _ in range(size - 1)]
-        if _forced_symmetry(cand, parity):
+        if _forced_symmetry([P1_of] + [Q.block_of() for Q in cand[1:]], parity):
             rejected += 1
         elif partition_stabilizer(cand, parity).order == 1:
             return cand

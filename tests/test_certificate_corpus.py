@@ -26,6 +26,16 @@ ARGV = {
     "sp4-9-triple.json": ["sp4", "--q", "9", "--triple"],
     "stabilizer.json": ["stabilizer", "--ground", "6",
                         "--partitions", "{1,2,3}|{4,5,6};{1,4}|{2,5}|{3,6}"],
+    # large cells, where the backtrack's tie-break by color label picks
+    # each generator: the rows and columns of the 4x4 grid, and S3 wr S4
+    # meet A12
+    "stabilizer-grid-4.json": [
+        "stabilizer", "--ground", "16", "--partitions",
+        "{1,2,3,4}|{5,6,7,8}|{9,10,11,12}|{13,14,15,16};"
+        "{1,5,9,13}|{2,6,10,14}|{3,7,11,15}|{4,8,12,16}"],
+    "stabilizer-wr-3-4-even.json": [
+        "stabilizer", "--ground", "12", "--partitions",
+        "{1,2,3}|{4,5,6}|{7,8,9}|{10,11,12}", "--parity", "even"],
     "qhat-g2.json": ["qhat", "--family", "g2", "--q", "9..81"],
     "soluble-S4.json": ["soluble", "--spec", "S4"],
     "theorem4-S4.json": ["theorem4", "--spec", "S4"],

@@ -711,6 +711,18 @@ def test_verify_catches_every_single_field_edit(tmp_path, capsys, argv):
         assert code == 2 or (code == 1 and "REJECTED" in capsys.readouterr().out), where
 
 
+@pytest.mark.parametrize("key", ["subgroup_generators", "conjugator_words"])
+@pytest.mark.parametrize("word", ["(1,2)", "(1,2"])
+def test_verify_rejects_a_beta_word_naming_no_element(tmp_path, capsys, key, word):
+    # The string edits the field-edit test above leaves out: a word naming
+    # a permutation outside A5 (the odd (1,2)) or no permutation at all is
+    # a wrong witness, REJECTED, in either witness list of a finite beta.
+    code, cert = run_json(tmp_path, ["beta", "--spec", "A5"])
+    assert code == 0
+    for i in range(len(cert["witnesses"][key])):
+        _assert_rejected(tmp_path, capsys, _edited(cert, ("witnesses", key, i), word))
+
+
 @pytest.mark.parametrize("spec, field, key", [
     ("S4", "alpha", "maximal_subgroups"), ("S5", "beta", "conjugator_words")])
 def test_verify_rejects_a_repeated_alpha_or_beta_witness(tmp_path, capsys, spec, field, key):

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -160,6 +162,45 @@ def test_stabilizer_even_matches_brute_force():
         parts = [random_uniform_partition(3, 2, rng) for _ in range(2)]
         got = partition_stabilizer(parts, parity="even").order
         assert got == brute_stabilizer_order(parts, parity="even")
+
+
+def oracle_refine(ctx, colors):
+    """Oracle: refinement by tuple signatures, a point's color followed by
+    the sorted (color, count) tally of its block in each partition, ranked
+    by sorting the tuples."""
+    while True:
+        profiles = [
+            [tuple(sorted(Counter(colors[x] for x in blk).items())) for blk in blocks]
+            for blocks in ctx.blocks
+        ]
+        sigs = [
+            (colors[x],) + tuple(prof[of[x]] for prof, of in zip(profiles, ctx.block_of))
+            for x in range(ctx.n)
+        ]
+        ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(ranked[s] for s in sigs)
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 7), st.integers(1, 5), st.integers(1, 3),
+    st.sampled_from(["all", "even"]), st.randoms(use_true_random=False),
+)
+def test_refine_matches_tuple_signature_oracle(a, b, k, parity, rng):
+    parts = [random_uniform_partition(a, b, rng) for _ in range(k)]
+    ctx = partitions._StabContext(parts)
+    colors = ctx.seed_colors
+    for x in rng.sample(range(a * b), min(a * b, 4)):
+        refined = ctx.refine(colors)
+        assert refined == oracle_refine(ctx, colors)
+        colors = tuple(max(refined) + 1 if y == x else c for y, c in enumerate(refined))
+    assert ctx.refine(colors) == oracle_refine(ctx, colors)
+    with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
+        expected = partition_stabilizer(parts, parity).generators
+    assert partition_stabilizer(parts, parity).generators == expected
 
 
 @pytest.mark.parametrize(
@@ -329,17 +370,21 @@ def test_certify_raises_without_assert(monkeypatch):
         cli.main(["base-size", "-a", "4", "-b", "3", "--mode", "upper"])
 
 
+def _forced(parts, parity):
+    return _forced_symmetry([p.block_of() for p in parts], parity)
+
+
 def test_forced_symmetry_parity():
     P = uniform_partition(3, 2)
     # one shared cell {1,2}: a transposition, odd
     Q = SetPartition.from_blocks(6, [[0, 1], [2, 4], [3, 5]])
-    assert _forced_symmetry([P, Q], "all")
-    assert not _forced_symmetry([P, Q], "even")
+    assert _forced([P, Q], "all")
+    assert not _forced([P, Q], "even")
     # two shared cells {1,2}, {3,4}: a double transposition, even
     R = SetPartition.from_blocks(6, [[0, 1], [2, 3], [4, 5]])
-    assert _forced_symmetry([P, R], "even")
+    assert _forced([P, R], "even")
     # one shared cell of three points: a 3-cycle, even
-    assert _forced_symmetry([uniform_partition(2, 3)] * 2, "even")
+    assert _forced([uniform_partition(2, 3)] * 2, "even")
 
 
 _SMALL_AB = [(a, b) for a in range(2, 9) for b in range(2, 9) if a * b <= 16]
@@ -354,7 +399,7 @@ _SMALL_AB = [(a, b) for a in range(2, 9) for b in range(2, 9) if a * b <= 16]
 )
 def test_forced_symmetry_implies_nontrivial_stabilizer(ab, k, parity, rng):
     parts = [random_uniform_partition(*ab, rng) for _ in range(k)]
-    if _forced_symmetry(parts, parity):
+    if _forced(parts, parity):
         assert partition_stabilizer(parts, parity).order > 1
 
 
@@ -379,7 +424,7 @@ def test_no_pair_is_a_base_when_b_is_2_or_a_minus_b_at_most_2(ab, data):
             blocks[j].append(x)
     Q = SetPartition.from_blocks(a * b, blocks)
     P1 = uniform_partition(a, b)
-    assert not _forced_symmetry([P1, Q], "all")
+    assert not _forced([P1, Q], "all")
     assert partition_stabilizer([P1, Q]).order > 1
 
 
