@@ -5,16 +5,15 @@ Field elements are integers 0..q-1 encoding coefficient vectors in base p
 (constant coefficient first).  The modulus is the lexicographically
 smallest monic irreducible of the right degree, and mu is the smallest
 generator of the multiplicative group, so every construction is
-reproducible.  Tables make arithmetic O(1); `Field` refuses q > 512.
+reproducible.  The q-1 powers of mu give exp/log tables, from which the
+multiplication, inverse and Frobenius tables are read; the addition
+table is built one base-p digit at a time.  Arithmetic is then a table
+lookup.  `Field` refuses q > 512.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
 
 
 def factor_prime_power(q: int):
@@ -29,6 +28,15 @@ def factor_prime_power(q: int):
                 raise ValueError("not a prime power")
             return p, f
     raise ValueError("not a prime power")
+
+
+def _digits(code, base, n):
+    """The n lowest base-`base` digits of code, least significant first."""
+    out = []
+    for _ in range(n):
+        code, d = divmod(code, base)
+        out.append(d)
+    return out
 
 
 def _poly_mulmod(a, b, modulus, p):
@@ -55,12 +63,7 @@ def _is_irreducible(modulus, p):
         return False
     for d in range(1, f // 2 + 1):
         for code in range(p**d):
-            div = []
-            c = code
-            for _ in range(d):
-                div.append(c % p)
-                c //= p
-            div.append(1)
+            div = _digits(code, p, d) + [1]
             # long division of modulus by div
             rem = list(modulus)
             for i in range(len(rem) - 1, d - 1, -1):
@@ -92,63 +95,43 @@ class Field:
         if f == 1:
             modulus = [0, 1]
         else:
-            modulus = None
-            for code in range(p**f):
-                cand = []
-                c = code
-                for _ in range(f):
-                    cand.append(c % p)
-                    c //= p
-                cand.append(1)
-                if _is_irreducible(cand, p):
-                    modulus = cand
-                    break
+            candidates = (_digits(code, p, f) + [1] for code in range(p**f))
+            modulus = next((c for c in candidates if _is_irreducible(c, p)), None)
             if modulus is None:
                 raise RuntimeError(f"no monic irreducible of degree {f} over F_{p}")
         self.modulus = tuple(modulus)
 
-        def decode(x):
-            coeffs = []
-            for _ in range(f):
-                coeffs.append(x % p)
-                x //= p
-            return coeffs
+        # exp[k] = mu^k for the least mu whose powers reach all q-1
+        # nonzero codes; log is its inverse on 1..q-1
+        n, one, weights = q - 1, _digits(1, p, f), [p**i for i in range(f)]
+        for mu in range(1, q):
+            gen = power = _digits(mu, p, f)
+            exp = [1]
+            while power != one:
+                exp.append(sum(c * w for c, w in zip(power, weights)))
+                power = _poly_mulmod(power, gen, modulus, p)
+            if len(exp) == n:
+                break
+        self.mu = mu
+        log = [0] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        logs = log[1:]
+        self.mul = [[0] * q]
+        for lx in logs:
+            row = exp[lx:] + exp[:lx]  # row[k] = mu^(log x + k)
+            self.mul.append([0] + [row[ly] for ly in logs])
+        self.inv = [0] + [exp[-lx % n] for lx in logs]
+        self.frob = [0] + [exp[p * lx % n] for lx in logs]
 
-        def encode(coeffs):
-            val = 0
-            for c in reversed(coeffs[:f]):
-                val = val * p + (c % p)
-            return val
-
-        self.add = [[encode([(a + b) % p for a, b in zip(decode(x), decode(y))])
-                     for y in range(q)] for x in range(q)]
-        self.mul = [[encode(_poly_mulmod(decode(x), decode(y), modulus, p))
-                     for y in range(q)] for x in range(q)]
-        self.neg = [self.add[x].index(0) for x in range(q)]
-        self.inv = [0] * q
-        for x in range(1, q):
-            self.inv[x] = self.mul[x].index(1)
-        self.frob = [self.pow(x, p) for x in range(q)]
-        self.mu = self._find_generator()
-
-    def _find_generator(self):
-        q = self.q
-        target = q - 1
-        primes = [r for r in range(2, target + 1) if is_prime(r) and target % r == 0]
-        for x in range(1, q):
-            if all(self.pow(x, target // r) != 1 for r in primes) and target > 1:
-                return x
-        return 1
-
-    def pow(self, x, k):
-        result = 1
-        base = x
-        while k:
-            if k & 1:
-                result = self.mul[result][base]
-            base = self.mul[base][base]
-            k >>= 1
-        return result
+        # codes below p^(i+1) from those below p^i: the new top digits add mod p
+        add = [[0]]
+        for i in range(f):
+            w = p**i
+            add = [[(a + b) % p * w + s for b in range(p) for s in add[x]]
+                   for a in range(p) for x in range(w)]
+        self.add = add
+        self.neg = [row.index(0) for row in add]
 
     def sub(self, x, y):
         return self.add[x][self.neg[y]]
@@ -277,11 +260,5 @@ def frobenius_subspace(F, canon):
 
 def all_vectors(F, n):
     q = F.q
-    total = q**n
-    for code in range(total):
-        v = []
-        c = code
-        for _ in range(n):
-            v.append(c % q)
-            c //= q
-        yield tuple(v)
+    for code in range(q**n):
+        yield tuple(_digits(code, q, n))

@@ -45,11 +45,14 @@ class SetPartition:
     def __post_init__(self):
         seen = set()
         for blk in self.blocks:
-            if not blk:
+            points = set(blk)
+            if not points:
                 raise ValueError("empty block")
-            if seen & set(blk):
+            if len(points) != len(blk):
+                raise ValueError("a block repeats a point")
+            if seen & points:
                 raise ValueError("blocks are not disjoint")
-            seen.update(blk)
+            seen |= points
         if seen != set(range(self.ground_size)):
             raise ValueError("blocks do not cover the ground set")
 
@@ -389,19 +392,20 @@ class _StabContext:
 
 
 def _even_subgroup(G: PermGroup) -> PermGroup:
-    """Kernel of the sign character, via a Schreier transversal {1, t}."""
+    """Kernel of the sign character, via a Schreier transversal {1, t};
+    each Schreier generator is listed once, at its first occurrence."""
     odd = [g for g in G.generators if sign(g) < 0]
     if not odd:
         return G
     t = odd[0]
-    kgens = []
+    kgens = {}
     for u in (identity(G.degree), t):
         for g in G.generators:
             w = compose(u, g)
             if sign(w) < 0:
                 w = compose(w, inverse(t))
-            kgens.append(w)
-    K = PermGroup(kgens, G.degree)
+            kgens[w] = None
+    K = PermGroup(list(kgens), G.degree)
     if 2 * K.order != G.order:
         raise CertificationError("even subgroup does not have index 2")
     return K

@@ -175,6 +175,32 @@ def test_stabilizer_command(tmp_path):
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
 
 
+@pytest.mark.parametrize("ground, partitions", [(4, "{1,1,2}|{3,4}"), (2, "{1}|{2,2}")])
+def test_a_block_repeating_a_point_is_refused(tmp_path, capsys, ground, partitions):
+    assert main(["stabilizer", "--ground", str(ground), "--partitions", partitions]) == 2
+    assert capsys.readouterr().err == "refused: a block repeats a point\n"
+    # the certificate such a block once gave: {3,4}'s transposition alone
+    code, cert = run_json(tmp_path, ["stabilizer", "--ground", "4", "--partitions",
+                                     "{1,2}|{3,4}"])
+    assert code == 0
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(dict(
+        cert, inputs=dict(cert["inputs"], partitions=["{1,1,2}|{3,4}"]),
+        result={"order": 2}, witnesses={"generators": ["(3,4)"]})))
+    assert main(["verify", str(path)]) == 2
+
+
+def test_even_stabilizer_lists_each_generator_once(tmp_path):
+    # S3 wr S4 meet A12: the Schreier generators for {1, t} repeat 14 times
+    code, cert = run_json(tmp_path, [
+        "stabilizer", "--ground", "12", "--partitions",
+        "{1,2,3}|{4,5,6}|{7,8,9}|{10,11,12}", "--parity", "even"])
+    assert code == 0 and cert["result"]["order"] == 15552
+    generators = cert["witnesses"]["generators"]
+    assert len(set(generators)) == len(generators) == 20
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+
+
 def test_refusal_exit_codes():
     assert main(["base-size", "-a", "6", "-b", "3", "--mode", "exact"]) == 2
     assert main(["sp4", "--q", "4"]) == 2

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minbase.fq import (
+    Field,
     Fq,
+    _digits,
+    _is_irreducible,
+    _poly_mulmod,
     all_vectors,
     bilinear,
     factor_prime_power,
@@ -43,14 +47,16 @@ def test_frobenius_automorphism(q):
         for b in range(q):
             assert F.frob[F.add[a][b]] == F.add[F.frob[a]][F.frob[b]]
             assert F.frob[F.mul[a][b]] == F.mul[F.frob[a]][F.frob[b]]
-    # order of frobenius = extension degree
-    x = F.mu
-    k = 1
-    y = F.frob[x]
-    while y != x:
+    assert frobenius_order(F) == F.f
+
+
+def frobenius_order(F):
+    """The order of x -> x^p, read on mu: the extension degree."""
+    k, y = 1, F.frob[F.mu]
+    while y != F.mu:
         y = F.frob[y]
         k += 1
-    assert k == F.f
+    return k
 
 
 def element_order(F, x):
@@ -62,10 +68,120 @@ def element_order(F, x):
     return k
 
 
-@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 49])
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 49, 243, 256, 343, 512])
 def test_generator_order(q):
     F = Fq(q)
     assert element_order(F, F.mu) == q - 1
+
+
+def _prime_powers(lo, hi):
+    """Every prime power q with lo < q <= hi."""
+    out = []
+    for q in range(lo + 1, hi + 1):
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+def _encode(coeffs, p):
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _oracle_modulus(p, f):
+    """The lexicographically smallest monic irreducible of degree f."""
+    if f == 1:
+        return (0, 1)
+    candidates = (_digits(code, p, f) + [1] for code in range(p**f))
+    return next(tuple(c) for c in candidates if _is_irreducible(c, p))
+
+
+def _oracle_power(mul, x, k):
+    """x^k by square and multiply, for any product mul(x, y) of codes."""
+    result = 1
+    while k:
+        if k & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        k >>= 1
+    return result
+
+
+def _oracle_generator(q, mul):
+    """The smallest x with x^((q-1)/r) != 1 for every prime r | q-1."""
+    primes = [r for r in range(2, q) if (q - 1) % r == 0
+              and all(r % d for d in range(2, r))]
+    return next(x for x in range(1, q)
+                if all(_oracle_power(mul, x, (q - 1) // r) != 1 for r in primes))
+
+
+def _poly_product(q):
+    """The field product of two codes by one polynomial product each."""
+    p, f = factor_prime_power(q)
+    modulus = list(_oracle_modulus(p, f))
+    return lambda x, y: _encode(_poly_mulmod(_digits(x, p, f), _digits(y, p, f),
+                                             modulus, p), p)
+
+
+def _digit_sum(q):
+    p, f = factor_prime_power(q)
+    return lambda x, y: _encode([(a + b) % p for a, b in
+                                 zip(_digits(x, p, f), _digits(y, p, f))], p)
+
+
+def oracle_field(q):
+    """The q^2 construction: every sum digit by digit and every product
+    by one polynomial product, with mu found by prime-divisor tests."""
+    p, f = factor_prime_power(q)
+    add_of, mul_of = _digit_sum(q), _poly_product(q)
+    add = [[add_of(x, y) for y in range(q)] for x in range(q)]
+    mul = [[mul_of(x, y) for y in range(q)] for x in range(q)]
+
+    def table_mul(x, y):
+        return mul[x][y]
+
+    return {
+        "modulus": _oracle_modulus(p, f),
+        "mu": _oracle_generator(q, table_mul),
+        "add": add,
+        "mul": mul,
+        "neg": [row.index(0) for row in add],
+        "inv": [0] + [mul[x].index(1) for x in range(1, q)],
+        "frob": [_oracle_power(table_mul, x, p) for x in range(q)],
+    }
+
+
+@pytest.mark.parametrize("q", _prime_powers(1, 128))
+def test_field_tables_match_the_quadratic_oracle(q):
+    F = Field(q)
+    for name, value in oracle_field(q).items():
+        assert getattr(F, name) == value, name
+
+
+@pytest.mark.parametrize("q", _prime_powers(128, 512))
+def test_large_field_tables_match_products_and_digit_sums(q):
+    F = Field(q)
+    p, f = factor_prime_power(q)
+    mul_of, add_of = _poly_product(q), _digit_sum(q)
+    assert F.modulus == _oracle_modulus(p, f)
+    assert F.mu == _oracle_generator(q, mul_of)
+    rng = random.Random(q)
+    for _ in range(2000):
+        x, y = rng.randrange(q), rng.randrange(q)
+        assert F.mul[x][y] == mul_of(x, y)
+        assert F.add[x][y] == add_of(x, y)
+    assert F.inv[0] == 0
+    assert all(mul_of(x, F.inv[x]) == 1 for x in range(1, q))
+    assert all(add_of(x, F.neg[x]) == 0 for x in range(q))
+    assert F.frob == [_oracle_power(mul_of, x, p) for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [243, 256, 343, 512])
+def test_large_field_frobenius_order(q):
+    F = Fq(q)
+    assert frobenius_order(F) == F.f
 
 
 def test_modulus_deterministic():
