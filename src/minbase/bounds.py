@@ -204,21 +204,3 @@ FAMILY_BUILDERS = {
     "o10": o10_plus_imprimitive_terms,
 }
 
-
-def involution_count_sym(n: int) -> int:
-    """Number of elements of order exactly 2 in the symmetric group on n
-    letters, via t(n) = t(n-1) + (n-1) t(n-2) counting the identity too."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    prev2, prev1 = 1, 1  # t(0), t(1)
-    for k in range(2, n + 1):
-        prev2, prev1 = prev1, prev1 + (k - 1) * prev2
-    return prev1 - 1
-
-
-def merged_bound(terms, c: int) -> Fraction:
-    """Collapse bound: for terms with total u-sum A and least v equal B,
-    the collapsed value B * (A/B)^c dominates the term-by-term sum."""
-    A = sum(Fraction(t.u) * t.multiplicity for t in terms)
-    B = min(Fraction(t.v) for t in terms)
-    return B * (A / B) ** c

@@ -2,9 +2,23 @@
 
 Descriptors: Sn, An, Cn (cyclic), Dn (dihedral of order n), Qn (dicyclic
 of order n: Q8, Q12, Q16, ...), SL23, F20, F21, F42 (Frobenius), L27,
-PGL27, wr(b,a) for the block stabilizer inside S_ab, products joined with
-"x" (e.g. C2xC2, A4xC2), or a path to a generator file.  Unknown names
+PGL27, wr(b,a) for the block stabilizer inside S_ab, and products joined
+with "x" (e.g. C2xC2, A4xC2).  Each atom is one row of a table that
+gives its order and its builder.  The order rule is the one place a
+parameter is accepted or refused, and spec_order reads it without
+building the group.  Unknown names and refused parameters (S0, D3, F30)
 are errors, never guesses.
+
+The Frobenius groups and L2(7) are groups of maps of the line over
+F_p = fq.Fq(p), mu its least primitive element: F20 = <x+1, mu x> over
+F_5, F21 = <x+1, mu^2 x> and F42 = <x+1, mu x> over F_7 on the affine
+line, and L27 = <x+1, -1/x> and PGL27 = <x+1, -1/x, mu x> on the
+projective line over F_7.  Field code c is point c+1 and infinity is
+point q+1; the affine maps fix infinity, and -1/x swaps 0 and infinity.
+
+A spec is a generator file exactly when it contains a path separator or
+ends in ".grp": the string alone decides, so no file in the working
+directory shadows a builtin name.
 """
 
 from __future__ import annotations
@@ -12,7 +26,9 @@ from __future__ import annotations
 import math
 import os
 import re
+from functools import partial, reduce
 
+from .fq import Fq
 from .partitions import wreath_generators
 from .perm import PermGroup, parse_perm, read_group_file
 
@@ -27,8 +43,6 @@ def _regular_rep(elements, mult):
 
 
 def symmetric(n: int) -> PermGroup:
-    if n < 1:
-        raise ValueError("n >= 1")
     if n == 1:
         return PermGroup([], 1)
     gens = [parse_perm("(1,2)", n)]
@@ -51,16 +65,12 @@ def alternating(n: int) -> PermGroup:
 
 
 def cyclic(n: int) -> PermGroup:
-    if n < 1:
-        raise ValueError("n >= 1")
     if n == 1:
         return PermGroup([], 1)
     return PermGroup([tuple((x + 1) % n for x in range(n))], n)
 
 
 def dihedral(order: int) -> PermGroup:
-    if order < 4 or order % 2:
-        raise ValueError("dihedral groups here have even order >= 4")
     n = order // 2
     if n == 2:  # a 2-gon's reflection fixes both vertices: D4 is C2 x C2
         return direct_product(cyclic(2), cyclic(2))
@@ -71,8 +81,6 @@ def dihedral(order: int) -> PermGroup:
 
 def dicyclic(order: int) -> PermGroup:
     """Dicyclic group of order 4n (Q8, Q12, Q16, ...), regular action."""
-    if order % 4 or order < 8:
-        raise ValueError("dicyclic order must be a multiple of 4, at least 8")
     n = order // 4
     elements = [(i, j) for j in range(2) for i in range(2 * n)]
 
@@ -116,39 +124,8 @@ def special_linear_2_3() -> PermGroup:
     return PermGroup(gens, len(els))
 
 
-def frobenius(order: int) -> PermGroup:
-    """F20, F21, F42: affine Frobenius groups on 5 or 7 points."""
-    if order == 20:
-        return PermGroup([parse_perm("(1,2,3,4,5)", 5), parse_perm("(2,3,5,4)", 5)])
-    if order == 21:
-        return PermGroup(
-            [parse_perm("(1,2,3,4,5,6,7)", 7), parse_perm("(2,3,5)(4,7,6)", 7)]
-        )
-    if order == 42:
-        return PermGroup(
-            [parse_perm("(1,2,3,4,5,6,7)", 7), parse_perm("(2,4,3,7,5,6)", 7)]
-        )
-    raise ValueError("supported Frobenius orders: 20, 21, 42")
-
-
-def psl_2_7() -> PermGroup:
-    """PSL(2,7) on the 8-point projective line (point 8 is infinity)."""
-    t = parse_perm("(1,2,3,4,5,6,7)", 8)
-    s = parse_perm("(1,8)(2,7)(3,4)(5,6)", 8)
-    return PermGroup([t, s], 8)
-
-
-def pgl_2_7() -> PermGroup:
-    t = parse_perm("(1,2,3,4,5,6,7)", 8)
-    s = parse_perm("(1,8)(2,7)(3,4)(5,6)", 8)
-    m = parse_perm("(2,4,3,7,5,6)", 8)
-    return PermGroup([t, s, m], 8)
-
-
 def wreath_block_stabilizer(b: int, a: int) -> PermGroup:
     """Stabilizer of the canonical partition into a blocks of size b."""
-    if a < 1 or b < 1:
-        raise ValueError("wr(b,a) needs a >= 1 and b >= 1")
     return PermGroup(wreath_generators(a, b), a * b)
 
 
@@ -159,68 +136,78 @@ def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     return PermGroup(gens, n + m)
 
 
-_ATOM_RE = re.compile(r"^(S|A|C|D|Q|F)(\d+)$")
+# Maps of the projective line over F = Fq(q), as image lists of the codes
+# 0..q-1 followed by infinity, code q.
 
 
-def _atom(name: str) -> PermGroup:
-    if name == "SL23":
-        return special_linear_2_3()
-    if name == "L27":
-        return psl_2_7()
-    if name == "PGL27":
-        return pgl_2_7()
-    m = re.fullmatch(r"wr\((\d+),(\d+)\)", name)
-    if m:
-        return wreath_block_stabilizer(int(m.group(1)), int(m.group(2)))
-    m = _ATOM_RE.match(name)
-    if m:
-        kind, num = m.group(1), int(m.group(2))
-        if kind == "S":
-            return symmetric(num)
-        if kind == "A":
-            return alternating(num)
-        if kind == "C":
-            return cyclic(num)
-        if kind == "D":
-            return dihedral(num)
-        if kind == "Q":
-            return dicyclic(num)
-        if kind == "F":
-            return frobenius(num)
+def _shift(F):
+    """x+1, fixing infinity."""
+    return [F.add[x][1] for x in range(F.q)] + [F.q]
+
+
+def _scale(k):
+    """x -> mu^k x, fixing 0 and infinity."""
+    def scale(F):
+        c = 1
+        for _ in range(k):
+            c = F.mul[c][F.mu]
+        return [F.mul[c][x] for x in range(F.q)] + [F.q]
+    return scale
+
+
+def _invert(F):
+    """x -> -1/x, swapping 0 and infinity."""
+    return [F.q] + [F.neg[F.inv[x]] for x in range(1, F.q)] + [0]
+
+
+def _line_group(q, maps, projective):
+    """The group the maps generate on the projective line over F_q, or on
+    the affine line when every map fixes infinity.  Field code c is point
+    c+1 and infinity is point q+1."""
+    F = Fq(q)
+    degree = q + 1 if projective else q
+    return PermGroup([tuple(m(F)[:degree]) for m in maps], degree)
+
+
+# One row per atom: a pattern whose groups are its integer parameters, its
+# order as a function of them, and its builder taking the same parameters.
+# The order rule is the one place a parameter is accepted: None refuses it.
+_ATOMS = [
+    (r"S(\d+)", lambda n: math.factorial(n) if n >= 1 else None, symmetric),
+    (r"A(\d+)", lambda n: math.factorial(n) // 2 if n >= 3 else 1, alternating),
+    (r"C(\d+)", lambda n: n if n >= 1 else None, cyclic),
+    (r"D(\d+)", lambda n: n if n >= 4 and n % 2 == 0 else None, dihedral),
+    (r"Q(\d+)", lambda n: n if n >= 8 and n % 4 == 0 else None, dicyclic),
+    (r"wr\((\d+),(\d+)\)",
+     lambda b, a: math.factorial(b) ** a * math.factorial(a) if a >= 1 and b >= 1 else None,
+     wreath_block_stabilizer),
+    ("SL23", lambda: 24, special_linear_2_3),
+    ("F20", lambda: 20, lambda: _line_group(5, [_shift, _scale(1)], projective=False)),
+    ("F21", lambda: 21, lambda: _line_group(7, [_shift, _scale(2)], projective=False)),
+    ("F42", lambda: 42, lambda: _line_group(7, [_shift, _scale(1)], projective=False)),
+    ("L27", lambda: 168, lambda: _line_group(7, [_shift, _invert], projective=True)),
+    ("PGL27", lambda: 336,
+     lambda: _line_group(7, [_shift, _invert, _scale(1)], projective=True)),
+]
+
+
+def _atom(name: str):
+    """(order, builder) of the row matching one atom of a descriptor."""
+    for pattern, order_of, build in _ATOMS:
+        m = re.fullmatch(pattern, name)
+        if m:
+            params = [int(g) for g in m.groups()]
+            order = order_of(*params)
+            if order is not None:
+                return order, partial(build, *params)
     raise ValueError(f"unknown group descriptor: {name!r}")
 
 
-def _atom_order(name: str):
-    """Order of the group _atom(name) builds, read from the name alone;
-    None where _atom refuses the name."""
-    fixed = {"SL23": 24, "L27": 168, "PGL27": 336}
-    if name in fixed:
-        return fixed[name]
-    m = re.fullmatch(r"wr\((\d+),(\d+)\)", name)
-    if m:
-        b, a = int(m.group(1)), int(m.group(2))
-        if a < 1 or b < 1:
-            return None
-        return math.factorial(b) ** a * math.factorial(a)
-    m = _ATOM_RE.match(name)
-    if not m:
-        return None
-    kind, num = m.group(1), int(m.group(2))
-    if kind == "S":
-        return math.factorial(num) if num >= 1 else None
-    if kind == "A":
-        return math.factorial(num) // 2 if num >= 3 else 1
-    if kind == "C":
-        return num if num >= 1 else None
-    if kind == "D":
-        return num if num >= 4 and num % 2 == 0 else None
-    if kind == "Q":
-        return num if num >= 8 and num % 4 == 0 else None
-    return num if num in (20, 21, 42) else None
-
-
 def _is_file_spec(spec: str) -> bool:
-    return os.path.sep in spec or spec.endswith(".grp") or os.path.isfile(spec)
+    """A path separator or a .grp suffix marks a generator file.  The
+    string alone decides, so no file in the working directory shadows a
+    builtin name."""
+    return os.path.sep in spec or spec.endswith(".grp")
 
 
 def spec_order(spec: str):
@@ -230,13 +217,11 @@ def spec_order(spec: str):
     spec = spec.strip()
     if _is_file_spec(spec):
         return None
-    order = 1
-    for part in spec.split("x"):
-        atom = _atom_order(part)
-        if atom is None:
-            return None
-        order *= atom
-    return order
+    try:
+        atoms = [_atom(part) for part in spec.split("x")]
+    except ValueError:
+        return None
+    return math.prod(order for order, _ in atoms)
 
 
 def group_from_spec(spec: str) -> PermGroup:
@@ -244,11 +229,8 @@ def group_from_spec(spec: str) -> PermGroup:
     spec = spec.strip()
     if _is_file_spec(spec):
         return read_group_file(spec)
-    parts = spec.split("x")
-    group = _atom(parts[0])
-    for part in parts[1:]:
-        group = direct_product(group, _atom(part))
-    return group
+    atoms = [_atom(part) for part in spec.split("x")]
+    return reduce(direct_product, [build() for _, build in atoms])
 
 
 BUILTIN_NAMES = [

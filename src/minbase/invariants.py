@@ -226,13 +226,6 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
     )
 
 
-def chief_length_mod_frattini(lattice: Lattice) -> int:
-    """Chief length of the quotient by the Frattini subgroup: the normal
-    subgroups of G/Phi are the images of those of G that contain Phi."""
-    full = lattice.find(range(lattice.table.n))
-    return len(_series_down(full, frattini(lattice), normal_subgroups(lattice))) - 1
-
-
 # ---------------------------------------------------------------------------
 # chief-factor modules over the prime field and the general bound
 

@@ -31,6 +31,15 @@ class PreconditionError(ValueError):
     pass
 
 
+GROUND_CAP = 128  # the largest ground set any partition command takes
+
+
+def _check_ground(n):
+    """Refuse a ground set above the cap before anything is built on it."""
+    if n > GROUND_CAP:
+        raise PreconditionError(f"ground size {n} exceeds the {GROUND_CAP}-point cap")
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -83,7 +92,9 @@ class SetPartition:
 
 
 def parse_partition(text: str, ground_size: int) -> SetPartition:
-    """Parse "{1,2,3}|{4,5,6}" with 1-based points."""
+    """Parse "{1,2,3}|{4,5,6}" with 1-based points, on a ground set
+    within the cap."""
+    _check_ground(ground_size)
     blocks = []
     for chunk in text.strip().split("|"):
         chunk = chunk.strip()
@@ -279,6 +290,7 @@ class _StabContext:
         if len(sizes) != 1:
             raise GroundMismatch("partitions live on different ground sets")
         self.n = sizes.pop()
+        _check_ground(self.n)
         self.block_of = [p.block_of() for p in partitions]
         self.blocks = [
             [tuple(sorted(b)) for b in p.blocks] for p in partitions
@@ -414,12 +426,10 @@ def _even_subgroup(G: PermGroup) -> PermGroup:
 def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
     """Group of all permutations of the ground set mapping every listed
     partition to itself (blocks permuted); parity="even" restricts to even
-    permutations.  Ground size is capped at 128."""
+    permutations.  Ground size is capped at GROUND_CAP."""
     if parity not in ("all", "even"):
         raise ValueError("parity must be 'all' or 'even'")
     ctx = _StabContext(list(partitions))
-    if ctx.n > 128:
-        raise PreconditionError(f"ground size {ctx.n} exceeds the 128-point cap")
     colors = ctx.refine(ctx.seed_colors)
     gens = []
     prefix = []
@@ -465,7 +475,8 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
 
 
 def partition_base_size_value(a: int, b: int, ambient: str = "sym") -> int:
-    """Claimed minimal base size for the (a,b) partition action, a >= b >= 2."""
+    """Claimed minimal base size for the (a,b) partition action, a >= b >= 2
+    and ab within the ground cap."""
     _validate_ab(a, b)
     if ambient == "sym":
         if (a, b) == (3, 2):
@@ -482,10 +493,13 @@ def partition_base_size_value(a: int, b: int, ambient: str = "sym") -> int:
 
 
 def _validate_ab(a, b):
+    """Refuse an invalid action, or one whose ab points exceed the cap,
+    before any construction or draw."""
     if not (a >= b >= 2):
         raise PreconditionError("need a >= b >= 2")
     if (a, b) == (2, 2):
         raise PreconditionError("(2,2) is excluded: the stabilizer is normal")
+    _check_ground(a * b)
 
 
 def wreath_generators(a, b):

@@ -8,7 +8,6 @@ import random
 from minbase.bounds import (
     evaluate_qhat,
     g2_subfield_terms,
-    involution_count_sym,
     o10_plus_imprimitive_terms,
     sp4_subfield_terms,
 )
@@ -20,7 +19,7 @@ from minbase.classical import (
     sp4_triple_base_check,
 )
 from minbase.fq import Fq, frobenius_subspace
-from minbase.invariants import alpha, beta, chief_factor_bound, chief_length_mod_frattini, soluble_bounds_report
+from minbase.invariants import alpha, beta, chief_factor_bound, soluble_bounds_report
 from minbase.lattice import GroupTable, Lattice, is_nilpotent_set
 from minbase.partitions import (
     apply_to_canonical,
@@ -33,6 +32,8 @@ from minbase.partitions import (
     random_uniform_partition,
 )
 from minbase.perm import PermGroup, compose, identity
+from test_bounds import involution_count_sym
+from test_invariants import chief_length_mod_frattini
 
 _LATTICES = {}
 

@@ -39,6 +39,10 @@ ARGV = {
     "qhat-g2.json": ["qhat", "--family", "g2", "--q", "9..81"],
     "soluble-S4.json": ["soluble", "--spec", "S4"],
     "theorem4-S4.json": ["theorem4", "--spec", "S4"],
+    # groups built from their maps of the line over F_p
+    "soluble-F20xC2.json": ["soluble", "--spec", "F20xC2"],
+    "theorem4-F42.json": ["theorem4", "--spec", "F42"],
+    "beta-PGL27.json": None,
     "alpha-A5.json": None,
     "beta-A5.json": None,
     "beta-Q8.json": None,

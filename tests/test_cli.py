@@ -210,6 +210,38 @@ def test_refusal_exit_codes():
     assert main(["qhat", "--family", "g2", "--q", "10"]) == 2
 
 
+@pytest.mark.parametrize("argv, ground", [
+    (["partition-base", "-a", "30", "-b", "10"], 300),
+    (["base-size", "-a", "13", "-b", "10", "--mode", "upper"], 130),
+    (["stabilizer", "--ground", "300", "--partitions", "{1}"], 300),
+])
+def test_a_ground_above_the_cap_is_refused_before_any_work(capsys, argv, ground):
+    # before any draw, construction or parse: the search alone once spent
+    # seconds on 300-point candidates before its budget ran out
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"refused: ground size {ground} exceeds the 128-point cap\n"
+
+
+@pytest.mark.parametrize("cert, ground", [
+    ({"command": "partition-base", "inputs": {"a": 30, "b": 10, "ambient": "sym"},
+      "result": {"base_size": 2, "stabilizer_order": 1, "claimed_value": 2},
+      "witnesses": {"partitions": ["{1}", "{2}"]}}, 300),
+    ({"command": "base-size", "inputs": {"a": 13, "b": 10, "mode": "upper", "ambient": "sym"},
+      "result": {"base_size": 2, "exact": False}, "witnesses": {"partitions": ["{1}", "{2}"]}},
+     130),
+    ({"command": "stabilizer", "inputs": {"ground": 300, "parity": "all", "partitions": ["{1}"]},
+      "result": {"order": 1}, "witnesses": {"generators": []}}, 300),
+])
+def test_verify_refuses_a_ground_above_the_cap_before_parsing(tmp_path, capsys, cert, ground):
+    # witnesses that do not parse: the cap, not the parser, refuses them
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(cert, seed=1)))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"refused: ground size {ground} exceeds the 128-point cap\n"
+
+
 def test_budget_refusal_reports_work(capsys):
     code = main(["base-size", "-a", "8", "-b", "4", "--mode", "upper",
                  "--seed", "1", "--budget", "5"])
@@ -244,6 +276,19 @@ def test_group_file_spec(tmp_path):
     path = tmp_path / "g.grp"
     path.write_text("degree 4\n(1,2)\n(1,2,3,4)\n")
     assert main(["alpha", "--spec", str(path)]) == 0
+
+
+def test_a_file_named_as_a_builtin_does_not_shadow_it(tmp_path, monkeypatch, capsys):
+    # a spec names a file only by a path separator or a .grp suffix
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "S5").write_text("degree 2\n(1,2)\n")
+    code, cert = run_json(tmp_path, ["alpha", "--spec", "S5"])
+    assert code == 0 and cert["inputs"]["order"] == 120
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+    assert capsys.readouterr().out.endswith(": verified\n")
+    code, cert = run_json(tmp_path, ["alpha", "--spec", os.path.join(".", "S5")])
+    assert code == 0 and cert["inputs"]["order"] == 2
 
 
 def test_runner_output_modes(tmp_path, capsys):
@@ -859,6 +904,7 @@ def test_over_cap_spec_is_refused_before_its_chain(capsys, argv, order):
     *BUILTIN_NAMES, "S1", "A1", "A2", "A3", "S7", "A7", "C1", "C9", "D4", "D14",
     "Q12", "wr(1,3)", "wr(3,1)", "wr(3,2)", "S3xS3", "A4xC2xC2",
     "S0", "C0", "D3", "D6x", "Q6", "Q4", "F30", "wr(0,3)", "wr(2,0)", "X5", "S4xC0",
+    "L28", "PGL27xC2", "F20xF21", "D4xQ8", "A0",
 ])
 def test_spec_order_is_the_order_built(spec):
     # None exactly where group_from_spec refuses the descriptor
@@ -867,3 +913,22 @@ def test_spec_order_is_the_order_built(spec):
     except ValueError:
         order = None
     assert spec_order(spec) == order
+
+
+# The cycle strings that once gave the Frobenius groups and L2(7), before
+# they were built from their maps of the line over F_p
+LINE_GROUP_GENERATORS = {
+    "F20": (5, ["(1,2,3,4,5)", "(2,3,5,4)"]),
+    "F21": (7, ["(1,2,3,4,5,6,7)", "(2,3,5)(4,7,6)"]),
+    "F42": (7, ["(1,2,3,4,5,6,7)", "(2,4,3,7,5,6)"]),
+    "L27": (8, ["(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)"]),
+    "PGL27": (8, ["(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)", "(2,4,3,7,5,6)"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_GROUP_GENERATORS))
+def test_line_groups_keep_their_cycle_string_generators(name):
+    degree, words = LINE_GROUP_GENERATORS[name]
+    G = group_from_spec(name)
+    assert G.degree == degree
+    assert G.generators == [parse_perm(word, degree) for word in words]
