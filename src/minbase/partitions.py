@@ -313,8 +313,11 @@ class _StabContext:
         # input coloring -> its refinement: the backtrack individualizes
         # the same source-side colorings once for every target
         self.refined = {}
+        # source input coloring -> its trace, the sorted signature integers
+        # of each refinement round
+        self.traces = {}
 
-    def refine(self, colors):
+    def refine(self, colors, source=None):
         """Iterate block-signature refinement to a fixpoint; returns colors.
 
         A point's signature is its color followed, for each partition, by
@@ -324,12 +327,25 @@ class _StabContext:
         being its number of distinct tallies.  Ranks keep the tallies'
         order and each digit is below its radix, so the integers sort as
         the tuples would and the labels are the tuple ranks.  Each input
-        coloring is refined once per context."""
+        coloring is refined once per context.
+
+        Without a source the coloring is a source, and the sorted distinct
+        signatures of each of its rounds are kept as its trace.  A target
+        is refined against the trace of its source, an input coloring
+        refined before; it stops, returning None and caching nothing, at
+        the first round whose signatures differ from the source's or that
+        the source did not have.  The stop loses no image: a
+        partition-stabilizing map sending the source onto the target sends
+        each block to a block with the same tally, so each round gives the
+        target the source's signature integers and two colorings that the
+        map again sends one onto the other."""
         hit = self.refined.get(colors)
-        if hit is not None:
+        if hit is not None and (source is not None or colors in self.traces):
             return hit
         start = colors
+        trace = [] if source is None else self.traces[source]
         count = len(set(colors))
+        rnd = 0
         while True:
             sigs = colors
             for blocks, block_of in zip(self.blocks, self.block_of):
@@ -344,10 +360,18 @@ class _StabContext:
                     rank = {t: i for i, t in enumerate(sorted(distinct))}
                     digits = [rank[t] for t in tallies]
                     sigs = [s * len(rank) + digits[i] for s, i in zip(sigs, block_of)]
-            ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            keys = sorted(set(sigs))
+            if source is None:
+                trace.append(keys)
+            elif rnd == len(trace) or keys != trace[rnd]:
+                return None
+            rnd += 1
+            ranked = {s: i for i, s in enumerate(keys)}
             colors = tuple([ranked[s] for s in sigs])
             if len(ranked) == count:
                 self.refined[start] = colors
+                if source is None:
+                    self.traces[start] = trace
                 return colors
             count = len(ranked)
 
@@ -358,10 +382,10 @@ class _StabContext:
         return tuple(sorted(tally.items()))
 
     def individualize(self, colors, x):
-        fresh = max(colors) + 1
+        """The coloring with x alone in a fresh color, unrefined."""
         lst = list(colors)
-        lst[x] = fresh
-        return self.refine(tuple(lst))
+        lst[x] = max(colors) + 1
+        return tuple(lst)
 
     def stabilizes(self, g):
         for kk in range(len(self.blocks)):
@@ -372,8 +396,14 @@ class _StabContext:
 
     def find_auto(self, src, tgt):
         """Exhaustive search for a partition-stabilizing bijection sending
-        the source coloring onto the target coloring; None if none exists."""
-        if self.class_profile(src) != self.class_profile(tgt):
+        the source coloring onto the target coloring; None if none exists.
+        The source is individualized at x once, and each target
+        individualized at y is refined against the source's trace.  A
+        target stopped there (None) has no image, as such a bijection
+        would make every refinement round equivariant and so repeat the
+        source's signatures; its branch returns None, as a full search
+        of it would."""
+        if tgt is None or self.class_profile(src) != self.class_profile(tgt):
             return None
         cells = {}
         for x, c in enumerate(src):
@@ -393,11 +423,11 @@ class _StabContext:
             g = tuple(g)
             return g if self.stabilizes(g) else None
         x = min(cells[branch])
+        start = self.individualize(src, x)
+        src_x = self.refine(start)
         targets = sorted(y for y, c in enumerate(tgt) if c == branch)
         for y in targets:
-            found = self.find_auto(
-                self.individualize(src, x), self.individualize(tgt, y)
-            )
+            found = self.find_auto(src_x, self.refine(self.individualize(tgt, y), start))
             if found is not None:
                 return found
         return None
@@ -448,11 +478,12 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
         beta = min(target)
         level_gens = [g for g in gens if all(g[p] == p for p in prefix)]
         orb = orbit(beta, level_gens)
-        src = ctx.individualize(colors, beta)
+        start = ctx.individualize(colors, beta)
+        src = ctx.refine(start)
         for q in sorted(target):
             if q in orb:
                 continue
-            found = ctx.find_auto(src, ctx.individualize(colors, q))
+            found = ctx.find_auto(src, ctx.refine(ctx.individualize(colors, q), start))
             if found is not None:
                 if not ctx.stabilizes(found):
                     raise CertificationError("backtrack returned a non-stabilizing map")
@@ -594,11 +625,18 @@ def _has_base(a, b, ambient, size):
 
 
 def random_uniform_partition(a, b, rng) -> SetPartition:
-    pts = list(range(a * b))
+    return _dealt_partition(_shuffled_points(a * b, rng), a, b)
+
+
+def _shuffled_points(n, rng):
+    pts = list(range(n))
     rng.shuffle(pts)
-    return SetPartition.from_blocks(
-        a * b, [pts[i * b : (i + 1) * b] for i in range(a)]
-    )
+    return pts
+
+
+def _dealt_partition(pts, a, b) -> SetPartition:
+    """The partition whose block i holds pts[i*b : (i+1)*b]."""
+    return SetPartition.from_blocks(a * b, [pts[i * b : (i + 1) * b] for i in range(a)])
 
 
 def _forced_symmetry(block_ofs, parity):
@@ -623,16 +661,27 @@ def _search_base(a, b, size, parity, seed, budget):
     stabilizer; first partition is the canonical one.  `budget` caps the
     candidates drawn.  A candidate with a forced symmetry is skipped before
     its stabilizer is built; its stabilizer is nontrivial anyway, so the
-    skip never changes which candidate is accepted."""
+    skip never changes which candidate is accepted.  The skip reads the
+    drawn shuffles directly, point pts[i] lying in block i // b, and only
+    a candidate that passes it is built as partitions."""
     rng = random.Random(seed)
+    n = a * b
     P1 = uniform_partition(a, b)
     P1_of = P1.block_of()
     rejected = 0
     for _ in range(budget):
-        cand = [P1] + [random_uniform_partition(a, b, rng) for _ in range(size - 1)]
-        if _forced_symmetry([P1_of] + [Q.block_of() for Q in cand[1:]], parity):
+        draws = [_shuffled_points(n, rng) for _ in range(size - 1)]
+        block_ofs = [P1_of]
+        for pts in draws:
+            block_of = [0] * n
+            for i, x in enumerate(pts):
+                block_of[x] = i // b
+            block_ofs.append(block_of)
+        if _forced_symmetry(block_ofs, parity):
             rejected += 1
-        elif partition_stabilizer(cand, parity).order == 1:
+            continue
+        cand = [P1] + [_dealt_partition(pts, a, b) for pts in draws]
+        if partition_stabilizer(cand, parity).order == 1:
             return cand
     drawn = max(budget, 0)
     raise SearchBudgetExceeded(

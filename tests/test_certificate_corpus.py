@@ -36,6 +36,19 @@ ARGV = {
     "stabilizer-wr-3-4-even.json": [
         "stabilizer", "--ground", "12", "--partitions",
         "{1,2,3}|{4,5,6}|{7,8,9}|{10,11,12}", "--parity", "even"],
+    # seeded searches whose stabilizer backtracks stop almost every target
+    # at its first differing refinement round, and the rows and columns of
+    # the 6x6 grid, where every target has an image and a wrong stop would
+    # change the generators
+    "base-size-12-4-upper.json": ["base-size", "-a", "12", "-b", "4",
+                                  "--mode", "upper", "--seed", "1"],
+    "base-size-9-4-exact-alt.json": ["base-size", "-a", "9", "-b", "4", "--mode",
+                                     "exact", "--ambient", "alt", "--seed", "1"],
+    "stabilizer-grid-6.json": [
+        "stabilizer", "--ground", "36", "--partitions",
+        "|".join("{%s}" % ",".join(str(6 * i + j + 1) for j in range(6)) for i in range(6))
+        + ";"
+        + "|".join("{%s}" % ",".join(str(6 * i + j + 1) for i in range(6)) for j in range(6))],
     "qhat-g2.json": ["qhat", "--family", "g2", "--q", "9..81"],
     "soluble-S4.json": ["soluble", "--spec", "S4"],
     "theorem4-S4.json": ["theorem4", "--spec", "S4"],

@@ -164,10 +164,11 @@ def test_stabilizer_even_matches_brute_force():
         assert got == brute_stabilizer_order(parts, parity="even")
 
 
-def oracle_refine(ctx, colors):
+def oracle_refine(ctx, colors, source=None):
     """Oracle: refinement by tuple signatures, a point's color followed by
     the sorted (color, count) tally of its block in each partition, ranked
-    by sorting the tuples."""
+    by sorting the tuples.  It ignores the source, so a backtrack patched
+    to use it refines every target in full: the unpruned backtrack."""
     while True:
         profiles = [
             [tuple(sorted(Counter(colors[x] for x in blk).items())) for blk in blocks]
@@ -201,6 +202,44 @@ def test_refine_matches_tuple_signature_oracle(a, b, k, parity, rng):
     with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
         expected = partition_stabilizer(parts, parity).generators
     assert partition_stabilizer(parts, parity).generators == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 10), st.integers(2, 5), st.integers(1, 3),
+    st.sampled_from(["all", "even"]), st.randoms(use_true_random=True),
+)
+def test_trace_stops_only_targets_without_an_image(a, b, k, parity, rng):
+    # k partitions drawn as the search draws its candidates: the canonical
+    # one, then random ones until the filter of that parity sees no forced
+    # symmetry.  The source and each target individualize two points of
+    # one cell, as the backtrack's do.
+    assume(a * b <= 40)
+    for _ in range(200):
+        parts = [uniform_partition(a, b)]
+        parts += [random_uniform_partition(a, b, rng) for _ in range(k - 1)]
+        if not _forced_symmetry([p.block_of() for p in parts], parity):
+            break
+    ctx = partitions._StabContext(parts)
+    colors = ctx.refine(ctx.seed_colors)
+    cells = {}
+    for z, c in enumerate(colors):
+        cells.setdefault(c, []).append(z)
+    shared = [cell for cell in cells.values() if len(cell) > 1]
+    assume(shared)
+    x, *targets = rng.choice(shared)
+    start = ctx.individualize(colors, x)
+    src = ctx.refine(start)
+    for y in targets:
+        pruned = ctx.refine(ctx.individualize(colors, y), start)
+        unpruned = oracle_refine(ctx, ctx.individualize(colors, y))
+        with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
+            image = ctx.find_auto(src, unpruned)
+        if pruned is None:
+            assert image is None
+        else:
+            assert pruned == unpruned
+            assert ctx.find_auto(src, pruned) == image
 
 
 @pytest.mark.parametrize(
