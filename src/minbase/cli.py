@@ -437,17 +437,19 @@ def cmd_verify(args):
 
 
 def _is_base_certificate(cert, inputs, result):
-    """No field goes unread: the certificate holds exactly the given input
-    and result keys (space-separated), and as witnesses base_size distinct
-    partitions into a blocks of size b with trivial joint stabilizer."""
-    a, b, ambient = (cert["inputs"][key] for key in ("a", "b", "ambient"))
+    """The certificate holds exactly the given inputs and result, compared
+    through JSON so that 1 never equals true, and as witnesses base_size
+    distinct partitions into a blocks of size b with trivial joint
+    stabilizer."""
+    a, b, ambient = (inputs[key] for key in ("a", "b", "ambient"))
     partition_base_size_value(a, b, ambient)  # refuses an invalid action
-    parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
+    listed = cert["witnesses"]["partitions"]
+    parts = [parse_partition(s, a * b) for s in listed]
     # blocks of size b covering a*b points: a blocks
     return (
-        [sorted(cert[part]) for part in ("inputs", "result", "witnesses")]
-        == [sorted(inputs.split()), sorted(result.split()), ["partitions"]]
-        and len({p.canonical() for p in parts}) == len(parts) == cert["result"]["base_size"]
+        _same_result(cert, {"inputs": inputs, "result": result,
+                            "witnesses": {"partitions": listed}})
+        and len({p.canonical() for p in parts}) == len(parts) == result["base_size"]
         and all(len(blk) == b for p in parts for blk in p.blocks)
         and partition_stabilizer(parts, "all" if ambient == "sym" else "even").order == 1
     )
@@ -455,25 +457,23 @@ def _is_base_certificate(cert, inputs, result):
 
 def _verify_partition_base(cert):
     """A certified base whose size is the paper's value for (a, b)."""
-    inputs, result = cert["inputs"], cert["result"]
-    return (
-        _is_base_certificate(cert, "a b ambient", "base_size stabilizer_order claimed_value")
-        and result["stabilizer_order"] == 1
-        and result["base_size"] == result["claimed_value"]
-        == partition_base_size_value(inputs["a"], inputs["b"], inputs["ambient"])
-    )
+    inputs = {key: cert["inputs"][key] for key in ("a", "b", "ambient")}
+    value = partition_base_size_value(inputs["a"], inputs["b"], inputs["ambient"])
+    return _is_base_certificate(
+        cert, inputs, {"base_size": value, "stabilizer_order": 1, "claimed_value": value})
 
 
 def _verify_base_size(cert):
     """A certified base, flagged exact exactly in mode exact, and then
     least by the rule of partitions._is_least_base_size."""
-    inputs, result = cert["inputs"], cert["result"]
+    inputs = {key: cert["inputs"][key] for key in ("a", "b", "mode", "ambient")}
+    size = len(cert["witnesses"]["partitions"])
     return (
-        _is_base_certificate(cert, "a b mode ambient", "base_size exact")
+        _is_base_certificate(cert, inputs, {"base_size": size,
+                                            "exact": inputs["mode"] == "exact"})
         and inputs["mode"] in ("exact", "upper")
-        and result["exact"] is (inputs["mode"] == "exact")
         and (inputs["mode"] == "upper" or _is_least_base_size(
-            inputs["a"], inputs["b"], inputs["ambient"], result["base_size"]))
+            inputs["a"], inputs["b"], inputs["ambient"], size))
     )
 
 
@@ -539,13 +539,18 @@ def _verify_alpha(cert, lat=None):
     frat = frat[0]
     sets = [elems for elems, _ in maxes]
     return (
-        cert["result"]["exhaustive"] is True
-        and cert["inputs"]["order"] == table.n
-        and all(table.is_maximal(elems, gens) for elems, gens in maxes)
+        all(table.is_maximal(elems, gens) for elems, gens in maxes)
         and _meet(table, sets) == frat
         and _irredundant(table, sets)
-        and len(maxes) == cert["result"]["alpha"] == derived.value
-        and len(frat) == cert["result"]["frattini_order"] == derived.frattini_order
+        and len(maxes) == derived.value
+        and len(frat) == derived.frattini_order
+        and _same_result(cert, {
+            "inputs": {"spec": cert["inputs"]["spec"], "order": table.n},
+            "result": {"alpha": derived.value, "frattini_order": derived.frattini_order,
+                       "exhaustive": True},
+            "witnesses": {key: cert["witnesses"][key]
+                          for key in ("maximal_subgroups", "frattini_generators")},
+        })
     )
 
 
@@ -566,14 +571,19 @@ def _verify_beta(cert, lat=None):
     sub, gens = witness
     conjugates = [sub] + [table.conjugate_set(sub, g) for g in conjugators]
     return (
-        cert["inputs"]["order"] == table.n
-        and table.is_maximal(sub, gens)
-        and len(_meet(table, conjugates)) == cert["witnesses"]["core_order"]
+        table.is_maximal(sub, gens)
         and _irredundant(table, conjugates)
-        and len(cert["witnesses"]["conjugator_words"]) == cert["result"]["beta"] - 1
-        and cert["result"]["beta"] == derived.value
-        and cert["result"]["frattini_order"] == derived.frattini_order
-        and cert["witnesses"]["core_order"] == cert["result"]["frattini_order"]
+        and len(conjugates) == derived.value
+        and len(_meet(table, conjugates)) == derived.frattini_order
+        and _same_result(cert, {
+            "inputs": {"spec": cert["inputs"]["spec"], "order": table.n},
+            "result": {"beta": derived.value, "frattini_order": derived.frattini_order},
+            "witnesses": {
+                "subgroup_generators": cert["witnesses"]["subgroup_generators"],
+                "conjugator_words": cert["witnesses"]["conjugator_words"],
+                "core_order": derived.frattini_order,
+            },
+        })
     )
 
 
@@ -612,8 +622,8 @@ def _verify_rerun(cert):
 
 
 def _same_result(cert, derived):
-    """Inputs, result and witnesses all as derived, compared through JSON
-    so that 1 never equals true."""
+    """Each key of derived (inputs, result, witnesses) as derived, compared
+    through JSON so that 1 never equals true and 3.0 never equals 3."""
     claimed = {key: cert[key] for key in derived}
     return json.dumps(derived, sort_keys=True) == json.dumps(claimed, sort_keys=True)
 

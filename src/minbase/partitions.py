@@ -75,13 +75,6 @@ class SetPartition:
         """Blocks sorted ascending, each block sorted: a hashable normal form."""
         return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
-    def apply(self, g) -> "SetPartition":
-        if len(g) != self.ground_size:
-            raise GroundMismatch("permutation degree differs from ground size")
-        return SetPartition.from_blocks(
-            self.ground_size, [[g[x] for x in blk] for blk in self.blocks]
-        )
-
     def block_of(self):
         """Array mapping each point to the index of its block."""
         arr = [0] * self.ground_size
@@ -215,7 +208,7 @@ def construct_bcd_equal(a: int):
 
 
 # ---------------------------------------------------------------------------
-# intersection-signature tables for the equal case
+# stabilizer of a family of partitions: refinement + individualization
 
 
 def cross_counts(P: SetPartition, Q: SetPartition):
@@ -226,62 +219,6 @@ def cross_counts(P: SetPartition, Q: SetPartition):
     for x in range(P.ground_size):
         m[pof[x]][qof[x]] += 1
     return m
-
-def signature_counts(C: SetPartition, D: SetPartition):
-    """Tallies (c, d): c[r][i] = #{s : |C_r ∩ D_s| = i} and the transpose
-    tally d[r][i] = #{s : |C_s ∩ D_r| = i}, for 1-based block indices r."""
-    m = cross_counts(C, D)
-    a = len(C.blocks)
-    c = {r: {} for r in range(1, a + 1)}
-    d = {r: {} for r in range(1, len(D.blocks) + 1)}
-    for r in range(a):
-        for s in range(len(D.blocks)):
-            v = m[r][s]
-            c[r + 1][v] = c[r + 1].get(v, 0) + 1
-            d[s + 1][v] = d[s + 1].get(v, 0) + 1
-    return c, d
-
-
-def expected_signature_tables(a: int):
-    """The predicted c_r(i), d_r(i) values for the equal-case triple.
-
-    Returns (c, d) as dicts r -> (count at i=0, i=1, i=2); defined for
-    a >= 7 odd and a >= 6 even.
-    """
-    k = a // 2
-    c = {}
-    d = {}
-    if a % 2 == 1:
-        if a < 7:
-            raise PreconditionError("odd tables start at a = 7")
-        c[1] = (k - 1, 3, k - 1)
-        c[2] = (k, 1, k)
-        c[3] = (k - 2, 5, k - 2)
-        c[4] = (k - 1, 3, k - 1)
-        for i in range(2, k):
-            c[2 * i + 1] = c[2 * i + 2] = (k - i, 2 * i + 1, k - i)
-        c[a] = (0, a, 0)
-        for i in range(k - 1):
-            d[2 * i + 1] = d[2 * i + 2] = (i + 1, a - 2 * i - 2, i + 1)
-        d[2 * k - 1] = d[2 * k] = (k - 1, 3, k - 1)
-        d[a] = (0, a, 0)
-    else:
-        if a < 6:
-            raise PreconditionError("even tables start at a = 6")
-        c[1] = (k - 1, 2, k - 1)
-        c[2] = (k, 0, k)
-        for i in range(1, k - 1):
-            c[2 * i + 1] = c[2 * i + 2] = (k - i, 2 * i, k - i)
-        c[2 * k - 1] = (1, 2 * k - 2, 1)
-        c[2 * k] = (0, 2 * k, 0)
-        for i in range(k - 1):
-            d[2 * i + 1] = d[2 * i + 2] = (i + 1, a - 2 * i - 2, i + 1)
-        d[2 * k - 1] = d[2 * k] = (k - 1, 2, k - 1)
-    return c, d
-
-
-# ---------------------------------------------------------------------------
-# stabilizer of a family of partitions: refinement + individualization
 
 
 class _StabContext:
@@ -310,15 +247,15 @@ class _StabContext:
                     )
         ranked = {s: i for i, s in enumerate(sorted({tuple(s) for s in seeds}))}
         self.seed_colors = tuple(ranked[tuple(s)] for s in seeds)
-        # input coloring -> its refinement: the backtrack individualizes
-        # the same source-side colorings once for every target
-        self.refined = {}
-        # source input coloring -> its trace, the sorted signature integers
-        # of each refinement round
-        self.traces = {}
 
-    def refine(self, colors, source=None):
-        """Iterate block-signature refinement to a fixpoint; returns colors.
+    def refine(self, colors, trace=None):
+        """Iterate block-signature refinement to a fixpoint.  Returns the
+        refined coloring and its trace, the sorted distinct signatures of
+        each round.  Given the trace of a source coloring, the coloring is
+        a target with as many colors as the source: refinement stops,
+        returning None, at the first round whose signatures differ from
+        the source's.  A target that matches every round reaches the
+        fixpoint in the same round as the source.
 
         A point's signature is its color followed, for each partition, by
         the color tally of its block: the sorted (color, count) pairs.
@@ -326,24 +263,16 @@ class _StabContext:
         folded into one integer in mixed radix, the radix of a partition
         being its number of distinct tallies.  Ranks keep the tallies'
         order and each digit is below its radix, so the integers sort as
-        the tuples would and the labels are the tuple ranks.  Each input
-        coloring is refined once per context.
+        the tuples would and the labels are the tuple ranks.
 
-        Without a source the coloring is a source, and the sorted distinct
-        signatures of each of its rounds are kept as its trace.  A target
-        is refined against the trace of its source, an input coloring
-        refined before; it stops, returning None and caching nothing, at
-        the first round whose signatures differ from the source's or that
-        the source did not have.  The stop loses no image: a
-        partition-stabilizing map sending the source onto the target sends
-        each block to a block with the same tally, so each round gives the
-        target the source's signature integers and two colorings that the
-        map again sends one onto the other."""
-        hit = self.refined.get(colors)
-        if hit is not None and (source is not None or colors in self.traces):
-            return hit
-        start = colors
-        trace = [] if source is None else self.traces[source]
+        The stop loses no image: a partition-stabilizing map sending the
+        source onto the target sends each block to a block with the same
+        tally, so each round gives the target the source's signature
+        integers and two colorings that the map again sends one onto the
+        other.  A stopped target is the image of no such map."""
+        source = trace is None
+        if source:
+            trace = []
         count = len(set(colors))
         rnd = 0
         while True:
@@ -361,25 +290,38 @@ class _StabContext:
                     digits = [rank[t] for t in tallies]
                     sigs = [s * len(rank) + digits[i] for s, i in zip(sigs, block_of)]
             keys = sorted(set(sigs))
-            if source is None:
+            if source:
                 trace.append(keys)
-            elif rnd == len(trace) or keys != trace[rnd]:
+            elif keys != trace[rnd]:
                 return None
             rnd += 1
             ranked = {s: i for i, s in enumerate(keys)}
             colors = tuple([ranked[s] for s in sigs])
             if len(ranked) == count:
-                self.refined[start] = colors
-                if source is None:
-                    self.traces[start] = trace
-                return colors
+                return colors, trace
             count = len(ranked)
 
-    def class_profile(self, colors):
-        tally = {}
-        for c in colors:
-            tally[c] = tally.get(c, 0) + 1
-        return tuple(sorted(tally.items()))
+    def first_path(self, colors):
+        """The backtrack's first path from a refined coloring, as a list of
+        levels (coloring, branch cell, trace).  The branch cell, the one
+        rule for choosing where to branch, is the smallest cell of two or
+        more points, ties broken by the least point; it lists its points
+        in increasing order.  The level below individualizes the cell's
+        least point and refines, and the trace is that refinement's.  The
+        last level is discrete and has neither cell nor trace."""
+        path = []
+        while True:
+            cells = {}
+            for x, c in enumerate(colors):
+                cells.setdefault(c, []).append(x)
+            cell = min((pts for pts in cells.values() if len(pts) > 1),
+                       key=lambda pts: (len(pts), pts[0]), default=None)
+            if cell is None:
+                path.append((colors, None, None))
+                return path
+            below, trace = self.refine(self.individualize(colors, cell[0]))
+            path.append((colors, cell, trace))
+            colors = below
 
     def individualize(self, colors, x):
         """The coloring with x alone in a fresh color, unrefined."""
@@ -394,42 +336,31 @@ class _StabContext:
                     return False
         return True
 
-    def find_auto(self, src, tgt):
+    def find_auto(self, path, depth, tgt):
         """Exhaustive search for a partition-stabilizing bijection sending
-        the source coloring onto the target coloring; None if none exists.
-        The source is individualized at x once, and each target
-        individualized at y is refined against the source's trace.  A
-        target stopped there (None) has no image, as such a bijection
-        would make every refinement round equivariant and so repeat the
-        source's signatures; its branch returns None, as a full search
-        of it would."""
-        if tgt is None or self.class_profile(src) != self.class_profile(tgt):
+        the coloring at level `depth` of the first path onto the target
+        coloring; None if none exists.  The source side never branches: it
+        is the rest of the path.  The target branches at each point y of
+        the source's branch color, individualized and refined against the
+        level's trace.  A target stopped there has no image, as such a
+        bijection would make every refinement round equivariant and so
+        repeat the source's signatures; its branch returns None, as a full
+        search of it would."""
+        colors, cell, trace = path[depth]
+        if Counter(colors) != Counter(tgt):
             return None
-        cells = {}
-        for x, c in enumerate(src):
-            cells.setdefault(c, []).append(x)
-        branch = None
-        for c in sorted(cells, key=lambda c: (len(cells[c]), c)):
-            if len(cells[c]) > 1:
-                branch = c
-                break
-        if branch is None:
-            g = [0] * self.n
-            pos = {}
-            for y, c in enumerate(tgt):
-                pos[c] = y
-            for x, c in enumerate(src):
-                g[x] = pos[c]
-            g = tuple(g)
+        if cell is None:
+            pos = {c: y for y, c in enumerate(tgt)}
+            g = tuple(pos[c] for c in colors)
             return g if self.stabilizes(g) else None
-        x = min(cells[branch])
-        start = self.individualize(src, x)
-        src_x = self.refine(start)
-        targets = sorted(y for y, c in enumerate(tgt) if c == branch)
-        for y in targets:
-            found = self.find_auto(src_x, self.refine(self.individualize(tgt, y), start))
-            if found is not None:
-                return found
+        branch = colors[cell[0]]
+        for y, c in enumerate(tgt):
+            if c == branch:
+                below = self.refine(self.individualize(tgt, y), trace)
+                if below is not None:
+                    found = self.find_auto(path, depth + 1, below[0])
+                    if found is not None:
+                        return found
         return None
 
 
@@ -456,43 +387,37 @@ def _even_subgroup(G: PermGroup) -> PermGroup:
 def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
     """Group of all permutations of the ground set mapping every listed
     partition to itself (blocks permuted); parity="even" restricts to even
-    permutations.  Ground size is capped at GROUND_CAP."""
+    permutations.  Ground size is capped at GROUND_CAP.
+
+    The backtrack walks its first path once.  At each level, each point q
+    of the branch cell outside the orbit so far of its least point beta
+    is individualized, refined against the level's trace and matched by
+    find_auto against the rest of the path; a map found fixes the earlier
+    levels' points and sends beta to q.  A map found at an earlier level
+    moves that level's point, so each orbit grows from the level's own
+    maps.  The orbit lengths multiply to the order, which the generators'
+    chain must confirm."""
     if parity not in ("all", "even"):
         raise ValueError("parity must be 'all' or 'even'")
     ctx = _StabContext(list(partitions))
-    colors = ctx.refine(ctx.seed_colors)
+    path = ctx.first_path(ctx.refine(ctx.seed_colors)[0])
     gens = []
-    prefix = []
     order = 1
-    while True:
-        cells = {}
-        for x, c in enumerate(colors):
-            cells.setdefault(c, []).append(x)
-        target = None
-        for c in sorted(cells, key=lambda c: (len(cells[c]), min(cells[c]))):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            break
-        beta = min(target)
-        level_gens = [g for g in gens if all(g[p] == p for p in prefix)]
-        orb = orbit(beta, level_gens)
-        start = ctx.individualize(colors, beta)
-        src = ctx.refine(start)
-        for q in sorted(target):
+    for depth, (colors, cell, trace) in enumerate(path[:-1]):
+        level_gens = []
+        orb = {cell[0]}
+        for q in cell[1:]:
             if q in orb:
                 continue
-            found = ctx.find_auto(src, ctx.refine(ctx.individualize(colors, q), start))
+            tgt = ctx.refine(ctx.individualize(colors, q), trace)
+            found = None if tgt is None else ctx.find_auto(path, depth + 1, tgt[0])
             if found is not None:
                 if not ctx.stabilizes(found):
                     raise CertificationError("backtrack returned a non-stabilizing map")
-                gens.append(found)
                 level_gens.append(found)
-                orb = orbit(beta, level_gens)
+                orb = orbit(cell[0], level_gens)
+        gens += level_gens
         order *= len(orb)
-        prefix.append(beta)
-        colors = src
     G = PermGroup(gens, ctx.n)
     if G.order != order:
         raise CertificationError("generator set does not match the orbit chain")

@@ -61,28 +61,6 @@ def sign(p) -> int:
     return s
 
 
-def perm_order(p) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = _lcm(order, length)
-    return order
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 

@@ -26,13 +26,20 @@ ARGV = {
     "sp4-9-triple.json": ["sp4", "--q", "9", "--triple"],
     "stabilizer.json": ["stabilizer", "--ground", "6",
                         "--partitions", "{1,2,3}|{4,5,6};{1,4}|{2,5}|{3,6}"],
-    # large cells, where the backtrack's tie-break by color label picks
-    # each generator: the rows and columns of the 4x4 grid, and S3 wr S4
-    # meet A12
+    # large cells, where the first path's branch cells pick each
+    # generator: the rows and columns of the 4x4 grid, and S3 wr S4 meet
+    # A12
     "stabilizer-grid-4.json": [
         "stabilizer", "--ground", "16", "--partitions",
         "{1,2,3,4}|{5,6,7,8}|{9,10,11,12}|{13,14,15,16};"
         "{1,5,9,13}|{2,6,10,14}|{3,7,11,15}|{4,8,12,16}"],
+    # a family whose backtrack meets smallest cells of equal size, so a
+    # branch rule breaking the tie other than by the least point (by color
+    # label, say) finds other generators
+    "stabilizer-first-path-21.json": [
+        "stabilizer", "--ground", "21", "--partitions",
+        "{1,2,3}|{4,5,6}|{7,8,9}|{10,11,12}|{13,14,15}|{16,17,18}|{19,20,21};"
+        "{1,16,17}|{2,6,21}|{3,5,15}|{4,13,18}|{7,11,20}|{8,10,19}|{9,12,14}"],
     "stabilizer-wr-3-4-even.json": [
         "stabilizer", "--ground", "12", "--partitions",
         "{1,2,3}|{4,5,6}|{7,8,9}|{10,11,12}", "--parity", "even"],

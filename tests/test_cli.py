@@ -22,6 +22,7 @@ from minbase.invariants import AlphaCertificate, BaseSizeCertificate
 from minbase.lattice import GroupTable, Lattice
 from minbase.partitions import (
     CertificationError,
+    SetPartition,
     format_partition,
     parse_partition,
     partition_stabilizer,
@@ -659,7 +660,8 @@ def _padded(cert, size):
     seen = {parse_partition(p, n).canonical() for p in parts}
     first = parse_partition(parts[0], n)
     for shift in range(1, n):
-        rotated = first.apply(tuple((x + shift) % n for x in range(n)))
+        rotated = SetPartition.from_blocks(
+            n, [[(x + shift) % n for x in blk] for blk in first.blocks])
         if len(parts) < size and rotated.canonical() not in seen:
             seen.add(rotated.canonical())
             parts.append(format_partition(rotated))
@@ -718,15 +720,21 @@ def test_verify_accepts_an_upper_base_the_lemma_shows_exact(tmp_path):
 
 def _field_edits(node, path):
     """(path, new value) for each single-field edit at or below node: a
-    bool flipped, an int + 1, a non-empty list's last item dropped.
-    Strings are not edited."""
+    bool flipped, an int + 1 or made a float, a 0 or 1 made a bool, a
+    non-empty list's last item dropped, a dict given a key more.  Strings
+    are not edited."""
     if isinstance(node, bool):
         yield path, not node
     elif isinstance(node, int):
         yield path, node + 1
+        yield path, float(node)
+        if node in (0, 1):
+            yield path, bool(node)
     elif isinstance(node, (dict, list)):
         if isinstance(node, list) and node:
             yield path, node[:-1]
+        if isinstance(node, dict):
+            yield path, dict(node, unread=0)
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
             yield from _field_edits(child, path + (key,))
 

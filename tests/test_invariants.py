@@ -22,7 +22,8 @@ from minbase.lattice import (
     frattini,
     normal_subgroups,
 )
-from minbase.perm import CosetAction, PermGroup, perm_order
+from minbase.perm import CosetAction, PermGroup
+from test_perm import perm_order
 
 
 def lat_of(name, cap=1000):

@@ -24,14 +24,12 @@ from minbase.partitions import (
     construct_bcd_plus1,
     construct_bcd_plus2,
     cross_counts,
-    expected_signature_tables,
     format_partition,
     minimal_partition_base,
     parse_partition,
     partition_base_size_value,
     partition_stabilizer,
     random_uniform_partition,
-    signature_counts,
     uniform_partition,
     wreath_generators,
 )
@@ -94,6 +92,59 @@ def test_plus1_shape(a):
         assert D.blocks[a - 1] == B.blocks[a - 1]
 
 
+def signature_counts(C: SetPartition, D: SetPartition):
+    """Tallies (c, d): c[r][i] = #{s : |C_r ∩ D_s| = i} and the transpose
+    tally d[r][i] = #{s : |C_s ∩ D_r| = i}, for 1-based block indices r."""
+    m = cross_counts(C, D)
+    a = len(C.blocks)
+    c = {r: {} for r in range(1, a + 1)}
+    d = {r: {} for r in range(1, len(D.blocks) + 1)}
+    for r in range(a):
+        for s in range(len(D.blocks)):
+            v = m[r][s]
+            c[r + 1][v] = c[r + 1].get(v, 0) + 1
+            d[s + 1][v] = d[s + 1].get(v, 0) + 1
+    return c, d
+
+
+def expected_signature_tables(a: int):
+    """The paper's predicted c_r(i), d_r(i) values for the equal-case triple.
+
+    Returns (c, d) as dicts r -> (count at i=0, i=1, i=2); defined for
+    a >= 7 odd and a >= 6 even.
+    """
+    k = a // 2
+    c = {}
+    d = {}
+    if a % 2 == 1:
+        if a < 7:
+            raise PreconditionError("odd tables start at a = 7")
+        c[1] = (k - 1, 3, k - 1)
+        c[2] = (k, 1, k)
+        c[3] = (k - 2, 5, k - 2)
+        c[4] = (k - 1, 3, k - 1)
+        for i in range(2, k):
+            c[2 * i + 1] = c[2 * i + 2] = (k - i, 2 * i + 1, k - i)
+        c[a] = (0, a, 0)
+        for i in range(k - 1):
+            d[2 * i + 1] = d[2 * i + 2] = (i + 1, a - 2 * i - 2, i + 1)
+        d[2 * k - 1] = d[2 * k] = (k - 1, 3, k - 1)
+        d[a] = (0, a, 0)
+    else:
+        if a < 6:
+            raise PreconditionError("even tables start at a = 6")
+        c[1] = (k - 1, 2, k - 1)
+        c[2] = (k, 0, k)
+        for i in range(1, k - 1):
+            c[2 * i + 1] = c[2 * i + 2] = (k - i, 2 * i, k - i)
+        c[2 * k - 1] = (1, 2 * k - 2, 1)
+        c[2 * k] = (0, 2 * k, 0)
+        for i in range(k - 1):
+            d[2 * i + 1] = d[2 * i + 2] = (i + 1, a - 2 * i - 2, i + 1)
+        d[2 * k - 1] = d[2 * k] = (k - 1, 2, k - 1)
+    return c, d
+
+
 @pytest.mark.parametrize("a", [6, 7, 8, 9])
 def test_equal_shape_and_signatures(a):
     B, C, D = construct_bcd_equal(a)
@@ -143,7 +194,7 @@ def test_stabilizer_generators_stabilize():
     G = partition_stabilizer([part1, part2])
     for g in G.generators:
         for p in (part1, part2):
-            assert p.apply(g).canonical() == p.canonical()
+            assert apply_to_canonical(g, p.canonical()) == p.canonical()
 
 
 def test_stabilizer_matches_brute_force_random_families():
@@ -164,11 +215,12 @@ def test_stabilizer_even_matches_brute_force():
         assert got == brute_stabilizer_order(parts, parity="even")
 
 
-def oracle_refine(ctx, colors, source=None):
+def oracle_refine(ctx, colors, trace=None):
     """Oracle: refinement by tuple signatures, a point's color followed by
     the sorted (color, count) tally of its block in each partition, ranked
-    by sorting the tuples.  It ignores the source, so a backtrack patched
-    to use it refines every target in full: the unpruned backtrack."""
+    by sorting the tuples.  It ignores the trace and hands it back, so a
+    backtrack patched to use it refines every target in full: the
+    unpruned backtrack."""
     while True:
         profiles = [
             [tuple(sorted(Counter(colors[x] for x in blk).items())) for blk in blocks]
@@ -181,7 +233,7 @@ def oracle_refine(ctx, colors, source=None):
         ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = tuple(ranked[s] for s in sigs)
         if len(set(new)) == len(set(colors)):
-            return new
+            return new, trace
         colors = new
 
 
@@ -195,10 +247,10 @@ def test_refine_matches_tuple_signature_oracle(a, b, k, parity, rng):
     ctx = partitions._StabContext(parts)
     colors = ctx.seed_colors
     for x in rng.sample(range(a * b), min(a * b, 4)):
-        refined = ctx.refine(colors)
-        assert refined == oracle_refine(ctx, colors)
+        refined, _ = ctx.refine(colors)
+        assert refined == oracle_refine(ctx, colors)[0]
         colors = tuple(max(refined) + 1 if y == x else c for y, c in enumerate(refined))
-    assert ctx.refine(colors) == oracle_refine(ctx, colors)
+    assert ctx.refine(colors)[0] == oracle_refine(ctx, colors)[0]
     with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
         expected = partition_stabilizer(parts, parity).generators
     assert partition_stabilizer(parts, parity).generators == expected
@@ -213,7 +265,8 @@ def test_trace_stops_only_targets_without_an_image(a, b, k, parity, rng):
     # k partitions drawn as the search draws its candidates: the canonical
     # one, then random ones until the filter of that parity sees no forced
     # symmetry.  The source and each target individualize two points of
-    # one cell, as the backtrack's do.
+    # one cell, as the backtrack's do, and the source's first path is
+    # matched against each target, pruned and unpruned.
     assume(a * b <= 40)
     for _ in range(200):
         parts = [uniform_partition(a, b)]
@@ -221,25 +274,25 @@ def test_trace_stops_only_targets_without_an_image(a, b, k, parity, rng):
         if not _forced_symmetry([p.block_of() for p in parts], parity):
             break
     ctx = partitions._StabContext(parts)
-    colors = ctx.refine(ctx.seed_colors)
+    colors, _ = ctx.refine(ctx.seed_colors)
     cells = {}
     for z, c in enumerate(colors):
         cells.setdefault(c, []).append(z)
     shared = [cell for cell in cells.values() if len(cell) > 1]
     assume(shared)
     x, *targets = rng.choice(shared)
-    start = ctx.individualize(colors, x)
-    src = ctx.refine(start)
+    src, trace = ctx.refine(ctx.individualize(colors, x))
+    path = ctx.first_path(src)
     for y in targets:
-        pruned = ctx.refine(ctx.individualize(colors, y), start)
-        unpruned = oracle_refine(ctx, ctx.individualize(colors, y))
+        pruned = ctx.refine(ctx.individualize(colors, y), trace)
+        unpruned, _ = oracle_refine(ctx, ctx.individualize(colors, y))
         with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
-            image = ctx.find_auto(src, unpruned)
+            image = ctx.find_auto(path, 0, unpruned)
         if pruned is None:
             assert image is None
         else:
-            assert pruned == unpruned
-            assert ctx.find_auto(src, pruned) == image
+            assert pruned[0] == unpruned
+            assert ctx.find_auto(path, 0, pruned[0]) == image
 
 
 @pytest.mark.parametrize(
@@ -275,7 +328,7 @@ def test_plus2_triple_has_sporadic_symmetry_at_a6():
     assert G.order == 2
     g = G.generators[0]
     for part in (B, C, D):
-        assert part.apply(g).canonical() == part.canonical()
+        assert apply_to_canonical(g, part.canonical()) == part.canonical()
 
 
 def test_minimal_base_64_falls_back_to_search():

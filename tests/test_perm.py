@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,9 +17,13 @@ from minbase.perm import (
     orbit,
     orbits,
     parse_perm,
-    perm_order,
     sign,
 )
+
+
+def perm_order(p):
+    """Order of a permutation: the lcm of its cycle lengths."""
+    return math.lcm(*(len(cycle) for cycle in orbits(len(p), [p])))
 
 
 def brute_elements(gens, degree):
