@@ -17,7 +17,6 @@ from .fq import (
     Fq,
     all_vectors,
     bilinear,
-    factor_prime_power,
     frobenius_subspace,
     mat_det,
     mat_identity,
@@ -163,12 +162,11 @@ def sp4_triple_base_check(q: int) -> Sp4TripleReport:
     """For q = p^f (f >= 2, odd q >= 9): the pair stabilizer is scalar,
     the coordinate field power map fixes both pair points, and no proper
     power of it fixes the third point built from a field generator."""
-    p, f = factor_prime_power(q)
-    if f < 2:
+    F = Fq(q)
+    if F.f < 2:
         raise BudgetError("the triple check needs a proper extension field")
     if q % 2 == 0 or q < 9:
         raise BudgetError("q must be odd and at least 9")
-    F = Fq(q)
     pair = sp4_pair_stabilizer(q)
     mu = F.mu
     alpha = frozenset(
@@ -195,7 +193,7 @@ def sp4_triple_base_check(q: int) -> Sp4TripleReport:
 
     fixes_alpha = phi_pow(alpha, 1) == alpha
     fixes_beta = phi_pow(beta, 1) == beta
-    moves = [phi_pow(gamma, i) != gamma for i in range(1, f)]
+    moves = [phi_pow(gamma, i) != gamma for i in range(1, F.f)]
     verdict = pair.scalars_only and fixes_alpha and fixes_beta and all(moves)
     return Sp4TripleReport(
         q, pair.scalars_only, fixes_alpha, fixes_beta, moves, verdict

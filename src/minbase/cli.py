@@ -18,8 +18,8 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
-from . import bounds as bounds_mod
 from .bounds import FAMILY_BUILDERS, evaluate_qhat
 from .catalog import BUILTIN_NAMES, group_from_spec, spec_order
 from .classical import (
@@ -83,10 +83,9 @@ def _lattice(spec, cap):
 #
 # Witness commands (partition-base, base-size, alpha, beta) run
 # verify's own checker on the certificate before printing it.  Every other
-# command is deterministic: its body maps the certificate's inputs to the
-# certificate it prints (inputs, result, witnesses), and verify runs the
-# same body again (_verify_rerun).  Argparse dests are named as the inputs keys, so a
-# command hands its body vars(args).
+# command is deterministic: it maps its inputs to the certificate it
+# prints (inputs, result, witnesses), and verify runs it again on the
+# certificate's inputs, which name its argparse dests (_rerun).
 
 
 def _check(checker, cert, *context):
@@ -128,21 +127,16 @@ def cmd_base_size(args):
     return PASS, cert, [f"base size ({args.mode}) = {len(parts)}"]
 
 
-def _stabilizer_body(inputs):
-    ground, parity = inputs["ground"], inputs["parity"]
-    parts = [parse_partition(s, ground) for s in inputs["partitions"]]
-    G = partition_stabilizer(parts, parity)
-    return {
-        "inputs": {"ground": ground, "parity": parity,
+def cmd_stabilizer(args):
+    parts = [parse_partition(s, args.ground) for s in args.partitions]
+    G = partition_stabilizer(parts, args.parity)
+    cert = {
+        "inputs": {"ground": args.ground, "parity": args.parity,
                    "partitions": [format_partition(p) for p in parts]},
         "result": {"order": G.order},
         "witnesses": {"generators": [format_perm(g) for g in G.generators]},
     }
-
-
-def cmd_stabilizer(args):
-    cert = _stabilizer_body(dict(vars(args), partitions=args.partitions.split(";")))
-    return PASS, cert, [f"stabilizer order: {cert['result']['order']}"]
+    return PASS, cert, [f"stabilizer order: {G.order}"]
 
 
 def cmd_alpha(args):
@@ -200,32 +194,40 @@ def cmd_beta(args):
     return PASS, cert, [line]
 
 
-def _parse_qgrid(text):
+class QGrid(NamedTuple):
+    """The grids `qhat --q` admits: a comma list of at most `items` q
+    values and lo..hi ranges, every q in `values`."""
+
+    values: range
+    items: int
+
+    def __contains__(self, text):
+        try:
+            spans = _spans(text)
+        except ValueError:
+            return False
+        return len(spans) <= self.items and all(q in self.values for s in spans for q in s)
+
+
+def _spans(grid):
+    """(lo, hi) for each item of a comma list of values and lo..hi ranges."""
     out = []
-    for chunk in text.split(","):
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            for q in range(int(lo), int(hi) + 1):
-                try:
-                    bounds_mod.factor_prime_power(q)
-                except ValueError:
-                    continue
-                out.append(q)
-        else:
-            out.append(int(chunk))
+    for chunk in grid.split(","):
+        lo, dots, hi = chunk.partition("..")
+        out.append((int(lo), int(hi if dots else lo)))
     return out
 
 
-def _qhat_body(inputs):
-    family, grid, c = inputs["family"], inputs["q"], inputs["c"]
-    builder = FAMILY_BUILDERS[family]
+def cmd_qhat(args):
+    builder = FAMILY_BUILDERS[args.family]
     rows = []
-    for q in _parse_qgrid(grid):
+    for q in [q for lo, hi in _spans(args.q) for q in range(lo, hi + 1)]:
+        # every builder refuses a q that is no prime power
         try:
             table = builder(q)
         except ValueError:
             continue
-        res = evaluate_qhat(table, c)
+        res = evaluate_qhat(table, args.c)
         rows.append(
             {
                 "q": q,
@@ -242,28 +244,21 @@ def _qhat_body(inputs):
         )
     if not rows:
         raise PreconditionError("no admissible q in the grid")
-    return {
-        "inputs": {"family": family, "q": grid, "c": c},
-        "result": {"all_certified": all(r["certified"] for r in rows), "rows": rows},
+    ok = all(r["certified"] for r in rows)
+    cert = {
+        "inputs": {"family": args.family, "q": args.q, "c": args.c},
+        "result": {"all_certified": ok, "rows": rows},
         "witnesses": {},
     }
-
-
-def cmd_qhat(args):
-    cert = _qhat_body(vars(args))
-    result = cert["result"]
-    lines = [
+    return PASS if ok else FAIL, cert, [
         f"q={r['q']}: sum = {r['value_float']:.6g}  certified(<1) = {r['certified']}"
-        for r in result["rows"]
+        for r in rows
     ]
-    return PASS if result["all_certified"] else FAIL, cert, lines
 
 
-def _sp4_body(inputs):
-    q, triple = inputs["q"], inputs["triple"]
-    inputs = {"q": q, "triple": triple}
-    if triple:
-        rep = sp4_triple_base_check(q)
+def cmd_sp4(args):
+    if args.triple:
+        rep = sp4_triple_base_check(args.q)
         result = {
             "verdict": rep.verdict,
             "pair_scalars_only": rep.pair_scalars_only,
@@ -271,36 +266,29 @@ def _sp4_body(inputs):
             "phi_fixes_beta": rep.phi_fixes_beta,
             "phi_moves_gamma": rep.phi_moves_gamma,
         }
-        return {"inputs": inputs, "result": result, "witnesses": {}}
-    rep = sp4_pair_stabilizer(q)
-    result = {
-        "candidates": rep.candidates,
-        "survivor_count": len(rep.survivors),
-        "scalars_only": rep.scalars_only,
-    }
-    witnesses = {"survivors": [list(map(list, g)) for g in rep.survivors]}
-    return {"inputs": inputs, "result": result, "witnesses": witnesses}
-
-
-def cmd_sp4(args):
-    cert = _sp4_body(vars(args))
-    result = cert["result"]
-    if args.triple:
-        ok = result["verdict"]
+        ok, witnesses = rep.verdict, {}
         line = f"triple base check at q={args.q}: {'pass' if ok else 'FAIL'}"
     else:
-        ok = result["scalars_only"]
+        rep = sp4_pair_stabilizer(args.q)
+        result = {
+            "candidates": rep.candidates,
+            "survivor_count": len(rep.survivors),
+            "scalars_only": rep.scalars_only,
+        }
+        ok = rep.scalars_only
+        witnesses = {"survivors": [list(map(list, g)) for g in rep.survivors]}
         line = (
-            f"pair stabilizer at q={args.q}: {result['survivor_count']} survivors "
+            f"pair stabilizer at q={args.q}: {len(rep.survivors)} survivors "
             f"(expected {args.q - 1} scalars): {'pass' if ok else 'FAIL'}"
         )
+    cert = {"inputs": {"q": args.q, "triple": args.triple},
+            "result": result, "witnesses": witnesses}
     return PASS if ok else FAIL, cert, [line]
 
 
-def _orth_body(inputs):
-    n, q, pair_check = inputs["n"], inputs["q"], inputs["pair_check"]
-    inputs = {"n": n, "q": q, "pair_check": pair_check}
-    if pair_check:
+def cmd_orth(args):
+    n, q = args.n, args.q
+    if args.pair_check:
         rep = orth_odd_pair_check(n, q)
         result = {
             "stabilizer_size": rep.stabilizer_size,
@@ -312,44 +300,36 @@ def _orth_body(inputs):
             if rep.counterexample is None
             else {"counterexample": [list(r) for r in rep.counterexample]}
         )
-        return {"inputs": inputs, "result": result, "witnesses": witnesses}
-    cons = orth_odd_construct(n, q)
-    F = Fq(q)
-    phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime if F.f > 1 else None
-    result = {
-        "dim_U": len(cons.U),
-        "dim_W": len(cons.W),
-        "phi_moves_w_prime": phi_moves,
-    }
-    witnesses = {
-        "U": [list(v) for v in cons.U],
-        "W": [list(v) for v in cons.W],
-        "W_prime": [list(v) for v in cons.W_prime],
-        "basis": cons.basis_names,
-    }
-    return {"inputs": inputs, "result": result, "witnesses": witnesses}
-
-
-def cmd_orth(args):
-    cert = _orth_body(vars(args))
-    result = cert["result"]
-    if args.pair_check:
-        ok = result["verdict"]
-        lines = [
-            f"pair check O_{args.n}({args.q}): {result['survivors']} survivor(s) "
-            f"out of {result['stabilizer_size']}: {'pass' if ok else 'FAIL'}"
+        ok, lines = rep.verdict, [
+            f"pair check O_{n}({q}): {rep.survivors} survivor(s) "
+            f"out of {rep.stabilizer_size}: {'pass' if rep.verdict else 'FAIL'}"
         ]
     else:
-        ok = True
-        lines = [
-            f"constructed U, W, W' in dimension {args.n} over F_{args.q}",
-            f"phi moves W': {result['phi_moves_w_prime']}",
+        cons = orth_odd_construct(n, q)
+        F = Fq(q)
+        phi_moves = frobenius_subspace(F, cons.W_prime) != cons.W_prime if F.f > 1 else None
+        result = {
+            "dim_U": len(cons.U),
+            "dim_W": len(cons.W),
+            "phi_moves_w_prime": phi_moves,
+        }
+        witnesses = {
+            "U": [list(v) for v in cons.U],
+            "W": [list(v) for v in cons.W],
+            "W_prime": [list(v) for v in cons.W_prime],
+            "basis": cons.basis_names,
+        }
+        ok, lines = True, [
+            f"constructed U, W, W' in dimension {n} over F_{q}",
+            f"phi moves W': {phi_moves}",
         ]
+    cert = {"inputs": {"n": n, "q": q, "pair_check": args.pair_check},
+            "result": result, "witnesses": witnesses}
     return PASS if ok else FAIL, cert, lines
 
 
-def _soluble_body(inputs, cap=GroupTable.HARD_CAP):
-    rep = soluble_bounds_report(_lattice(inputs["spec"], cap))
+def cmd_soluble(args):
+    rep = soluble_bounds_report(_lattice(args.spec, args.cap))
     result = {
         "alpha": rep.alpha_value,
         "chief_length": rep.chief_length,
@@ -358,22 +338,16 @@ def _soluble_body(inputs, cap=GroupTable.HARD_CAP):
         "alpha_le_length": rep.alpha_le_length,
         "alpha_le_non_frattini": rep.alpha_le_non_frattini,
     }
-    return {"inputs": {"spec": inputs["spec"]}, "result": result, "witnesses": {}}
-
-
-def cmd_soluble(args):
-    cert = _soluble_body(vars(args), args.cap)
-    result = cert["result"]
-    ok = result["alpha_le_length"] and result["alpha_le_non_frattini"] in (True, None)
-    lines = [
-        f"{args.spec}: alpha={result['alpha']} chief_length={result['chief_length']} "
-        f"non_frattini={result['non_frattini_count']}: {'pass' if ok else 'FAIL'}"
+    ok = rep.alpha_le_length and rep.alpha_le_non_frattini in (True, None)
+    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
+    return PASS if ok else FAIL, cert, [
+        f"{args.spec}: alpha={rep.alpha_value} chief_length={rep.chief_length} "
+        f"non_frattini={rep.non_frattini_count}: {'pass' if ok else 'FAIL'}"
     ]
-    return PASS if ok else FAIL, cert, lines
 
 
-def _theorem4_body(inputs, cap=GroupTable.HARD_CAP):
-    rep = chief_factor_bound(_lattice(inputs["spec"], cap))
+def cmd_theorem4(args):
+    rep = chief_factor_bound(_lattice(args.spec, args.cap))
     result = {
         "alpha": rep.alpha_value,
         "bound": rep.bound,
@@ -389,18 +363,11 @@ def _theorem4_body(inputs, cap=GroupTable.HARD_CAP):
             for d, n in rep.nonabelian_classes
         ],
     }
-    return {"inputs": {"spec": inputs["spec"]}, "result": result, "witnesses": {}}
-
-
-def cmd_theorem4(args):
-    cert = _theorem4_body(vars(args), args.cap)
-    result = cert["result"]
-    ok = result["verdict"]
-    lines = [
-        f"{args.spec}: alpha={result['alpha']} <= bound={result['bound']}: "
-        f"{'pass' if ok else 'FAIL'}"
+    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
+    return PASS if rep.verdict else FAIL, cert, [
+        f"{args.spec}: alpha={rep.alpha_value} <= bound={rep.bound}: "
+        f"{'pass' if rep.verdict else 'FAIL'}"
     ]
-    return PASS if ok else FAIL, cert, lines
 
 
 def cmd_catalog(args):
@@ -419,11 +386,14 @@ def cmd_verify(args):
         raise PreconditionError(f"cannot read certificate: {exc}") from exc
     if not isinstance(cert, dict) or not isinstance(cert.get("command"), str):
         raise PreconditionError("certificate is not a JSON object with a command")
-    checker = _VERIFIERS.get(cert["command"])
-    if checker is None:
+    row = COMMANDS.get(cert["command"])
+    if row is None or row.check is None:
         raise PreconditionError(f"no verifier for command {cert['command']!r}")
     try:
-        ok = checker(cert)
+        _check_inputs(row, cert["inputs"])
+        # an input the command never reads is a forged claim, not a malformed one
+        names = {inp.name for inp in row.inputs if inp.cert}
+        ok = cert["inputs"].keys() == names and row.check(cert)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         # a field missing or of the wrong shape; a refusal is never "verified"
         raise PreconditionError(f"malformed certificate: {exc!r}") from exc
@@ -436,19 +406,17 @@ def cmd_verify(args):
 # a command has already built, and build their own under verify.
 
 
-def _is_base_certificate(cert, inputs, result):
-    """The certificate holds exactly the given inputs and result, compared
-    through JSON so that 1 never equals true, and as witnesses base_size
-    distinct partitions into a blocks of size b with trivial joint
-    stabilizer."""
-    a, b, ambient = (inputs[key] for key in ("a", "b", "ambient"))
+def _is_base_certificate(cert, result):
+    """The certificate holds exactly the given result, compared through
+    JSON so that 1 never equals true, and as witnesses base_size distinct
+    partitions into a blocks of size b with trivial joint stabilizer."""
+    a, b, ambient = (cert["inputs"][key] for key in ("a", "b", "ambient"))
     partition_base_size_value(a, b, ambient)  # refuses an invalid action
     listed = cert["witnesses"]["partitions"]
     parts = [parse_partition(s, a * b) for s in listed]
     # blocks of size b covering a*b points: a blocks
     return (
-        _same_result(cert, {"inputs": inputs, "result": result,
-                            "witnesses": {"partitions": listed}})
+        _same_result(cert, {"result": result, "witnesses": {"partitions": listed}})
         and len({p.canonical() for p in parts}) == len(parts) == result["base_size"]
         and all(len(blk) == b for p in parts for blk in p.blocks)
         and partition_stabilizer(parts, "all" if ambient == "sym" else "even").order == 1
@@ -457,37 +425,33 @@ def _is_base_certificate(cert, inputs, result):
 
 def _verify_partition_base(cert):
     """A certified base whose size is the paper's value for (a, b)."""
-    inputs = {key: cert["inputs"][key] for key in ("a", "b", "ambient")}
-    value = partition_base_size_value(inputs["a"], inputs["b"], inputs["ambient"])
+    value = partition_base_size_value(*(cert["inputs"][key] for key in ("a", "b", "ambient")))
     return _is_base_certificate(
-        cert, inputs, {"base_size": value, "stabilizer_order": 1, "claimed_value": value})
+        cert, {"base_size": value, "stabilizer_order": 1, "claimed_value": value})
 
 
 def _verify_base_size(cert):
     """A certified base, flagged exact exactly in mode exact, and then
     least by the rule of partitions._is_least_base_size."""
-    inputs = {key: cert["inputs"][key] for key in ("a", "b", "mode", "ambient")}
-    size = len(cert["witnesses"]["partitions"])
-    return (
-        _is_base_certificate(cert, inputs, {"base_size": size,
-                                            "exact": inputs["mode"] == "exact"})
-        and inputs["mode"] in ("exact", "upper")
-        and (inputs["mode"] == "upper" or _is_least_base_size(
-            inputs["a"], inputs["b"], inputs["ambient"], size))
-    )
+    inputs, size = cert["inputs"], len(cert["witnesses"]["partitions"])
+    exact = inputs["mode"] == "exact"
+    return _is_base_certificate(cert, {"base_size": size, "exact": exact}) and (
+        not exact or _is_least_base_size(inputs["a"], inputs["b"], inputs["ambient"], size))
 
 
-def _lattice_of(cert):
-    return _lattice(cert["inputs"]["spec"], GroupTable.HARD_CAP)
-
-
-def _element(table, word):
-    """The element of G a word names; None for an unreadable word or one
-    naming no element of G."""
-    try:
-        return table.index.get(parse_perm(word, table.degree))
-    except ParseError:
-        return None
+def _elements(table, words):
+    """The element of G each word names: None for an unreadable word or
+    one naming no element of G.  Anything but a JSON list of strings is
+    refused before a word is read."""
+    if not _is_words(words):
+        raise PreconditionError("witness words must be a JSON list of strings")
+    out = []
+    for word in words:
+        try:
+            out.append(table.index.get(parse_perm(word, table.degree)))
+        except ParseError:
+            out.append(None)
+    return out
 
 
 def _witness_subgroup(table, words):
@@ -495,8 +459,7 @@ def _witness_subgroup(table, words):
     unless each word names an element of G outside the subgroup the words
     before it generate, so a padded or unreadable list is no witness."""
     elems, gens = frozenset([table.identity]), []
-    for word in words:
-        g = _element(table, word)
+    for g in _elements(table, words):
         if g is None or g in elems:
             return None
         gens.append(g)
@@ -505,10 +468,7 @@ def _witness_subgroup(table, words):
 
 
 def _meet(table, sets):
-    out = frozenset(range(table.n))
-    for s in sets:
-        out &= s
-    return out
+    return frozenset(range(table.n)).intersection(*sets)
 
 
 def _irredundant(table, sets):
@@ -526,7 +486,7 @@ def _verify_alpha(cert, lat=None):
     from the lattice: the witness alone shows neither that no shorter list
     exists nor that the meet is Phi(G) and not a subgroup above it."""
     if lat is None:
-        lat = _lattice_of(cert)
+        lat = _lattice(cert["inputs"]["spec"], GroupTable.HARD_CAP)
     table = lat.table
     derived = alpha(lat)
     frat = _witness_subgroup(table, cert["witnesses"]["frattini_generators"])
@@ -559,13 +519,13 @@ def _verify_beta(cert, lat=None):
     per-class core evidence; beta and |Phi(G)| as re-derived from the
     lattice."""
     if lat is None:
-        lat = _lattice_of(cert)
+        lat = _lattice(cert["inputs"]["spec"], GroupTable.HARD_CAP)
     if type(cert["result"]["beta"]) is not int:
         return _verify_infinite_beta(cert, lat)
     table = lat.table
     derived = beta(lat)
     witness = _witness_subgroup(table, cert["witnesses"]["subgroup_generators"])
-    conjugators = [_element(table, w) for w in cert["witnesses"]["conjugator_words"]]
+    conjugators = _elements(table, cert["witnesses"]["conjugator_words"])
     if witness is None or None in conjugators:
         return False
     sub, gens = witness
@@ -615,10 +575,11 @@ def _verify_infinite_beta(cert, lat):
     })
 
 
-def _verify_rerun(cert):
-    """Deterministic commands: run the command's body again on the
-    certificate's inputs (group commands under the hard order cap)."""
-    return _same_result(cert, _BODIES[cert["command"]](cert["inputs"]))
+def _rerun(run):
+    """verify's checker for a deterministic command: the command run again
+    on the certificate's inputs, group commands under the hard order cap."""
+    return lambda cert: _same_result(
+        cert, run(argparse.Namespace(cap=GroupTable.HARD_CAP, **cert["inputs"]))[1])
 
 
 def _same_result(cert, derived):
@@ -628,105 +589,140 @@ def _same_result(cert, derived):
     return json.dumps(derived, sort_keys=True) == json.dumps(claimed, sort_keys=True)
 
 
-_BODIES = {
-    "stabilizer": _stabilizer_body,
-    "qhat": _qhat_body,
-    "sp4": _sp4_body,
-    "orth": _orth_body,
-    "soluble": _soluble_body,
-    "theorem4": _theorem4_body,
+# -- the command table ----------------------------------------------------------
+# One row per command: argparse, the input check of emit and verify, and
+# verify's choice of checker all read it.
+
+REQUIRED, DERIVED = object(), object()  # the command line must give it; the command works it out
+
+
+class Input(NamedTuple):
+    """An option string (a positional, or a DERIVED input's key), JSON type
+    (list: of strings, semicolon-separated on the command line), default,
+    choices (a tuple) or range, and whether the certificate records it."""
+
+    flag: str
+    kind: type
+    default: object = REQUIRED
+    within: object = None
+    cert: bool = True
+    help: str | None = None
+
+    @property
+    def name(self):  # the inputs key and argparse dest
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+class Command(NamedTuple):
+    """Help text, run (args -> exit status, certificate or None, report
+    lines), verify's checker (None: no certificate) and inputs."""
+
+    help: str
+    run: object
+    check: object = None
+    inputs: tuple = ()
+
+
+_PARSE = {int: int, str: str, list: lambda text: text.split(";")}
+
+
+def _is_words(value):
+    return type(value) is list and all(type(w) is str for w in value)
+
+
+def _check_inputs(row, inputs):
+    """Refuse a missing input (KeyError; a DERIVED one may be), one of the
+    wrong JSON type (true is no int; a flag is a bool), or one outside its
+    choices or range, before anything runs on it."""
+    for inp in row.inputs:
+        if not inp.cert or (inp.default is DERIVED and inp.name not in inputs):
+            continue
+        value = inputs[inp.name]
+        if not (_is_words(value) if inp.kind is list else type(value) is inp.kind):
+            raise PreconditionError(f"input {inp.name} must be a JSON {inp.kind.__name__}")
+        if inp.within is not None and value not in inp.within:
+            raise PreconditionError(f"input {inp.name} = {value!r} is outside {inp.within}")
+
+
+def _add_inputs(parser, inputs):
+    for inp in inputs:
+        kw = {"action": "store_true"} if inp.kind is bool else {"type": _PARSE[inp.kind]}
+        if type(inp.within) is tuple:
+            kw["choices"] = inp.within
+        if inp.flag.startswith("-"):  # argparse requires every positional
+            kw["required"] = inp.default is REQUIRED
+        if inp.default is not DERIVED:
+            parser.add_argument(inp.flag, default=inp.default, help=inp.help, **kw)
+
+
+_RUN = (
+    Input("--json", bool, False, cert=False, help="machine-readable output"),
+    Input("--seed", int, 1, cert=False),
+    Input("--out", str, None, cert=False, help="also write the certificate to this file"),
+)
+_ACTION = (
+    Input("-a", int),
+    Input("-b", int),
+    Input("--ambient", str, "sym", ("sym", "alt")),
+    Input("--budget", int, 100000, cert=False, help="search trial cap"),
+    *_RUN,
+)
+_GROUP = (Input("--spec", str), Input("order", int, DERIVED))
+_CAP = Input("--cap", int, 1000, cert=False, help="subgroup-lattice order cap")
+
+COMMANDS = {
+    "partition-base": Command("certified base for the partition action",
+                              cmd_partition_base, _verify_partition_base, _ACTION),
+    "base-size": Command("exact or upper base size for the partition action",
+                         cmd_base_size, _verify_base_size,
+                         (Input("--mode", str, "exact", ("exact", "upper")), *_ACTION)),
+    "stabilizer": Command("joint stabilizer of listed partitions",
+                          cmd_stabilizer, _rerun(cmd_stabilizer), (
+                              Input("--ground", int),
+                              Input("--partitions", list, help='semicolon-separated, '
+                                    'e.g. "{1,2}|{3,4};{1,3}|{2,4}"'),
+                              Input("--parity", str, "all", ("all", "even")),
+                              *_RUN)),
+    "alpha": Command("intersection number with witness",
+                     cmd_alpha, _verify_alpha, (*_GROUP, _CAP, *_RUN)),
+    "beta": Command("base number with witness",
+                    cmd_beta, _verify_beta, (*_GROUP, _CAP, *_RUN)),
+    "soluble": Command("intersection number vs chief-series bounds",
+                       cmd_soluble, _rerun(cmd_soluble), (_GROUP[0], _CAP, *_RUN)),
+    "theorem4": Command("chief-factor upper bound vs exact alpha",
+                        cmd_theorem4, _rerun(cmd_theorem4), (_GROUP[0], _CAP, *_RUN)),
+    "qhat": Command("exact-rational bound tables",
+                    cmd_qhat, _rerun(cmd_qhat), (
+                        Input("--family", str, within=tuple(sorted(FAMILY_BUILDERS))),
+                        Input("--q", str, within=QGrid(range(2, 4097), 8), help="comma "
+                              "list of up to 8 values and lo..hi ranges within 2..4096"),
+                        Input("--c", int, 3, range(1, 17), help="1..16"),
+                        *_RUN)),
+    "sp4": Command("symplectic pair/triple base checks",
+                   cmd_sp4, _rerun(cmd_sp4),
+                   (Input("--q", int), Input("--triple", bool, False), *_RUN)),
+    "orth": Command("odd orthogonal construction and pair check",
+                    cmd_orth, _rerun(cmd_orth), (
+                        Input("--n", int, 7),
+                        Input("--q", int, 3),
+                        Input("--pair-check", bool, False),
+                        *_RUN)),
+    "verify": Command("re-check an emitted certificate", cmd_verify,
+                      inputs=(Input("certificate", str, cert=False),)),
+    "catalog": Command("list builtin groups", cmd_catalog),
 }
 
-_VERIFIERS = {
-    **{command: _verify_rerun for command in _BODIES},
-    "partition-base": _verify_partition_base,
-    "base-size": _verify_base_size,
-    "alpha": _verify_alpha,
-    "beta": _verify_beta,
-}
 
-
-# -- argument parsing ---------------------------------------------------------
-
-
-def _add_common(p):
-    """Flags of every certificate subcommand."""
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", help="also write the certificate to this file")
-
-
-def _add_partition_action(p):
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
-    p.add_argument("--ambient", choices=["sym", "alt"], default="sym")
-    p.add_argument("--budget", type=int, default=100000, help="search trial cap")
-    _add_common(p)
-
-
-def build_parser():
+def build_parser(names=COMMANDS):
+    """The parser of the named commands: all of them by default, for
+    `minbase --help`; main names only the command its argv starts with."""
     parser = argparse.ArgumentParser(
         prog="minbase",
         description="certified minimal bases and intersection numbers for small groups",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("partition-base", help="certified base for the partition action")
-    _add_partition_action(p)
-    p.set_defaults(func=cmd_partition_base)
-
-    p = sub.add_parser("base-size", help="exact or upper base size for the partition action")
-    p.add_argument("--mode", choices=["exact", "upper"], default="exact")
-    _add_partition_action(p)
-    p.set_defaults(func=cmd_base_size)
-
-    p = sub.add_parser("stabilizer", help="joint stabilizer of listed partitions")
-    p.add_argument("--ground", type=int, required=True)
-    p.add_argument("--partitions", required=True,
-                   help='semicolon-separated, e.g. "{1,2}|{3,4};{1,3}|{2,4}"')
-    p.add_argument("--parity", choices=["all", "even"], default="all")
-    _add_common(p)
-    p.set_defaults(func=cmd_stabilizer)
-
-    for name, func, text in (
-        ("alpha", cmd_alpha, "intersection number with witness"),
-        ("beta", cmd_beta, "base number with witness"),
-        ("soluble", cmd_soluble, "intersection number vs chief-series bounds"),
-        ("theorem4", cmd_theorem4, "chief-factor upper bound vs exact alpha"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--spec", required=True)
-        p.add_argument("--cap", type=int, default=1000, help="subgroup-lattice order cap")
-        _add_common(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("qhat", help="exact-rational bound tables")
-    p.add_argument("--family", choices=sorted(FAMILY_BUILDERS), required=True)
-    p.add_argument("--q", required=True, help="comma list or lo..hi range")
-    p.add_argument("--c", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=cmd_qhat)
-
-    p = sub.add_parser("sp4", help="symplectic pair/triple base checks")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--triple", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_sp4)
-
-    p = sub.add_parser("orth", help="odd orthogonal construction and pair check")
-    p.add_argument("--n", type=int, default=7)
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--pair-check", action="store_true", dest="pair_check")
-    _add_common(p)
-    p.set_defaults(func=cmd_orth)
-
-    p = sub.add_parser("verify", help="re-check an emitted certificate")
-    p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("catalog", help="list builtin groups")
-    p.set_defaults(func=cmd_catalog)
-
+    for name in names:
+        _add_inputs(sub.add_parser(name, help=COMMANDS[name].help), COMMANDS[name].inputs)
     return parser
 
 
@@ -734,10 +730,13 @@ def main(argv=None):
     """Run one subcommand: write --out, print its report or certificate,
     and map refusals (every ValueError, and an exhausted search budget)
     to exit code 2."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
+    row = COMMANDS[args.cmd]
     t0 = time.time()
     try:
-        status, cert, lines = args.func(args)
+        _check_inputs(row, vars(args))
+        status, cert, lines = row.run(args)
     except SearchBudgetExceeded as exc:
         print(f"refused (budget): {exc}", file=sys.stderr)
         return REFUSED

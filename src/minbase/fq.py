@@ -86,9 +86,9 @@ class Field:
     """GF(q) with precomputed addition/multiplication/inverse tables."""
 
     def __init__(self, q: int):
-        p, f = factor_prime_power(q)
-        if q > 512:
+        if q > 512:  # before factoring, which takes O(q) steps on a prime q
             raise ValueError("table-based fields capped at q = 512")
+        p, f = factor_prime_power(q)
         self.q = q
         self.p = p
         self.f = f

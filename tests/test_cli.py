@@ -1,3 +1,4 @@
+import argparse
 import copy
 import io
 import json
@@ -352,6 +353,79 @@ def test_subcommands_reject_flags_they_do_not_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out
+    for name in ["partition-base", "base-size", "stabilizer", "alpha", "beta", "soluble",
+                 "theorem4", "qhat", "sp4", "orth", "verify", "catalog"]:
+        assert f"    {name} " in listed, name
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    # building every subcommand's parser took 72 add_argument calls a run
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["partition-base", "-a", "7", "-b", "5"]) == 0
+    assert 0 < len(calls) < 20
+
+
+# A small run of each command that prints a certificate
+ROW_ARGV = {
+    "partition-base": ["-a", "5", "-b", "3"],
+    "base-size": ["-a", "4", "-b", "2"],
+    "stabilizer": ["--ground", "4", "--partitions", "{1,2}|{3,4}"],
+    **{command: ["--spec", "S4"] for command in ["alpha", "beta", "soluble", "theorem4"]},
+    "qhat": ["--family", "g2", "--q", "9"],
+    "sp4": ["--q", "5"],
+    "orth": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_each_row_names_its_certificate_inputs(tmp_path, command):
+    row = cli.COMMANDS[command]
+    names = {inp.name for inp in row.inputs if inp.cert}
+    if command not in ROW_ARGV:
+        assert row.check is None and not names
+        return
+    code, cert = run_json(tmp_path, [command, *ROW_ARGV[command]])
+    assert code == 0
+    assert set(cert["inputs"]) == names
+
+
+@pytest.mark.parametrize("key, value", [
+    ("c", "100000"), ("q", "9..10000000"), ("c", "17"), ("c", "0"), ("q", "9..4097"),
+    ("q", "1..9"), ("q", ",".join(["9"] * 9)), ("q", "9.."),
+])
+def test_qhat_caps_refuse_in_emit_and_verify(tmp_path, capsys, key, value):
+    # c and every grid value unbounded once ran for minutes
+    start = time.perf_counter()
+    argv = dict({"--family": "g2", "--q": "9", "--c": "3"}, **{f"--{key}": value})
+    assert main(["qhat", *(word for pair in argv.items() for word in pair)]) == 2
+    code, cert = run_json(tmp_path, ["qhat", "--family", "g2", "--q", "9"])
+    assert code == 0
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(_edited(cert, ("inputs", key), int(value) if key == "c" else value)))
+    assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "is outside" in capsys.readouterr().err
+
+
+def test_qhat_caps_admit_their_bounds(tmp_path):
+    code, cert = run_json(tmp_path, ["qhat", "--family", "g2", "--q",
+                                     "9,16,25,49,64,81,121,4096", "--c", "16"])
+    assert code == 0 and len(cert["result"]["rows"]) == 8
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
 
 
 def test_verify_refuses_malformed_input(tmp_path):
@@ -718,11 +792,19 @@ def test_verify_accepts_an_upper_base_the_lemma_shows_exact(tmp_path):
     assert main(["verify", str(path)]) == 0
 
 
+# Values of every JSON type, out of range or unbounded (a qhat grid up to
+# 10^7), written over each field by the field-edit test
+FOREIGN = ("x", None, [], {}, -1, 0, 10**12, 2.5, True, [1], "9..10000000", 129)
+
+
 def _field_edits(node, path):
-    """(path, new value) for each single-field edit at or below node: a
-    bool flipped, an int + 1 or made a float, a 0 or 1 made a bool, a
-    non-empty list's last item dropped, a dict given a key more.  Strings
-    are not edited."""
+    """(path, new value) for each single-field edit at or below node: the
+    node replaced by each FOREIGN value other than itself, a bool flipped,
+    an int + 1 or made a float, a 0 or 1 made a bool, a non-empty list's
+    last item dropped, a dict given a key more."""
+    for new in FOREIGN:
+        if json.dumps(new) != json.dumps(node):
+            yield path, new
     if isinstance(node, bool):
         yield path, not node
     elif isinstance(node, int):

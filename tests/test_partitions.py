@@ -256,43 +256,53 @@ def test_refine_matches_tuple_signature_oracle(a, b, k, parity, rng):
     assert partition_stabilizer(parts, parity).generators == expected
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    st.integers(2, 10), st.integers(2, 5), st.integers(1, 3),
-    st.sampled_from(["all", "even"]), st.randoms(use_true_random=True),
-)
-def test_trace_stops_only_targets_without_an_image(a, b, k, parity, rng):
-    # k partitions drawn as the search draws its candidates: the canonical
-    # one, then random ones until the filter of that parity sees no forced
-    # symmetry.  The source and each target individualize two points of
-    # one cell, as the backtrack's do, and the source's first path is
-    # matched against each target, pruned and unpruned.
-    assume(a * b <= 40)
-    for _ in range(200):
-        parts = [uniform_partition(a, b)]
-        parts += [random_uniform_partition(a, b, rng) for _ in range(k - 1)]
-        if not _forced_symmetry([p.block_of() for p in parts], parity):
-            break
-    ctx = partitions._StabContext(parts)
-    colors, _ = ctx.refine(ctx.seed_colors)
-    cells = {}
-    for z, c in enumerate(colors):
-        cells.setdefault(c, []).append(z)
-    shared = [cell for cell in cells.values() if len(cell) > 1]
-    assume(shared)
-    x, *targets = rng.choice(shared)
-    src, trace = ctx.refine(ctx.individualize(colors, x))
-    path = ctx.first_path(src)
-    for y in targets:
-        pruned = ctx.refine(ctx.individualize(colors, y), trace)
-        unpruned, _ = oracle_refine(ctx, ctx.individualize(colors, y))
-        with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
-            image = ctx.find_auto(path, 0, unpruned)
-        if pruned is None:
-            assert image is None
-        else:
-            assert pruned[0] == unpruned
-            assert ctx.find_auto(path, 0, pruned[0]) == image
+def test_trace_stops_only_targets_without_an_image():
+    # The property runs inside this test so that its stops can be counted:
+    # without a floor, an edit that changes the derandomized examples could
+    # leave the pruning unexercised.
+    stops = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(2, 10), st.integers(2, 5), st.integers(1, 3),
+        st.sampled_from(["all", "even"]), st.randoms(use_true_random=True),
+    )
+    def check(a, b, k, parity, rng):
+        # k partitions drawn as the search draws its candidates: the canonical
+        # one, then random ones until the filter of that parity sees no forced
+        # symmetry.  The source and each target individualize two points of
+        # one cell, as the backtrack's do, and the source's first path is
+        # matched against each target, pruned and unpruned.
+        assume(a * b <= 40)
+        for _ in range(200):
+            parts = [uniform_partition(a, b)]
+            parts += [random_uniform_partition(a, b, rng) for _ in range(k - 1)]
+            if not _forced_symmetry([p.block_of() for p in parts], parity):
+                break
+        ctx = partitions._StabContext(parts)
+        colors, _ = ctx.refine(ctx.seed_colors)
+        cells = {}
+        for z, c in enumerate(colors):
+            cells.setdefault(c, []).append(z)
+        shared = [cell for cell in cells.values() if len(cell) > 1]
+        assume(shared)
+        x, *targets = rng.choice(shared)
+        src, trace = ctx.refine(ctx.individualize(colors, x))
+        path = ctx.first_path(src)
+        for y in targets:
+            pruned = ctx.refine(ctx.individualize(colors, y), trace)
+            unpruned, _ = oracle_refine(ctx, ctx.individualize(colors, y))
+            with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
+                image = ctx.find_auto(path, 0, unpruned)
+            if pruned is None:
+                assert image is None
+                stops.append(y)
+            else:
+                assert pruned[0] == unpruned
+                assert ctx.find_auto(path, 0, pruned[0]) == image
+
+    check()
+    assert len(stops) >= 10
 
 
 @pytest.mark.parametrize(
