@@ -703,7 +703,7 @@ COMMANDS = {
                    (Input("--q", int), Input("--triple", bool, False), *_RUN)),
     "orth": Command("odd orthogonal construction and pair check",
                     cmd_orth, _rerun(cmd_orth), (
-                        Input("--n", int, 7),
+                        Input("--n", int, 7, range(7, 128), help="7..127"),
                         Input("--q", int, 3),
                         Input("--pair-check", bool, False),
                         *_RUN)),

@@ -9,7 +9,7 @@ of each class by double-coset representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .perm import PermGroup, compose, format_perm, identity, inverse
 
@@ -139,7 +139,6 @@ class GroupTable:
 
 @dataclass(frozen=True)
 class SubgroupRecord:
-    parent: GroupTable = field(compare=False, repr=False)
     elements: frozenset
     order: int
     generators: tuple
@@ -178,7 +177,7 @@ class Lattice:
             cls = []
             for conj, c in table.conjugates(elems).items():
                 conj_gens = tuple(mul[mul[inv[c]][g]][c] for g in gens)
-                found[conj] = SubgroupRecord(table, conj, len(conj), conj_gens)
+                found[conj] = SubgroupRecord(conj, len(conj), conj_gens)
                 cls.append(found[conj])
             classes.append(cls)
 

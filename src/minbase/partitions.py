@@ -12,11 +12,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 from .errors import CertificationError
-from .perm import PermGroup, compose, identity, inverse, orbit, orbits, sign
+from .perm import PermGroup, compose, identity, inverse, orbit, sign
 
 
 class GroundMismatch(ValueError):
@@ -110,26 +108,6 @@ def uniform_partition(a, b) -> SetPartition:
     return SetPartition.from_blocks(
         a * b, [range(i * b, (i + 1) * b) for i in range(a)]
     )
-
-
-def all_uniform_partitions(a, b):
-    """Every partition of {0..ab-1} into a blocks of size b, canonical form."""
-    n = a * b
-    out = []
-
-    def rec(remaining, blocks):
-        if not remaining:
-            out.append(tuple(blocks))
-            return
-        anchor = remaining[0]
-        pool = remaining[1:]
-        for rest in combinations(pool, b - 1):
-            block = (anchor,) + rest
-            chosen = set(block)
-            rec([x for x in pool if x not in chosen], blocks + [block])
-
-    rec(list(range(n)), [])
-    return out
 
 
 def apply_to_canonical(g, blocks):
@@ -479,12 +457,6 @@ def wreath_generators(a, b):
     return gens
 
 
-def _orbit_reps(omega, index, gens):
-    """Least index into omega of each orbit under the given perms."""
-    induced = [[index[apply_to_canonical(g, P)] for P in omega] for g in gens]
-    return [orb[0] for orb in orbits(len(omega), induced)]
-
-
 def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=100000):
     """minimal_partition_base's base of the (a,b) partition action, for the
     caller to certify.  Mode "exact" first refuses, before any search,
@@ -493,60 +465,64 @@ def base_size_partitions(a, b, mode="exact", ambient="sym", seed=1, budget=10000
         raise ValueError("mode must be 'exact' or 'upper'")
     claimed = partition_base_size_value(a, b, ambient)
     if mode == "exact" and not _is_least_base_size(a, b, ambient, claimed):
-        raise PreconditionError(f"exact mode needs a lemma or ab <= 12 (got {a * b})")
+        raise PreconditionError(
+            f"exact mode has no lemma proving {claimed} least for {ambient} ({a},{b})")
     return minimal_partition_base(a, b, ambient=ambient, seed=seed, budget=budget)
 
 
 def _is_least_base_size(a, b, ambient, size):
-    """Given a base of that size, none is smaller: by the lemma, or for
-    ab <= 12 because no base one smaller exists.
+    """Given a base of that size, none is smaller, by the lemma below.  A
+    set holding a base is a base, so it suffices that none is one smaller.
 
-    The lemma: a single partition is never a base, since its stabilizer,
-    the block stabilizer, is never trivial.  Under sym with b = 2 or
-    a - b <= 2 no pair (P1, Q) is a base either.  If two points share a
-    cell of P1 and Q, their transposition fixes both.  Otherwise the points
-    are the edges of a b-regular simple bipartite graph on the blocks of P1
-    and of Q.  For b = 2 it is a union of even cycles; for a - b = 0, 1 or
-    2 its complement in K_{a,a} is empty, a perfect matching or a union of
-    even cycles.  Each has a nontrivial automorphism keeping the two sides,
-    which moves some vertex and with it the edges, that is points, at it."""
-    return (size == 2 or (ambient == "sym" and size == 3 and (b == 2 or a - b <= 2))
-            or (a * b <= 12 and not _has_base(a, b, ambient, size - 1)))
+    Size 2.  A single partition is never a base: its stabilizer holds a
+    3-cycle inside a block or, for b = 2, two blocks' transpositions.
 
+    Size 3, under sym when b = 2 or a - b <= 2, and under alt when b = 2,
+    a = b or a = b + 1: no pair (P, Q) is a base.  Let M be the a x a
+    matrix of the sizes |P_i meet Q_j|, its row and column sums b.  The
+    points of one entry form a cell, and any permutation of a cell fixes
+    P and Q.
+    - sym.  Two points sharing a cell give a transposition.  Otherwise the
+      points are the edges of a b-regular simple bipartite graph on the
+      blocks of P and of Q.  For b = 2 it is a union of even cycles; for
+      a - b = 0, 1 or 2 its complement in K_{a,a} is empty, a perfect
+      matching or a union of even cycles.  Each has a nontrivial
+      automorphism keeping the two sides, which moves some vertex and with
+      it the edges, that is points, at it.
+    - alt.  A cell of three points gives a 3-cycle and two cells of two a
+      double transposition, so let the entries be at most 2, with at most
+      one 2.
+      b = 2: the blocks and points form a 2-regular bipartite multigraph,
+      a union of cycles.  A cycle through 2k >= 4 blocks, turned by two
+      steps, keeps the sides and moves its 2k points in two k-cycles, an
+      even permutation.  With no such cycle every cycle is a doubled edge,
+      an entry 2, and a >= 3 of them are too many.
+      a = b: the entries sum to a^2, so M has as many 0s as 2s.  A 2 at
+      (r, c) needs a 0 elsewhere in row r and one elsewhere in column c,
+      two 0s.  So M = J: P and Q are the rows and columns of the a x a
+      grid, and a 3-cycle of the rows moves the points in 3-cycles.
+      a = b + 1: the entries sum to a^2 - a, so M has a more 0s than 2s.
+      With no 2, each row and column has one 0.  Number Q's blocks so that
+      the 0s lie on the diagonal; a 3-cycle of the indices, applied to
+      rows and columns alike, keeps M and moves the points in 3-cycles.
+      With one 2 at (r, c), row r has 0s in two columns j1, j2 and column
+      c in two rows i1, i2, and every other row and column has one 0.  So
+      rows i1 and i2 are all 1s but at c, and columns j1 and j2 all 1s but
+      at r.  Exchanging the two rows point by point is b transpositions,
+      and so is exchanging the two columns: together, an even permutation.
 
-@lru_cache(maxsize=None)
-def _has_base(a, b, ambient, size):
-    """Whether some `size` partitions form a base, by exhaustive DFS.
-
-    The symmetric and alternating groups are transitive on the partitions,
-    so a base may start with the canonical partition P1; each further pick
-    ranges over orbit representatives of the running stabilizer, first the
-    block stabilizer W.  An earlier pick is skipped: the stabilizer fixes
-    it, so picking it again changes nothing.  The result is cached: a
-    command's check of its own certificate asks again."""
-    n = a * b
-    omega = all_uniform_partitions(a, b)
-    index = {P: i for i, P in enumerate(omega)}
-    parity = "all" if ambient == "sym" else "even"
-    W = PermGroup(wreath_generators(a, b), n)
-    if parity == "even":
-        W = _even_subgroup(W)
-
-    def extend(picked, G, left):
-        if G.order == 1:
-            return True
-        if left <= 0:
-            return False
-        for rep in _orbit_reps(omega, index, G.generators):
-            if omega[rep] in picked:
-                continue
-            nxt = picked + [omega[rep]]
-            sub = partition_stabilizer([SetPartition.from_blocks(n, P) for P in nxt], parity)
-            if extend(nxt, sub, left - 1):
-                return True
-        return False
-
-    return extend([uniform_partition(a, b).canonical()], W, size - 1)
+    Size 4, under sym at (a, b) = (3, 2): no three partitions are a base.
+    The 15 partitions of six points into pairs (synthemes) are mapped onto
+    the 15 pairs (duads) by an outer automorphism of S6, which maps
+    transpositions to products of three (Sylvester).  So it suffices that
+    a transposition fixes any three duads.  If they cover at most four
+    points, the transposition of two points they miss does; otherwise one
+    of them is disjoint from the other two, and its own does."""
+    if size == 2:
+        return True
+    if size == 3:
+        return b == 2 or a - b <= (2 if ambient == "sym" else 1)
+    return size == 4 and ambient == "sym" and (a, b) == (3, 2)
 
 
 def random_uniform_partition(a, b, rng) -> SetPartition:

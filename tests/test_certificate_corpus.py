@@ -51,6 +51,9 @@ ARGV = {
                                   "--mode", "upper", "--seed", "1"],
     "base-size-9-4-exact-alt.json": ["base-size", "-a", "9", "-b", "4", "--mode",
                                      "exact", "--ambient", "alt", "--seed", "1"],
+    # an alt 3-base that only the no-pair lemma proves least
+    "base-size-10-2-exact-alt.json": ["base-size", "-a", "10", "-b", "2", "--mode",
+                                      "exact", "--ambient", "alt", "--seed", "1"],
     "stabilizer-grid-6.json": [
         "stabilizer", "--ground", "36", "--partitions",
         "|".join("{%s}" % ",".join(str(6 * i + j + 1) for j in range(6)) for i in range(6))

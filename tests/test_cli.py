@@ -640,19 +640,25 @@ def test_alt_two_bases_share_one_cell(tmp_path, a, b):
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
 
 
-@pytest.mark.parametrize("n", [8, 10, 12, 3, -1, 5])
+@pytest.mark.parametrize("n", [8, 10, 12, 3, -1, 5, 129, 100001])
 def test_orth_refuses_n_without_odd_construction(tmp_path, capsys, n):
     # the construction needs odd n >= 7, and so does the pair check, whose
-    # (7,3) budget comes second; verify refuses the rest too
+    # (7,3) budget comes second; the command table refuses n outside
+    # 7..127 before either (n = 100001 once ran past 20 s), and verify
+    # refuses the rest too
+    start = time.perf_counter()
+    reason = (f"n must be odd and at least 7 (got {n})" if n in range(7, 128)
+              else f"input n = {n} is outside range(7, 128)")
     for pair_check in ([], ["--pair-check"]):
         capsys.readouterr()
         assert main(["orth", "--n", str(n), "--q", "3"] + pair_check) == 2
-        assert capsys.readouterr().err == f"refused: n must be odd and at least 7 (got {n})\n"
+        assert capsys.readouterr().err == f"refused: {reason}\n"
     code, cert = run_json(tmp_path, ["orth", "--n", "7", "--q", "3"])
     assert code == 0
     path = tmp_path / "even.json"
     path.write_text(json.dumps(dict(cert, inputs=dict(cert["inputs"], n=n))))
     assert main(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_rejects_forged_orth_witness(tmp_path, capsys):
@@ -748,9 +754,11 @@ def _padded(cert, size):
     (["-a", "4", "-b", "2", "--mode", "exact"], 4),
     (["-a", "3", "-b", "2", "--mode", "exact"], 5),
     (["-a", "3", "-b", "2", "--mode", "exact", "--ambient", "alt"], 4),
-    # ab = 15: beyond the enumeration, an exact claim above 2 is refused
-    # unless the no-pair lemma gives it
+    # an exact claim above 2 is least only by the lemma, which proves 3
+    # least here and no larger size
     (["-a", "5", "-b", "3", "--mode", "upper"], 4),
+    (["-a", "10", "-b", "2", "--mode", "exact", "--ambient", "alt"], 4),
+    (["-a", "7", "-b", "6", "--mode", "exact", "--ambient", "alt"], 4),
 ])
 def test_verify_rejects_a_padded_exact_base_size(tmp_path, capsys, argv, size):
     code, cert = run_json(tmp_path, ["base-size", *argv])
@@ -767,6 +775,9 @@ def test_verify_rejects_a_padded_exact_base_size(tmp_path, capsys, argv, size):
     ["-a", "8", "-b", "3", "--ambient", "alt"],
     # ab > 12 with b = 2 or a - b <= 2: the no-pair lemma shows 3 least
     *(["-a", str(a), "-b", str(b)] for a, b in [(7, 2), (20, 2), (4, 4), (6, 4), (64, 2)]),
+    # and under alt with b = 2, a = b or a = b + 1
+    *(["-a", str(a), "-b", str(b), "--ambient", "alt"]
+      for a, b in [(4, 4), (5, 5), (10, 2), (7, 6)]),
 ])
 def test_verify_accepts_genuine_exact_base_sizes(tmp_path, argv):
     code, cert = run_json(tmp_path, ["base-size", *argv, "--mode", "exact"])
