@@ -463,12 +463,12 @@ def _witness_subgroup(table, words):
         if g is None or g in elems:
             return None
         gens.append(g)
-        elems = table.closure(gens)
+        elems = table.closure(gens, elems)
     return elems, gens
 
 
 def _meet(table, sets):
-    return frozenset(range(table.n)).intersection(*sets)
+    return table.whole.intersection(*sets)
 
 
 def _irredundant(table, sets):

@@ -4,7 +4,8 @@ A GroupTable holds the full element list of an ambient permutation group
 (capped order) with a multiplication table, so subgroups become frozensets
 of element indices and intersections become set operations.  The lattice
 is generated one conjugacy class at a time, by extending a representative
-of each class by double-coset representatives.
+of each class by double-coset representatives; each extension is closed by
+whole left cosets of the representative.
 """
 
 from __future__ import annotations
@@ -16,6 +17,16 @@ from .perm import PermGroup, compose, format_perm, identity, inverse
 
 class OrderCapExceeded(ValueError):
     pass
+
+
+def _least_prime_factor(m: int) -> int:
+    """Least prime factor of an integer m > 1."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            return p
+        p += 1
+    return m
 
 
 class GroupTable:
@@ -50,6 +61,7 @@ class GroupTable:
                     frontier.append(y)
         self.mul = mul
         self.inv = [index[inverse(p)] for p in elems]
+        self.whole = frozenset(range(self.n))
         self.gen_idx = [index[g] for g in group.generators]
         if not self.gen_idx:
             self.gen_idx = [self.identity]
@@ -63,21 +75,42 @@ class GroupTable:
 
     # -- elementary operations ----------------------------------------------
 
-    def closure(self, gens):
-        """Subgroup generated by the given element indices, as a frozenset."""
-        e = self.identity
-        seen = {e}
-        frontier = [e]
-        mul = self.mul
-        gens = [g for g in gens if g != e]
-        while frontier:
-            x = frontier.pop()
-            row = mul[x]
-            for g in gens:
-                y = row[g]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+    def closure(self, gens, base=None):
+        """Subgroup generated by the given element indices, as a frozenset.
+
+        base, when given, is the element set of a subgroup H that gens[:-1]
+        generate (or any subgroup of <gens>), and the result <H, gens> is
+        grown by whole left cosets of H (Dimino's method): a representative
+        y adds yH at once, and s*y for each generator s is a new
+        representative exactly when it is not yet seen.  The seen set is
+        closed under left multiplication by gens when every s*y is seen.
+        Without base, H is the trivial subgroup.  The order of <H, gens> is
+        a multiple of |H| dividing |G|, so once more elements are seen than
+        the largest proper such divisor (Lagrange), the result is G."""
+        e, n, mul = self.identity, self.n, self.mul
+        if base is None:
+            base = (e,)
+        m = n // len(base)
+        if m == 1:
+            return self.whole
+        # the largest proper divisor of n that |H| divides is n / p, for p
+        # the least prime factor of the index m
+        bound = n // _least_prime_factor(m)
+        gen_rows = [mul[g] for g in gens if g != e]
+        seen = set(base)
+        trivial = len(base) == 1  # each coset one element: add beats update
+        reps = [e]
+        for y in reps:  # grows as the walk does
+            for row in gen_rows:
+                w = row[y]
+                if w not in seen:
+                    if trivial:
+                        seen.add(w)
+                    else:
+                        seen.update(map(mul[w].__getitem__, base))
+                    if len(seen) > bound:
+                        return self.whole
+                    reps.append(w)
         return frozenset(seen)
 
     def conjugate_set(self, elems, g):
@@ -104,24 +137,26 @@ class GroupTable:
 
     def double_coset_reps(self, elems, gens):
         """Least element of each double coset HgH outside H, in increasing
-        order, where H is the subgroup on elems generated by gens."""
+        order, where H is the subgroup on elems generated by gens.
+
+        HgH is the union of the left cosets hgH, so the walk marks whole
+        left cosets: from gH it reaches every hgH by left multiplication by
+        the generators of H."""
         mul = self.mul
-        gens = list(gens) or [self.identity]
-        visited = bytearray(self.n)
-        for x in elems:
-            visited[x] = 1
+        gen_rows = [mul[h] for h in gens]
+        seen = set(elems)
         for g in range(self.n):
-            if visited[g]:
+            if g in seen:
                 continue
+            seen.update(map(mul[g].__getitem__, elems))
             stack = [g]
-            visited[g] = 1
             while stack:
-                x = stack.pop()
-                for h in gens:
-                    for y in (mul[h][x], mul[x][h]):
-                        if not visited[y]:
-                            visited[y] = 1
-                            stack.append(y)
+                y = stack.pop()
+                for row in gen_rows:
+                    w = row[y]
+                    if w not in seen:
+                        seen.update(map(mul[w].__getitem__, elems))
+                        stack.append(w)
             yield g
 
     def is_maximal(self, elems, gens):
@@ -129,7 +164,7 @@ class GroupTable:
         exactly when <H, g> is the whole group for every double coset HgH
         outside H."""
         return len(elems) < self.n and all(
-            len(self.closure(list(gens) + [g])) == self.n
+            len(self.closure(list(gens) + [g], elems)) == self.n
             for g in self.double_coset_reps(elems, gens)
         )
 
@@ -182,7 +217,7 @@ class Lattice:
             classes.append(cls)
 
         meet(frozenset([table.identity]), ())
-        meet(frozenset(range(m)), tuple(table.gen_idx))
+        meet(table.whole, tuple(table.gen_idx))
         for cls in classes:  # grows while it is walked
             rep = cls[0]
             if rep.order == m:
@@ -192,7 +227,7 @@ class Lattice:
             if 2 * rep.order < m:
                 gens = list(rep.generators)
                 for g in table.double_coset_reps(rep.elements, gens):
-                    new_elems = table.closure(gens + [g])
+                    new_elems = table.closure(gens + [g], rep.elements)
                     if len(new_elems) < m:
                         reached_only_full = False
                         meet(new_elems, tuple(gens) + (g,))
@@ -217,7 +252,7 @@ def frattini(lattice: Lattice) -> SubgroupRecord:
     maxs = lattice.maximal_subgroups()
     table = lattice.table
     if not maxs:
-        return lattice.find(frozenset(range(table.n)))
+        return lattice.find(table.whole)
     elems = frozenset.intersection(*(rec.elements for rec in maxs))
     return lattice.find(elems)
 
@@ -225,7 +260,7 @@ def frattini(lattice: Lattice) -> SubgroupRecord:
 def core(lattice: Lattice, H: SubgroupRecord) -> SubgroupRecord:
     """Largest normal subgroup inside H: intersection over all conjugates."""
     table = lattice.table
-    if not H.elements <= frozenset(range(table.n)):
+    if not H.elements <= table.whole:
         raise ValueError("H does not live in this group")
     return lattice.find(frozenset.intersection(*table.conjugates(H.elements)))
 
@@ -246,7 +281,7 @@ def commutator_subgroup(table: GroupTable, A, B):
 
 
 def is_soluble(table: GroupTable) -> bool:
-    cur = frozenset(range(table.n))
+    cur = table.whole
     while len(cur) > 1:
         nxt = commutator_subgroup(table, cur, cur)
         if nxt == cur:

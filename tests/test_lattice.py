@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minbase import lattice, perm
 from minbase.catalog import BUILTIN_NAMES, SOLUBLE_CATALOG, group_from_spec
@@ -204,6 +206,100 @@ def test_closure_matches_brute(s4_lattice):
         assert got == frozenset(elems)
 
 
+def oracle_closure(table, gens):
+    """Oracle: the closure walked element by element, each seen element
+    times each generator, with no coset and no early stop."""
+    e, mul = table.identity, table.mul
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        row = mul[frontier.pop()]
+        for g in gens:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def oracle_double_coset_reps(table, elems, gens):
+    """Oracle: the least element of each double coset HgH outside H, each
+    double coset walked element by element on both sides."""
+    mul = table.mul
+    gens = list(gens) or [table.identity]
+    visited = bytearray(table.n)
+    for x in elems:
+        visited[x] = 1
+    reps = []
+    for g in range(table.n):
+        if visited[g]:
+            continue
+        stack = [g]
+        visited[g] = 1
+        while stack:
+            x = stack.pop()
+            for h in gens:
+                for y in (mul[h][x], mul[x][h]):
+                    if not visited[y]:
+                        visited[y] = 1
+                        stack.append(y)
+        reps.append(g)
+    return reps
+
+
+# C7: prime order, so every nonidentity element generates the whole group;
+# S1: order 1, where the trivial subgroup is the whole group
+CLOSURE_SPECS = ["S4", "S5", "A6", "PGL27", "C7", "S1"]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_coset_closure_and_double_cosets_match_the_oracles(spec):
+    # The property runs inside this test so that its outcomes can be
+    # counted: the drawn cases must reach the whole group, where the
+    # Lagrange stop fires, and, beside it, a proper subgroup.
+    table = GroupTable(group_from_spec(spec))
+    sizes = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, table.n - 1), min_size=1, max_size=4))
+    def check(gens):
+        want = oracle_closure(table, gens)
+        base = table.closure(gens[:-1])
+        assert base == oracle_closure(table, gens[:-1])
+        assert table.closure(gens) == want
+        assert table.closure(gens, base) == want
+        for elems, sub_gens in ((base, gens[:-1]), (want, gens)):
+            assert list(table.double_coset_reps(elems, sub_gens)) == (
+                oracle_double_coset_reps(table, elems, sub_gens)
+            )
+        sizes.add(len(want))
+
+    check()
+    assert table.n in sizes
+    if table.n > 7:
+        assert min(sizes) < table.n
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_coset_closure_edge_cases(spec):
+    table = GroupTable(group_from_spec(spec))
+    e, whole = table.identity, frozenset(range(table.n))
+    trivial = frozenset([e])
+    # a base that is already the whole group has no proper divisor to stop
+    # at: it comes back at once, whatever the new generator
+    for g in (e, table.n - 1):
+        assert table.closure(table.gen_idx + [g], whole) == whole
+    # the identity alone, or nothing, generates the trivial subgroup
+    for gens in ([], [e], [e, e]):
+        assert table.closure(gens) == trivial
+        assert table.closure(gens, trivial) == trivial
+    assert table.closure(table.gen_idx) == whole
+    assert list(table.double_coset_reps(whole, table.gen_idx)) == []
+    assert list(table.double_coset_reps(trivial, [])) == [
+        g for g in range(table.n) if g != e
+    ]
+
+
 @pytest.mark.parametrize("spec", ["S4", "S5", "PGL27"])
 def test_is_maximal_matches_the_lattice(spec):
     # oracle: a proper subgroup is maximal when no subgroup lies strictly
@@ -282,16 +378,17 @@ def test_s6_class_walk_counts(monkeypatch):
     calls = [0]
     original = GroupTable.closure
 
-    def counted(self, gens):
+    def counted(self, gens, *rest):
         calls[0] += 1
-        return original(self, gens)
+        return original(self, gens, *rest)
 
     monkeypatch.setattr(GroupTable, "closure", counted)
     lat = Lattice(table)
     assert len(lat.subgroups) == 1455
     assert len(lat.classes) == 56
     assert len(lat.maximal_subgroups()) == 53
-    assert calls[0] < 5000
+    # one closure per extension, as perfbench/selftest.py prints
+    assert calls[0] == 2289
 
 
 def test_hard_cap_admits_no_nonabelian_chief_factor_t_squared():
