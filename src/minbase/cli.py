@@ -11,13 +11,13 @@ timing appears only in the human-readable report.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .bounds import FAMILY_BUILDERS, evaluate_qhat
@@ -53,18 +53,15 @@ from .perm import ParseError, format_perm, parse_perm
 PASS, FAIL, REFUSED = 0, 1, 2
 
 
-def _emit(args, cert, human_lines, elapsed):
-    """Write --out, then print: a reader that closes stdout early does not
-    cost the file."""
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(cert, fh, indent=1, sort_keys=True, default=str)
-    if args.json:
-        print(json.dumps(cert, indent=1, sort_keys=True, default=str))
-    else:
-        for line in human_lines:
-            print(line)
-        print(f"[{elapsed:.2f}s]")
+def _write_out(path, cert):
+    """Write the certificate to --out, if given; a path that cannot be
+    written is a refusal, as an unreadable one is to verify."""
+    if path:
+        try:
+            with open(path, "w") as fh:
+                json.dump(cert, fh, indent=1, sort_keys=True, default=str)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write certificate: {exc}") from exc
 
 
 def _lattice(spec, cap):
@@ -85,7 +82,7 @@ def _lattice(spec, cap):
 # verify's own checker on the certificate before printing it.  Every other
 # command is deterministic: it maps its inputs to the certificate it
 # prints (inputs, result, witnesses), and verify runs it again on the
-# certificate's inputs, which name its argparse dests (_rerun).
+# certificate's inputs, which name its args attributes (_rerun).
 
 
 def _check(checker, cert, *context):
@@ -579,7 +576,7 @@ def _rerun(run):
     """verify's checker for a deterministic command: the command run again
     on the certificate's inputs, group commands under the hard order cap."""
     return lambda cert: _same_result(
-        cert, run(argparse.Namespace(cap=GroupTable.HARD_CAP, **cert["inputs"]))[1])
+        cert, run(SimpleNamespace(cap=GroupTable.HARD_CAP, **cert["inputs"]))[1])
 
 
 def _same_result(cert, derived):
@@ -590,8 +587,8 @@ def _same_result(cert, derived):
 
 
 # -- the command table ----------------------------------------------------------
-# One row per command: argparse, the input check of emit and verify, and
-# verify's choice of checker all read it.
+# One row per command: the command line, the input check of emit and
+# verify, and verify's choice of checker all read it.
 
 REQUIRED, DERIVED = object(), object()  # the command line must give it; the command works it out
 
@@ -609,7 +606,7 @@ class Input(NamedTuple):
     help: str | None = None
 
     @property
-    def name(self):  # the inputs key and argparse dest
+    def name(self):  # the inputs key and args attribute
         return self.flag.lstrip("-").replace("-", "_")
 
 
@@ -642,17 +639,6 @@ def _check_inputs(row, inputs):
             raise PreconditionError(f"input {inp.name} must be a JSON {inp.kind.__name__}")
         if inp.within is not None and value not in inp.within:
             raise PreconditionError(f"input {inp.name} = {value!r} is outside {inp.within}")
-
-
-def _add_inputs(parser, inputs):
-    for inp in inputs:
-        kw = {"action": "store_true"} if inp.kind is bool else {"type": _PARSE[inp.kind]}
-        if type(inp.within) is tuple:
-            kw["choices"] = inp.within
-        if inp.flag.startswith("-"):  # argparse requires every positional
-            kw["required"] = inp.default is REQUIRED
-        if inp.default is not DERIVED:
-            parser.add_argument(inp.flag, default=inp.default, help=inp.help, **kw)
 
 
 _RUN = (
@@ -713,30 +699,144 @@ COMMANDS = {
 }
 
 
-def build_parser(names=COMMANDS):
-    """The parser of the named commands: all of them by default, for
-    `minbase --help`; main names only the command its argv starts with."""
-    parser = argparse.ArgumentParser(
-        prog="minbase",
-        description="certified minimal bases and intersection numbers for small groups",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in names:
-        _add_inputs(sub.add_parser(name, help=COMMANDS[name].help), COMMANDS[name].inputs)
-    return parser
+# -- the command line -----------------------------------------------------------
+# Read from the table too: argparse's first use cost a cold process 1-4 ms
+# on a 2-core VM, a third of a typical emit or verify.
+
+HELP = ("-h", "--help")
+
+
+def _is_option(word):
+    """A word naming an option: a leading '-', unless the word is '-' alone
+    or a negative integer, which are values."""
+    return len(word) > 1 and word[0] == "-" and not word[1:].isdigit()
+
+
+def _synopsis(inp):
+    """An input as usage shows it: `--flag NAME` or `--flag {choices}`, a
+    bool input as its bare flag, a positional by its name."""
+    if inp.kind is bool or not inp.flag.startswith("-"):
+        return inp.flag
+    metavar = "{%s}" % ",".join(inp.within) if type(inp.within) is tuple else inp.name.upper()
+    return f"{inp.flag} {metavar}"
+
+
+def _note(inp):
+    """An input's help text and its default, if it has one to show."""
+    notes = [inp.help] if inp.help else []
+    if inp.kind is not bool and inp.default not in (REQUIRED, None):
+        notes.append(f"default {inp.default}")
+    return "; ".join(notes)
+
+
+class CommandLine(NamedTuple):
+    """argv -> one command's inputs, read from its row of the table: the
+    command's name, then each input as `--flag value` or `--flag=value`
+    (exact option strings, never abbreviated), a bool input as its bare
+    flag, a positional as itself.  Malformed argv prints a usage line and
+    the reason to stderr and exits 2; -h or --help prints the commands, or
+    one command's inputs, and exits 0."""
+
+    commands: dict
+
+    def inputs(self, name):
+        """The inputs of the named command that the command line gives."""
+        return [inp for inp in self.commands[name].inputs if inp.default is not DERIVED]
+
+    def usage(self, name=None):
+        if name is None:
+            return "usage: minbase {%s} ..." % ",".join(self.commands)
+        return " ".join(["usage: minbase", name, *(
+            _synopsis(inp) if inp.default is REQUIRED else f"[{_synopsis(inp)}]"
+            for inp in self.inputs(name))])
+
+    def help(self, name=None):
+        if name is None:
+            head = ["certified minimal bases and intersection numbers for small groups",
+                    "", "commands:"]
+            entries = [(key, row.help) for key, row in self.commands.items()]
+        else:
+            head = [self.commands[name].help]
+            entries = [(_synopsis(inp), _note(inp)) for inp in self.inputs(name)]
+            head += ["", "inputs:"] if entries else []
+        width = max((len(key) for key, _ in entries), default=0)
+        return "\n".join([self.usage(name), "", *head, *(
+            f"    {key:{width}s}  {text}".rstrip() for key, text in entries)])
+
+    def fail(self, name, reason):
+        sys.stderr.write(f"{self.usage(name)}\nminbase: error: {reason}\n")
+        raise SystemExit(REFUSED)
+
+    def parse_args(self, argv):
+        """A namespace of `cmd`, the command's name, and its inputs, each
+        as given or its default."""
+        name = argv[0] if argv else None
+        if name in HELP:
+            print(self.help())
+            raise SystemExit(PASS)
+        if name not in self.commands:
+            self.fail(None, f"unknown command {name!r}" if argv else "a command is required")
+        inputs = self.inputs(name)
+        options = {inp.flag: inp for inp in inputs if inp.flag.startswith("-")}
+        positionals = [inp for inp in inputs if not inp.flag.startswith("-")]
+        values = {inp.name: inp.default for inp in inputs}
+        words = iter(argv[1:])
+        for word in words:
+            if word in HELP:
+                print(self.help(name))
+                raise SystemExit(PASS)
+            if not _is_option(word):
+                if not positionals:
+                    self.fail(name, f"unrecognized argument {word!r}")
+                inp, value = positionals.pop(0), word
+            else:
+                flag, eq, value = word.partition("=")
+                inp = options.get(flag)
+                if inp is None:
+                    self.fail(name, f"unknown option {flag} (options are never abbreviated)")
+                if inp.kind is bool:
+                    if eq:
+                        self.fail(name, f"{flag} takes no value")
+                    values[inp.name] = True
+                    continue
+                if not eq:
+                    value = next(words, None)
+                    if value is None or _is_option(value):
+                        self.fail(name, f"{flag} expects a value")
+            try:
+                values[inp.name] = value = _PARSE[inp.kind](value)
+            except ValueError:
+                self.fail(name, f"{inp.flag}: invalid {inp.kind.__name__} value {value!r}")
+            if type(inp.within) is tuple and value not in inp.within:
+                self.fail(name, f"{inp.flag}: invalid choice {value!r} "
+                          f"(choose from {', '.join(inp.within)})")
+        missing = [inp.flag for inp in inputs if values[inp.name] is REQUIRED]
+        if missing:
+            self.fail(name, f"required: {', '.join(missing)}")
+        return SimpleNamespace(cmd=name, **values)
+
+
+def build_parser():
+    """The command line's parser, over every command of the table: the one
+    main uses."""
+    return CommandLine(COMMANDS)
 
 
 def main(argv=None):
     """Run one subcommand: write --out, print its report or certificate,
-    and map refusals (every ValueError, and an exhausted search budget)
-    to exit code 2."""
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
+    and map refusals (every ValueError, an exhausted search budget, and an
+    --out that cannot be written) to exit code 2."""
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     row = COMMANDS[args.cmd]
     t0 = time.time()
     try:
         _check_inputs(row, vars(args))
         status, cert, lines = row.run(args)
+        elapsed = time.time() - t0
+        if cert is not None:
+            cert.update(command=args.cmd, seed=args.seed)
+            # the file first: a reader that closes stdout early does not cost it
+            _write_out(args.out, cert)
     except SearchBudgetExceeded as exc:
         print(f"refused (budget): {exc}", file=sys.stderr)
         return REFUSED
@@ -746,9 +846,10 @@ def main(argv=None):
     try:
         if cert is None:
             print("\n".join(lines))
+        elif args.json:
+            print(json.dumps(cert, indent=1, sort_keys=True, default=str))
         else:
-            cert.update(command=args.cmd, seed=args.seed)
-            _emit(args, cert, lines, time.time() - t0)
+            print("\n".join([*lines, f"[{elapsed:.2f}s]"]))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (`minbase ... | head -1`).  The status

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -363,20 +364,198 @@ def test_help_lists_every_command(capsys):
     for name in ["partition-base", "base-size", "stabilizer", "alpha", "beta", "soluble",
                  "theorem4", "qhat", "sp4", "orth", "verify", "catalog"]:
         assert f"    {name} " in listed, name
+    for name, row in cli.COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        for inp in row.inputs:
+            if inp.default is not cli.DERIVED:
+                assert re.search(rf"(^|\s|\[){re.escape(inp.flag)}(\s|\]|$)", shown), (name, inp)
 
 
-def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
-    # building every subcommand's parser took 72 add_argument calls a run
-    calls = []
-    add_argument = argparse.ArgumentParser.add_argument
+def test_a_command_imports_no_argparse():
+    # argparse's first use cost a cold process 1-4 ms of a 4-9 ms command
+    src = str(Path(minbase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from minbase.cli import main; "
+            "status = main(['partition-base', '-a', '7', '-b', '5', '--json']); "
+            "print('argparse' in sys.modules, status, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False 0\n"
+    assert json.loads(proc.stdout)["result"]["base_size"] == 3
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return add_argument(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-    assert main(["partition-base", "-a", "7", "-b", "5"]) == 0
-    assert 0 < len(calls) < 20
+def test_an_out_file_that_cannot_be_written_is_a_refusal(tmp_path, capsys):
+    # a missing directory once raised FileNotFoundError: exit 1, "verified fail"
+    out = tmp_path / "missing" / "cert.json"
+    assert main(["partition-base", "-a", "5", "-b", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: cannot write certificate: [Errno 2]")
+    assert main(["qhat", "--family", "g2", "--q", "9", "--json", "--out", str(tmp_path)]) == 2
+    assert "refused: cannot write certificate: " in capsys.readouterr().err
+
+
+# -- the command line against argparse ------------------------------------------
+
+def _add_inputs(parser, inputs):
+    for inp in inputs:
+        kw = {"action": "store_true"} if inp.kind is bool else {"type": cli._PARSE[inp.kind]}
+        if type(inp.within) is tuple:
+            kw["choices"] = inp.within
+        if inp.flag.startswith("-"):  # argparse requires every positional
+            kw["required"] = inp.default is cli.REQUIRED
+        if inp.default is not cli.DERIVED:
+            parser.add_argument(inp.flag, default=inp.default, help=inp.help, **kw)
+
+
+def oracle_parser():
+    """The argparse parser the command line was once read with."""
+    parser = argparse.ArgumentParser(prog="minbase")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, row in cli.COMMANDS.items():
+        _add_inputs(sub.add_parser(name, help=row.help), row.inputs)
+    return parser
+
+
+def _outcome(parser, argv, capsys):
+    """The namespace's dict, or the exit code."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        capsys.readouterr()
+
+
+def _words(inp, value, joined):
+    if inp.kind is bool:
+        return [inp.flag]
+    if not inp.flag.startswith("-"):
+        return [value]
+    return [f"{inp.flag}={value}"] if joined else [inp.flag, value]
+
+
+def _value(inp, rng):
+    if type(inp.within) is tuple:
+        return rng.choice(inp.within)
+    if inp.kind is int:
+        return rng.choice(["7", "-3", "0", " 12", "+5", "100000"])
+    if inp.kind is list:
+        return rng.choice(["{1,2}|{3,4}", "{1,2}|{3,4};{1,3}|{2,4}", ""])
+    return rng.choice(["S4", "9..81,5", "cert.json", "-", "a=b", "", "x y"])
+
+
+def _argv_cases(name, rng):
+    """(kind, argv) pairs: valid argv with every input in both forms and
+    each optional one given or omitted, then each kind of malformed argv
+    this row admits, each built from a valid one."""
+    inputs = [inp for inp in cli.COMMANDS[name].inputs if inp.default is not cli.DERIVED]
+    required = [inp for inp in inputs if inp.default is cli.REQUIRED]
+    valued = [inp for inp in inputs if inp.kind is not bool and inp.flag.startswith("-")]
+    cases = []
+    for trial in range(2 * len(inputs) + 4):
+        # trial 2i gives input i spaced, trial 2i + 1 joined; the rest draw
+        given = [(inp, _value(inp, rng), bool(trial % 2) if trial // 2 == i
+                  else rng.random() < 0.5)
+                 for i, inp in enumerate(inputs)
+                 if inp in required or trial // 2 == i or rng.random() < 0.5]
+        rng.shuffle(given)
+        argv = [name, *(w for inp, value, joined in given for w in _words(inp, value, joined))]
+        cases += [("valid", argv), ("help", argv + [rng.choice(["-h", "--help"])])]
+        options = [(inp, joined) for inp, _, joined in given if inp.flag.startswith("-")]
+        if options:
+            inp, joined = rng.choice(options)
+            cases.append(("repeated", argv + _words(inp, _value(inp, rng), not joined)))
+        cases.append(("unknown option", argv + [rng.choice(["--nope", "-z", "--json-x"])]))
+        cases.append(("extra positional", argv + ["extra", "more"]))
+        for inp in valued:
+            cases.append(("missing value", argv + [inp.flag]))
+            cases.append(("missing value", [name, inp.flag, "--json", *argv[1:]]))
+            cases.append(("missing value", [name, inp.flag, "-x", *argv[1:]]))
+            if inp.kind is int:
+                bad = rng.choice(["x", "1.5", "", "3x"])
+                cases.append(("bad int", argv + _words(inp, bad, rng.random() < 0.5)))
+            if type(inp.within) is tuple:
+                bad = rng.choice(["nope", inp.within[0].upper(), ""])
+                cases.append(("bad choice", argv + _words(inp, bad, rng.random() < 0.5)))
+        for inp in inputs:
+            if inp.kind is bool:
+                cases.append(("bool with a value", argv + [f"{inp.flag}={rng.choice('10')}"]))
+        for inp in required:
+            dropped = [w for i, v, j in given if i is not inp for w in _words(i, v, j)]
+            cases.append(("missing required", [name, *dropped]))
+    return cases
+
+
+# Forms argparse read and the command line refuses on purpose: a prefix of
+# an option, a short option's value attached, the `--` separator, and a
+# value that starts with '-' and is not an integer.
+REFUSED_ON_PURPOSE = [
+    ["alpha", "--spe", "S4"],
+    ["orth", "--pair"],
+    ["partition-base", "-a5", "-b", "3"],
+    ["verify", "--", "cert.json"],
+    ["qhat", "--family", "g2", "--q", "-1.5"],
+    ["alpha", "--spec", "-x y"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_the_command_line_reads_argv_as_argparse_did(name, capsys):
+    oracle, parser = oracle_parser(), cli.build_parser()
+    outcomes = Counter()
+    for kind, argv in _argv_cases(name, random.Random(f"argv/{name}")):
+        want = _outcome(oracle, argv, capsys)
+        assert _outcome(parser, argv, capsys) == want, (kind, argv)
+        outcomes[kind, want if type(want) is int else "parsed"] += 1
+    # each kind ends as it should, so no kind passes by both parsers refusing it
+    assert {(kind, want) for kind, want in outcomes} <= {
+        ("valid", "parsed"), ("repeated", "parsed"), ("help", 0), *(
+            (kind, 2) for kind in ["unknown option", "extra positional", "missing value",
+                                   "bad int", "bad choice", "bool with a value",
+                                   "missing required"])}
+
+
+@pytest.mark.parametrize("argv", REFUSED_ON_PURPOSE)
+def test_the_command_line_refuses_what_argparse_guessed(argv, capsys):
+    assert type(_outcome(oracle_parser(), argv, capsys)) is dict
+    assert _outcome(cli.build_parser(), argv, capsys) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: minbase {argv[0]} ") and "\nminbase: error: " in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ([], "a command is required"),
+    (["nope"], "unknown command 'nope'"),
+    (["--json"], "unknown command '--json'"),
+    (["partition-base", "-a", "x", "-b", "3"], "-a: invalid int value 'x'"),
+    (["stabilizer", "--ground", "4", "--partitions", "{1,2}|{3,4}", "--parity", "odd"],
+     "--parity: invalid choice 'odd' (choose from all, even)"),
+    (["alpha", "--spec", "S4", "--budget", "5"],
+     "unknown option --budget (options are never abbreviated)"),
+    (["sp4", "--q", "5", "--json=1"], "--json takes no value"),
+    (["sp4", "--q"], "--q expects a value"),
+    (["partition-base", "--seed", "2"], "required: -a, -b"),
+    (["verify"], "required: certificate"),
+    (["verify", "a.json", "b.json"], "unrecognized argument 'b.json'"),
+])
+def test_malformed_argv_prints_usage_and_the_reason(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: minbase ")
+    assert error == f"minbase: error: {reason}"
 
 
 # A small run of each command that prints a certificate
