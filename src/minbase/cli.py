@@ -51,6 +51,9 @@ from .partitions import (
 from .perm import ParseError, format_perm, parse_perm
 
 PASS, FAIL, REFUSED = 0, 1, 2
+# every certificate's top-level keys: a command's inputs, result and
+# witnesses, and the command and seed main stamps on them
+CERT_KEYS = frozenset({"command", "seed", "inputs", "result", "witnesses"})
 
 
 def _write_out(path, cert):
@@ -79,7 +82,10 @@ def _lattice(spec, cap):
 # main() stamps the command and seed, times the call and prints.
 #
 # Witness commands (partition-base, base-size, alpha, beta) run
-# verify's own checker on the certificate before printing it.  Every other
+# verify's own checker on the certificate before printing it.  The whole
+# checker runs, but its partition_stabilizer, alpha and beta calls on the
+# family or lattice just computed are answered by those engines' one-entry
+# memos; verify, in a process of its own, recomputes everything.  Every other
 # command is deterministic: it maps its inputs to the certificate it
 # prints (inputs, result, witnesses), and verify runs it again on the
 # certificate's inputs, which name its args attributes (_rerun).
@@ -376,6 +382,9 @@ def cmd_catalog(args):
 
 
 def cmd_verify(args):
+    """Refuse a certificate lacking one of CERT_KEYS or with a seed that is
+    no JSON integer, reject one with any other top-level key, then check
+    its inputs against its command's row and run the row's checker."""
     try:
         with open(args.certificate) as fh:
             cert = json.load(fh)
@@ -386,11 +395,18 @@ def cmd_verify(args):
     row = COMMANDS.get(cert["command"])
     if row is None or row.check is None:
         raise PreconditionError(f"no verifier for command {cert['command']!r}")
+    missing = CERT_KEYS - cert.keys()
+    if missing:
+        raise PreconditionError(f"certificate lacks {', '.join(sorted(missing))}")
+    if type(cert["seed"]) is not int:
+        raise PreconditionError("certificate seed must be a JSON integer")
     try:
         _check_inputs(row, cert["inputs"])
-        # an input the command never reads is a forged claim, not a malformed one
+        # a key, or an input, the command never writes is a forged claim,
+        # not a malformed one
         names = {inp.name for inp in row.inputs if inp.cert}
-        ok = cert["inputs"].keys() == names and row.check(cert)
+        ok = (cert.keys() == CERT_KEYS and cert["inputs"].keys() == names
+              and row.check(cert))
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         # a field missing or of the wrong shape; a refusal is never "verified"
         raise PreconditionError(f"malformed certificate: {exc!r}") from exc

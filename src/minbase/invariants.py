@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CertificationError
 from .fq import Fq, factor_prime_power, mat_det, nullspace
@@ -41,6 +42,7 @@ class AlphaCertificate:
     frattini_order: int
 
 
+@lru_cache(maxsize=1)
 def alpha(lattice: Lattice) -> AlphaCertificate:
     """Minimal number of maximal subgroups intersecting to the Frattini
     subgroup, by breadth-first search over distinct intersection states.
@@ -48,6 +50,10 @@ def alpha(lattice: Lattice) -> AlphaCertificate:
     The first subgroup ranges over conjugacy-class representatives only
     (the quantity is conjugation-invariant); all later choices range over
     every maximal subgroup.
+
+    A lattice does not change once built, so a one-entry memo keyed on
+    the lattice object answers the emit-time check of the certificate
+    just computed on it.  The certificate returned is the memo's own.
     """
     table = lattice.table
     if table.n == 1:
@@ -127,9 +133,11 @@ class BetaCertificate:
     frattini_order: int = 0
 
 
+@lru_cache(maxsize=1)
 def beta(lattice: Lattice) -> BetaCertificate:
     """Minimum of b(G,H) over maximal H whose core equals the Frattini
-    subgroup; infinity (with per-class core evidence) if there is none."""
+    subgroup; infinity (with per-class core evidence) if there is none.
+    Memoized on the lattice object, as alpha is."""
     frat = frattini(lattice).elements
     maxs = lattice.maximal_subgroups()
     star_reps = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CertificationError
 from .perm import PermGroup, compose, identity, inverse, orbit, sign
@@ -74,12 +75,16 @@ class SetPartition:
         return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
     def block_of(self):
-        """Array mapping each point to the index of its block."""
-        arr = [0] * self.ground_size
-        for i, blk in enumerate(self.blocks):
-            for x in blk:
-                arr[x] = i
-        return arr
+        return _block_of(self.ground_size, self.blocks)
+
+
+def _block_of(ground_size, blocks):
+    """Array mapping each point to the index of its block."""
+    arr = [0] * ground_size
+    for i, blk in enumerate(blocks):
+        for x in blk:
+            arr[x] = i
+    return arr
 
 
 def parse_partition(text: str, ground_size: int) -> SetPartition:
@@ -189,40 +194,31 @@ def construct_bcd_equal(a: int):
 # stabilizer of a family of partitions: refinement + individualization
 
 
-def cross_counts(P: SetPartition, Q: SetPartition):
-    """Matrix of |P_r ∩ Q_s| block intersection sizes."""
-    m = [[0] * len(Q.blocks) for _ in range(len(P.blocks))]
-    qof = Q.block_of()
-    pof = P.block_of()
-    for x in range(P.ground_size):
-        m[pof[x]][qof[x]] += 1
-    return m
-
-
 class _StabContext:
-    def __init__(self, partitions):
-        sizes = {p.ground_size for p in partitions}
+    def __init__(self, family):
+        """The backtrack's view of a family given by its partitions'
+        canonical forms, all on one ground set."""
+        sizes = {sum(map(len, blocks)) for blocks in family}
         if len(sizes) != 1:
             raise GroundMismatch("partitions live on different ground sets")
         self.n = sizes.pop()
         _check_ground(self.n)
-        self.block_of = [p.block_of() for p in partitions]
-        self.blocks = [
-            [tuple(sorted(b)) for b in p.blocks] for p in partitions
-        ]
+        self.blocks = family
+        self.block_of = [_block_of(self.n, blocks) for blocks in family]
         self.block_sets = [set(bs) for bs in self.blocks]
         # seed colors: per-point block sizes and pairwise intersection sizes
         seeds = [[] for _ in range(self.n)]
-        for kk, p in enumerate(partitions):
+        for blocks, block_of in zip(self.blocks, self.block_of):
             for x in range(self.n):
-                seeds[x].append(len(self.blocks[kk][self.block_of[kk][x]]))
-        for k1 in range(len(partitions)):
-            for k2 in range(k1 + 1, len(partitions)):
-                m = cross_counts(partitions[k1], partitions[k2])
-                for x in range(self.n):
-                    seeds[x].append(
-                        m[self.block_of[k1][x]][self.block_of[k2][x]]
-                    )
+                seeds[x].append(len(blocks[block_of[x]]))
+        for k1 in range(len(family)):
+            for k2 in range(k1 + 1, len(family)):
+                m = [[0] * len(family[k2]) for _ in family[k1]]
+                pairs = list(zip(self.block_of[k1], self.block_of[k2]))
+                for r, s in pairs:
+                    m[r][s] += 1
+                for x, (r, s) in enumerate(pairs):
+                    seeds[x].append(m[r][s])
         ranked = {s: i for i, s in enumerate(sorted({tuple(s) for s in seeds}))}
         self.seed_colors = tuple(ranked[tuple(s)] for s in seeds)
 
@@ -374,10 +370,23 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
     levels' points and sends beta to q.  A map found at an earlier level
     moves that level's point, so each orbit grows from the level's own
     maps.  The orbit lengths multiply to the order, which the generators'
-    chain must confirm."""
+    chain must confirm.
+
+    The group depends on each partition's blocks, not on the order they
+    are listed in, so a one-entry memo keyed on the family's canonical
+    form answers the same family asked again, as the emit-time check asks
+    for the family a search has just accepted.  The group returned is the
+    memo's own: read it, do not change it."""
     if parity not in ("all", "even"):
         raise ValueError("parity must be 'all' or 'even'")
-    ctx = _StabContext(list(partitions))
+    return _canonical_stabilizer(tuple(p.canonical() for p in partitions), parity)
+
+
+@lru_cache(maxsize=1)
+def _canonical_stabilizer(family, parity):
+    """partition_stabilizer of the family of canonical forms: a function
+    of the memo key alone, so a hit answers as a miss would."""
+    ctx = _StabContext(family)
     path = ctx.first_path(ctx.refine(ctx.seed_colors)[0])
     gens = []
     order = 1
@@ -402,6 +411,10 @@ def partition_stabilizer(partitions, parity: str = "all") -> PermGroup:
     if parity == "even":
         return _even_subgroup(G)
     return G
+
+
+partition_stabilizer.cache_info = _canonical_stabilizer.cache_info
+partition_stabilizer.cache_clear = _canonical_stabilizer.cache_clear
 
 
 # ---------------------------------------------------------------------------

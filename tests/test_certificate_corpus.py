@@ -1,6 +1,7 @@
 """Stored certificates: every one verifies, and every deterministic command
 re-emits its certificate byte for byte."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,23 @@ def test_deterministic_command_re_emits_its_certificate(tmp_path, name):
     out = tmp_path / name
     assert main(ARGV[name] + ["--json", "--out", str(out)]) == 0
     assert out.read_bytes() == (CORPUS / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_stored_certificate_top_level_keys_and_seed(tmp_path, capsys, name):
+    # A certificate holds exactly command, seed, inputs, result and
+    # witnesses.  A key more is a forged claim, REJECTED (exit 1); a key
+    # missing, or a seed that is no JSON integer, is malformed, refused
+    # (exit 2).  Any integer seed passes: the seed is not a claim.
+    cert = json.loads((CORPUS / name).read_text())
+    assert sorted(cert) == ["command", "inputs", "result", "seed", "witnesses"]
+    edits = [(dict(cert, runtime="x"), 1), (dict(cert, seed=2), 0)]
+    edits += [(dict(cert, seed=seed), 2) for seed in ("one", "1", True, 1.0, None)]
+    edits += [({k: v for k, v in cert.items() if k != key}, 2) for key in cert]
+    path = tmp_path / name
+    for edited, code in edits:
+        path.write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == code, edited
+        if code == 1:
+            assert capsys.readouterr().out.endswith(": REJECTED\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import minbase
-from minbase import cli
+from minbase import cli, invariants, partitions
 from minbase.catalog import BUILTIN_NAMES, group_from_spec, spec_order
 from minbase.cli import main
 from minbase.invariants import AlphaCertificate, BaseSizeCertificate
@@ -691,6 +691,55 @@ def test_alpha_and_beta_raise_on_failed_self_check(monkeypatch):
         main(["alpha", "--spec", "S4"])
     with pytest.raises(CertificationError):
         main(["beta", "--spec", "A5"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition-base", "-a", "7", "-b", "5"],
+    ["base-size", "-a", "12", "-b", "4", "--mode", "upper", "--seed", "1"],
+])
+def test_emit_computes_the_accepted_familys_stabilizer_once(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    # verify's checker, run before printing, asks for the stabilizer of the
+    # family the construction or search has just accepted: the memo answers,
+    # so the backtrack runs once on that family.  verify, with the memo
+    # cleared, runs it again and says verified.
+    runs = Counter()
+
+    class Counted(partitions._StabContext):
+        def __init__(self, family):
+            runs[family] += 1
+            super().__init__(family)
+
+    monkeypatch.setattr(partitions, "_StabContext", Counted)
+    partition_stabilizer.cache_clear()
+    code, cert = run_json(tmp_path, argv)
+    assert code == 0
+    ground = cert["inputs"]["a"] * cert["inputs"]["b"]
+    family = tuple(parse_partition(text, ground).canonical()
+                   for text in cert["witnesses"]["partitions"])
+    assert runs[family] == 1
+    assert partition_stabilizer.cache_info().hits == 1
+    partition_stabilizer.cache_clear()
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+    assert capsys.readouterr().out.endswith(": verified\n")
+    assert runs[family] == 2
+
+
+@pytest.mark.parametrize("command", ["alpha", "beta"])
+def test_emit_computes_alpha_and_beta_once(tmp_path, capsys, command):
+    # The command and its check ask the memo for the same lattice: one
+    # miss and one hit.  verify builds a lattice of its own and misses.
+    engine = getattr(invariants, command)
+    engine.cache_clear()
+    code, cert = run_json(tmp_path, [command, "--spec", "S6"])
+    assert code == 0
+    assert engine.cache_info()[:2] == (1, 1)  # hits, misses
+    engine.cache_clear()
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+    assert capsys.readouterr().out.endswith(": verified\n")
+    assert engine.cache_info()[:2] == (0, 1)
 
 
 def _tampered(value):

@@ -22,7 +22,6 @@ from minbase.partitions import (
     construct_bcd_equal,
     construct_bcd_plus1,
     construct_bcd_plus2,
-    cross_counts,
     format_partition,
     minimal_partition_base,
     parse_partition,
@@ -89,6 +88,14 @@ def test_plus1_shape(a):
         assert all(len(b) == a - 1 for b in part.blocks)
     if a % 2 == 1:
         assert D.blocks[a - 1] == B.blocks[a - 1]
+
+
+def cross_counts(P: SetPartition, Q: SetPartition):
+    """Matrix of |P_r ∩ Q_s| block intersection sizes."""
+    m = [[0] * len(Q.blocks) for _ in range(len(P.blocks))]
+    for x, y in zip(P.block_of(), Q.block_of()):
+        m[x][y] += 1
+    return m
 
 
 def signature_counts(C: SetPartition, D: SetPartition):
@@ -214,6 +221,43 @@ def test_stabilizer_even_matches_brute_force():
         assert got == brute_stabilizer_order(parts, parity="even")
 
 
+def _random_partition(n, rng):
+    """A partition of n points into blocks of random sizes, the blocks and
+    their points listed in random order."""
+    pts = rng.sample(range(n), n)
+    bounds = [0, *sorted(rng.sample(range(1, n), rng.randint(0, n - 1))), n]
+    return SetPartition(n, tuple(tuple(pts[i:j]) for i, j in zip(bounds, bounds[1:])))
+
+
+def _reordered(part, rng):
+    """The same partition, its blocks and each block's points listed in
+    another random order."""
+    blocks = [tuple(rng.sample(blk, len(blk))) for blk in part.blocks]
+    rng.shuffle(blocks)
+    return SetPartition(part.ground_size, tuple(blocks))
+
+
+def test_stabilizer_memo_key_ignores_block_order():
+    # The memo keys a family on its canonical forms, so the family listed
+    # in another order gets the same order and generator list, as a memo
+    # hit and computed again after cache_clear; the other parity is a miss.
+    rng = random.Random(26)
+    for _ in range(600):
+        n = rng.randint(2, 12)
+        parts = [_random_partition(n, rng) for _ in range(rng.randint(1, 3))]
+        parity = rng.choice(["all", "even"])
+        partition_stabilizer.cache_clear()
+        G = partition_stabilizer(parts, parity)
+        hit = partition_stabilizer([_reordered(p, rng) for p in parts], parity)
+        assert partition_stabilizer.cache_info()[:2] == (1, 1)  # hits, misses
+        partition_stabilizer.cache_clear()
+        cold = partition_stabilizer([_reordered(p, rng) for p in parts], parity)
+        for H in (hit, cold):
+            assert (H.order, H.generators) == (G.order, G.generators)
+        partition_stabilizer(parts, "even" if parity == "all" else "all")
+        assert partition_stabilizer.cache_info()[:2] == (0, 2)
+
+
 def oracle_refine(ctx, colors, trace=None):
     """Oracle: refinement by tuple signatures, a point's color followed by
     the sorted (color, count) tally of its block in each partition, ranked
@@ -243,15 +287,19 @@ def oracle_refine(ctx, colors, trace=None):
 )
 def test_refine_matches_tuple_signature_oracle(a, b, k, parity, rng):
     parts = [random_uniform_partition(a, b, rng) for _ in range(k)]
-    ctx = partitions._StabContext(parts)
+    ctx = partitions._StabContext([p.canonical() for p in parts])
     colors = ctx.seed_colors
     for x in rng.sample(range(a * b), min(a * b, 4)):
         refined, _ = ctx.refine(colors)
         assert refined == oracle_refine(ctx, colors)[0]
         colors = tuple(max(refined) + 1 if y == x else c for y, c in enumerate(refined))
     assert ctx.refine(colors)[0] == oracle_refine(ctx, colors)[0]
+    # each call computes: an answer from the memo would compare the
+    # backtrack with itself
+    partition_stabilizer.cache_clear()
     with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
         expected = partition_stabilizer(parts, parity).generators
+    partition_stabilizer.cache_clear()
     assert partition_stabilizer(parts, parity).generators == expected
 
 
@@ -278,7 +326,7 @@ def test_trace_stops_only_targets_without_an_image():
             parts += [random_uniform_partition(a, b, rng) for _ in range(k - 1)]
             if not _forced_symmetry([p.block_of() for p in parts], parity):
                 break
-        ctx = partitions._StabContext(parts)
+        ctx = partitions._StabContext([p.canonical() for p in parts])
         colors, _ = ctx.refine(ctx.seed_colors)
         cells = {}
         for z, c in enumerate(colors):
@@ -441,6 +489,7 @@ def test_grid_stabilizer_compose_budget(monkeypatch):
 
     monkeypatch.setattr(perm, "compose", counted)
     monkeypatch.setattr(partitions, "compose", counted)
+    partition_stabilizer.cache_clear()  # the test above leaves this family in the memo
     assert partition_stabilizer(_grid_rows_and_columns(8)).order == math.factorial(8) ** 2
     assert calls[0] < 20_000
 
