@@ -35,7 +35,7 @@ from .invariants import (
     chief_factor_bound,
     soluble_bounds_report,
 )
-from .lattice import GroupTable, Lattice, core, frattini
+from .lattice import GroupTable, Lattice, frattini
 from .partitions import (
     CertificationError,
     PreconditionError,
@@ -566,24 +566,31 @@ def _verify_infinite_beta(cert, lat):
     core order exceeds |Phi(G)|.  The evidence lists, per class, words
     generating one member and that member's core order: each listed
     subgroup must be maximal, the list must meet every maximal class
-    exactly once, and each core order must be its subgroup's.  Any member
-    of a class, by any words, will do."""
-    maximal = {rec.elements for rec in lat.maximal_subgroups()}
-    classes = [{rec.elements for rec in cls} for cls in lat.classes if cls[0].elements in maximal]
-    listed = cert["witnesses"]["core_orders_by_class"]
-    subgroups = [_witness_subgroup(lat.table, entry["generators"]) for entry in listed]
-    hits = sorted(i for sub in subgroups if sub is not None
-                  for i, cls in enumerate(classes) if sub[0] in cls)
-    if not hits == list(range(len(classes))) == list(range(len(listed))):
+    exactly once, and each core order must be its class's, as beta()
+    derives it from the lattice (conjugate subgroups have conjugate cores,
+    so the order is one per class).  Any member of a class, by any words,
+    will do."""
+    derived = beta(lat)
+    if derived.value is not math.inf:
         return False
-    frattini_order = frattini(lat).order
-    evidence = [
-        {"generators": entry["generators"], "core_order": core(lat, lat.find(sub[0])).order}
-        for entry, sub in zip(listed, subgroups)
+    maximal = {rec.elements for rec in lat.maximal_subgroups()}
+    classes = [cls for cls in lat.classes if cls[0].elements in maximal]
+    core_orders = {rec.elements: order for rec, order in derived.empty_star_evidence}
+    class_of = {rec.elements: i for i, cls in enumerate(classes) for rec in cls}
+    listed = cert["witnesses"]["core_orders_by_class"]
+    hits = [
+        None if sub is None else class_of.get(sub[0])
+        for sub in (_witness_subgroup(lat.table, entry["generators"]) for entry in listed)
     ]
-    return all(e["core_order"] > frattini_order for e in evidence) and _same_result(cert, {
+    if None in hits or sorted(hits) != list(range(len(classes))):
+        return False
+    evidence = [
+        {"generators": entry["generators"], "core_order": core_orders[classes[i][0].elements]}
+        for entry, i in zip(listed, hits)
+    ]
+    return _same_result(cert, {
         "inputs": {"spec": cert["inputs"]["spec"], "order": lat.table.n},
-        "result": {"beta": "infinity", "frattini_order": frattini_order},
+        "result": {"beta": "infinity", "frattini_order": derived.frattini_order},
         "witnesses": {"core_orders_by_class": evidence},
     })
 

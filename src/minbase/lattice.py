@@ -4,8 +4,9 @@ A GroupTable holds the full element list of an ambient permutation group
 (capped order) with a multiplication table, so subgroups become frozensets
 of element indices and intersections become set operations.  The lattice
 is generated one conjugacy class at a time, by extending a representative
-of each class by double-coset representatives; each extension is closed by
-whole left cosets of the representative.
+of each class by one double-coset representative per orbit of its
+normalizer; each extension is closed by whole left cosets of the
+representative.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ class GroupTable:
         self.gen_idx = [index[g] for g in group.generators]
         if not self.gen_idx:
             self.gen_idx = [self.identity]
+        # one conjugation row x -> g^-1 x g per generator g: the column of g
+        # (each x*g) read through the row of g^-1
+        self.conj_rows = [
+            list(map(mul[self.inv[g]].__getitem__, [row[g] for row in mul]))
+            for g in self.gen_idx
+        ]
 
     @classmethod
     def check_order(cls, order: int, order_cap: int):
@@ -119,45 +126,67 @@ class GroupTable:
         row = mul[gi]
         return frozenset(mul[row[x]][g] for x in elems)
 
-    def conjugates(self, elems):
-        """Every conjugate of the set, each mapped to one element conjugating
-        elems to it, found by a stack walk over the generators."""
+    def class_walk(self, elems):
+        """Every conjugate of the subgroup H on elems, each mapped to one
+        element c with H^c = c^-1 H c equal to it, and Schreier generators
+        of the normalizer N_G(H).
+
+        A stack walk reads each conjugate H^c through the conjugation row
+        of each generator s.  An edge that reaches a conjugate H^d already
+        seen gives c*s*d^-1, which maps H to itself; over every edge these
+        generate N_G(H) (Schreier's lemma: the edges of the walk's tree give
+        the identity)."""
         elems = frozenset(elems)
+        mul, inv = self.mul, self.inv
         out = {elems: self.identity}
+        schreier = []
         stack = [elems]
         while stack:
             cur = stack.pop()
-            c = out[cur]
-            for g in self.gen_idx:
-                conj = self.conjugate_set(cur, g)
-                if conj not in out:
-                    out[conj] = self.mul[c][g]
+            row_c = mul[out[cur]]
+            for s, row in zip(self.gen_idx, self.conj_rows):
+                conj = frozenset(map(row.__getitem__, cur))
+                d = out.get(conj)
+                if d is None:
+                    out[conj] = row_c[s]
                     stack.append(conj)
-        return out
+                else:
+                    schreier.append(mul[row_c[s]][inv[d]])
+        return out, schreier
 
-    def double_coset_reps(self, elems, gens):
-        """Least element of each double coset HgH outside H, in increasing
-        order, where H is the subgroup on elems generated by gens.
+    def conjugates(self, elems):
+        """Every conjugate of the set, each mapped to one element conjugating
+        elems to it (the class walk's first half)."""
+        return self.class_walk(elems)[0]
 
-        HgH is the union of the left cosets hgH, so the walk marks whole
+    def double_cosets(self, elems, gens):
+        """The double cosets HgH outside H, where H is the subgroup on elems
+        generated by gens: the least element of each, in increasing order,
+        and a label per element, the index of its double coset in that list
+        (-1 on H itself).
+
+        HgH is the union of the left cosets hgH, so the walk labels whole
         left cosets: from gH it reaches every hgH by left multiplication by
         the generators of H."""
         mul = self.mul
         gen_rows = [mul[h] for h in gens]
-        seen = set(elems)
+        label = dict.fromkeys(elems, -1)
+        reps = []
         for g in range(self.n):
-            if g in seen:
+            if g in label:
                 continue
-            seen.update(map(mul[g].__getitem__, elems))
+            i = len(reps)
+            reps.append(g)
+            label.update(dict.fromkeys(map(mul[g].__getitem__, elems), i))
             stack = [g]
             while stack:
                 y = stack.pop()
                 for row in gen_rows:
                     w = row[y]
-                    if w not in seen:
-                        seen.update(map(mul[w].__getitem__, elems))
+                    if w not in label:
+                        label.update(dict.fromkeys(map(mul[w].__getitem__, elems), i))
                         stack.append(w)
-            yield g
+        return reps, label
 
     def is_maximal(self, elems, gens):
         """A proper subgroup H (on elems, generated by gens) is maximal
@@ -165,7 +194,7 @@ class GroupTable:
         outside H."""
         return len(elems) < self.n and all(
             len(self.closure(list(gens) + [g], elems)) == self.n
-            for g in self.double_coset_reps(elems, gens)
+            for g in self.double_cosets(elems, gens)[0]
         )
 
     def word_of(self, idx) -> str:
@@ -184,7 +213,7 @@ class SubgroupRecord:
 
 class Lattice:
     """All subgroups of the ambient group, walked one conjugacy class at a
-    time (cyclic extension).
+    time (cyclic extension, after Neubueser).
 
     Each subgroup is met as <H, g> for a class representative H and the
     least element g of a double coset HgH outside H.  The first time a
@@ -195,6 +224,22 @@ class Lattice:
     for some g.  A representative all of whose extensions give the whole
     group is maximal, and so is its class.
 
+    Only the least double coset of each orbit of N = N_G(H) is extended,
+    and this meets exactly what extending every double coset does.  Proof:
+    for n in N, (HgH)^n = H^n g^n H^n = H g^n H, so N permutes the double
+    cosets outside H, and <H, g>^n = <H^n, g^n> = <H, g^n>.  So every
+    double coset D of the orbit of the least one, D0, extends H to a
+    conjugate of D0's extension.  That is G exactly when D0's is, so
+    maximality is judged alike; otherwise its class was recorded when D0
+    was extended, which is earlier, since the double cosets are walked in
+    increasing order of their least elements.  Extending D meets nothing
+    new, so every class is first met at the same (H, g), with the same
+    generators, as when every double coset is extended.  The class walk
+    yields generators of N (Schreier's lemma), and N acts on the double
+    coset labels through r -> n^-1 r n for the least element r of each;
+    elements of H fix every double coset, so one generator per coset nH
+    outside H acts for them all.
+
     subgroups lists every subgroup by (order, key()); classes lists the
     conjugacy classes, each sorted by key(), ordered by their least member.
     """
@@ -203,22 +248,23 @@ class Lattice:
         self.table = table
         m, mul, inv = table.n, table.mul, table.inv
         found = {}
-        classes = []
+        walk = []  # (class, Schreier generators of its first member's normalizer)
         maximal = set()
 
         def meet(elems, gens):
             if elems in found:
                 return
+            conjugates, schreier = table.class_walk(elems)
             cls = []
-            for conj, c in table.conjugates(elems).items():
+            for conj, c in conjugates.items():
                 conj_gens = tuple(mul[mul[inv[c]][g]][c] for g in gens)
                 found[conj] = SubgroupRecord(conj, len(conj), conj_gens)
                 cls.append(found[conj])
-            classes.append(cls)
+            walk.append((cls, schreier))
 
         meet(frozenset([table.identity]), ())
         meet(table.whole, tuple(table.gen_idx))
-        for cls in classes:  # grows while it is walked
+        for cls, schreier in walk:  # grows while it is walked
             rep = cls[0]
             if rep.order == m:
                 continue
@@ -226,13 +272,32 @@ class Lattice:
             # above a subgroup of index 2 lies only the whole group
             if 2 * rep.order < m:
                 gens = list(rep.generators)
-                for g in table.double_coset_reps(rep.elements, gens):
+                reps, label = table.double_cosets(rep.elements, gens)
+                # one normalizer element per coset nH outside H, as a pair
+                # (row of n^-1, n) conjugating a double coset's least element
+                acts = [
+                    (mul[inv[n]], n)
+                    for n in {label[n]: n for n in schreier if label[n] >= 0}.values()
+                ]
+                done = bytearray(len(reps))
+                for i, g in enumerate(reps):
+                    if done[i]:
+                        continue
+                    done[i] = 1
+                    orbit = [g]
+                    for r in orbit:  # grows as the walk does
+                        for row, n in acts:
+                            j = label[mul[row[r]][n]]
+                            if not done[j]:
+                                done[j] = 1
+                                orbit.append(reps[j])
                     new_elems = table.closure(gens + [g], rep.elements)
                     if len(new_elems) < m:
                         reached_only_full = False
                         meet(new_elems, tuple(gens) + (g,))
             if reached_only_full:
                 maximal.update(r.elements for r in cls)
+        classes = [cls for cls, _ in walk]
         for cls in classes:
             cls.sort(key=SubgroupRecord.key)
         self.classes = sorted(classes, key=lambda cls: cls[0].key())

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import minbase
-from minbase import cli, invariants, partitions
+from minbase import cli, invariants, lattice, partitions
 from minbase.catalog import BUILTIN_NAMES, group_from_spec, spec_order
 from minbase.cli import main
 from minbase.invariants import AlphaCertificate, BaseSizeCertificate
@@ -740,6 +740,37 @@ def test_emit_computes_alpha_and_beta_once(tmp_path, capsys, command):
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
     assert capsys.readouterr().out.endswith(": verified\n")
     assert engine.cache_info()[:2] == (0, 1)
+
+
+@pytest.mark.parametrize("spec, classes", [("Q8", 3), ("wr(2,3)", 5)])
+def test_infinite_beta_computes_each_maximal_core_once(tmp_path, capsys, monkeypatch,
+                                                       spec, classes):
+    # beta() computes one core per maximal class to find no class with core
+    # Phi(G); the emit-time check reads those orders from its memo, and
+    # verify from its own beta() call: one core per class each time
+    calls = [0]
+    original = lattice.core
+
+    def counted(lat, H):
+        calls[0] += 1
+        return original(lat, H)
+
+    # every module that could bind the name, cli included
+    for module in (lattice, invariants, cli):
+        monkeypatch.setattr(module, "core", counted, raising=False)
+    invariants.beta.cache_clear()
+    code, cert = run_json(tmp_path, ["beta", "--spec", spec])
+    assert code == 0 and cert["result"]["beta"] == "infinity"
+    listed = cert["witnesses"]["core_orders_by_class"]
+    assert len(listed) == classes and calls[0] == classes
+    invariants.beta.cache_clear()
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+    assert capsys.readouterr().out.endswith(": verified\n")
+    assert calls[0] == 2 * classes
+    for i, entry in enumerate(listed):
+        forged = listed[:i] + [dict(entry, core_order=entry["core_order"] + 1)] + listed[i + 1:]
+        _assert_rejected(tmp_path, capsys, dict(cert, witnesses={"core_orders_by_class": forged}))
 
 
 def _tampered(value):

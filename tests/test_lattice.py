@@ -269,8 +269,19 @@ def test_coset_closure_and_double_cosets_match_the_oracles(spec):
         assert table.closure(gens) == want
         assert table.closure(gens, base) == want
         for elems, sub_gens in ((base, gens[:-1]), (want, gens)):
-            assert list(table.double_coset_reps(elems, sub_gens)) == (
-                oracle_double_coset_reps(table, elems, sub_gens)
+            reps, label = table.double_cosets(elems, sub_gens)
+            assert reps == oracle_double_coset_reps(table, elems, sub_gens)
+            # each label names the double coset of its element: -1 on H,
+            # else the index of the double coset's least element
+            assert all(label[x] == -1 for x in elems)
+            members = {}
+            for x in range(table.n):
+                members.setdefault(label[x], []).append(x)
+            assert [min(members[i]) for i in range(len(reps))] == reps
+            mul = table.mul
+            assert all(
+                label[mul[h][x]] == label[x] == label[mul[x][h]]
+                for h in sub_gens for x in range(table.n)
             )
         sizes.add(len(want))
 
@@ -294,10 +305,12 @@ def test_coset_closure_edge_cases(spec):
         assert table.closure(gens) == trivial
         assert table.closure(gens, trivial) == trivial
     assert table.closure(table.gen_idx) == whole
-    assert list(table.double_coset_reps(whole, table.gen_idx)) == []
-    assert list(table.double_coset_reps(trivial, [])) == [
-        g for g in range(table.n) if g != e
-    ]
+    assert table.double_cosets(whole, table.gen_idx) == (
+        [], dict.fromkeys(range(table.n), -1)
+    )
+    reps, label = table.double_cosets(trivial, [])
+    assert reps == [g for g in range(table.n) if g != e]
+    assert [label[g] for g in reps] == list(range(len(reps)))
 
 
 @pytest.mark.parametrize("spec", ["S4", "S5", "PGL27"])
@@ -326,7 +339,7 @@ def full_walk(table):
         gens = list(gens_of[elems])
         reached_only_full = True
         if 2 * len(elems) < m:
-            for g in table.double_coset_reps(elems, gens):
+            for g in table.double_cosets(elems, gens)[0]:
                 new_elems = table.closure(gens + [g])
                 if len(new_elems) < m:
                     reached_only_full = False
@@ -371,6 +384,76 @@ def test_class_walk_matches_the_full_walk(spec):
     )
 
 
+def unpruned_class_walk(table):
+    """Oracle: the class walk extending each class representative by the
+    least element of every double coset outside it, with no normalizer
+    pruning.  Returns the classes in the order met, each listing its
+    records in conjugates-walk order, and the element sets of the maximal
+    subgroups."""
+    m, mul, inv = table.n, table.mul, table.inv
+    found = {}
+    classes = []
+    maximal = set()
+
+    def meet(elems, gens):
+        if elems in found:
+            return
+        cls = []
+        for conj, c in table.conjugates(elems).items():
+            conj_gens = tuple(mul[mul[inv[c]][g]][c] for g in gens)
+            found[conj] = lattice.SubgroupRecord(conj, len(conj), conj_gens)
+            cls.append(found[conj])
+        classes.append(cls)
+
+    meet(frozenset([table.identity]), ())
+    meet(table.whole, tuple(table.gen_idx))
+    for cls in classes:
+        rep = cls[0]
+        if rep.order == m:
+            continue
+        reached_only_full = True
+        if 2 * rep.order < m:
+            gens = list(rep.generators)
+            for g in oracle_double_coset_reps(table, rep.elements, gens):
+                new_elems = table.closure(gens + [g], rep.elements)
+                if len(new_elems) < m:
+                    reached_only_full = False
+                    meet(new_elems, tuple(gens) + (g,))
+        if reached_only_full:
+            maximal.update(r.elements for r in cls)
+    return classes, maximal
+
+
+@pytest.mark.parametrize("spec", sorted(set(BUILTIN_NAMES) | set(SOLUBLE_CATALOG)))
+def test_pruned_class_walk_matches_the_unpruned_walk(spec):
+    # record for record: elements, order and generator tuple of every
+    # member, the class order and the maximal set
+    table = GroupTable(group_from_spec(spec))
+    lat = Lattice(table)
+    classes, maximal = unpruned_class_walk(table)
+    for cls in classes:
+        cls.sort(key=lattice.SubgroupRecord.key)
+    classes.sort(key=lambda cls: cls[0].key())
+    assert lat.classes == classes
+    assert lat.subgroups == sorted(
+        (r for cls in classes for r in cls), key=lambda r: (r.order, r.key())
+    )
+    assert {r.elements for r in lat.maximal_subgroups()} == maximal
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "PGL27", "D24", "Q16"])
+def test_class_walk_schreier_generators_generate_the_normalizer(spec):
+    lat = Lattice(GroupTable(group_from_spec(spec)))
+    table = lat.table
+    for cls in lat.classes:
+        H = cls[0].elements
+        conjugates, schreier = table.class_walk(H)
+        assert all(table.conjugate_set(H, n) == H for n in schreier)
+        brute = frozenset(x for x in range(table.n) if table.conjugate_set(H, x) == H)
+        assert table.closure(schreier) == brute
+        assert len(conjugates) * len(brute) == table.n
+
+
 def test_s6_class_walk_counts(monkeypatch):
     # the full walk takes 47,403 closures here: one per double coset of
     # every subgroup, not of one subgroup per class
@@ -387,8 +470,10 @@ def test_s6_class_walk_counts(monkeypatch):
     assert len(lat.subgroups) == 1455
     assert len(lat.classes) == 56
     assert len(lat.maximal_subgroups()) == 53
-    # one closure per extension, as perfbench/selftest.py prints
-    assert calls[0] == 2289
+    # one closure per extension, as perfbench/selftest.py prints: one per
+    # normalizer orbit of double cosets of each class representative (the
+    # class walk extending every double coset took 2,289)
+    assert calls[0] == 586
 
 
 def test_hard_cap_admits_no_nonabelian_chief_factor_t_squared():
@@ -416,7 +501,12 @@ def base_key_table(group):
 def test_row_walk_table_matches_the_base_key_table(spec):
     group = group_from_spec(spec)
     table = GroupTable(group)
-    assert (table.mul, table.inv) == base_key_table(group)
+    mul, inv = base_key_table(group)
+    assert (table.mul, table.inv) == (mul, inv)
+    # one conjugation row x -> g^-1 x g per generator
+    assert table.conj_rows == [
+        [mul[mul[inv[g]][x]][g] for x in range(table.n)] for g in table.gen_idx
+    ]
 
 
 def test_s6_table_compose_budget(monkeypatch):
