@@ -172,6 +172,7 @@ def _line_group(q, maps, projective):
 # One row per atom: a pattern whose groups are its integer parameters, its
 # order as a function of them, and its builder taking the same parameters.
 # The order rule is the one place a parameter is accepted: None refuses it.
+# The patterns are compiled below, at import, as perm's are.
 _ATOMS = [
     (r"S(\d+)", lambda n: math.factorial(n) if n >= 1 else None, symmetric),
     (r"A(\d+)", lambda n: math.factorial(n) // 2 if n >= 3 else 1, alternating),
@@ -189,12 +190,13 @@ _ATOMS = [
     ("PGL27", lambda: 336,
      lambda: _line_group(7, [_shift, _invert, _scale(1)], projective=True)),
 ]
+_ATOMS = [(re.compile(p), order_of, build) for p, order_of, build in _ATOMS]
 
 
 def _atom(name: str):
     """(order, builder) of the row matching one atom of a descriptor."""
     for pattern, order_of, build in _ATOMS:
-        m = re.fullmatch(pattern, name)
+        m = pattern.fullmatch(name)
         if m:
             params = [int(g) for g in m.groups()]
             order = order_of(*params)

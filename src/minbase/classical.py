@@ -17,6 +17,7 @@ from .fq import (
     Fq,
     all_vectors,
     bilinear,
+    code_vector,
     frobenius_subspace,
     mat_det,
     mat_identity,
@@ -25,6 +26,7 @@ from .fq import (
     mat_vec,
     nullspace,
     subspace_canonical,
+    vector_code,
 )
 
 
@@ -275,28 +277,84 @@ def orth_odd_construct(n: int, q: int) -> OrthConstruction:
 
 
 def _reflections(F, gram):
+    """The reflections x -> x - c(x) v of the form, c(x) = 2 B(x, v) /
+    B(v, v), over the v with B(v, v) nonzero, as matrices: entry (i, j)
+    is delta_ij - c(e_j) v_i.  Scaling v changes neither c(x) v nor
+    whether B(v, v) is zero, so one point per line gives them all."""
     d = len(gram)
-    ident = mat_identity(d)
+    add, mul, sub = F.add, F.mul, F.sub
+    transposed = mat_transpose(gram)  # B(u, v) = u . (gram^T v)
     out = set()
-    two = 2 % F.q
-    for v in all_vectors(F, d):
-        if not any(v):
-            continue
-        vv = bilinear(F, gram, v, v)
+    for v in _line_points(F, d):
+        b = mat_vec(F, transposed, v)  # b_j = B(e_j, v)
+        vv = 0
+        for x, y in zip(v, b):
+            vv = add[vv][mul[x][y]]
         if vv == 0:
             continue
-        cols = []
-        for ej in ident:
-            coef = F.mul[F.mul[two][bilinear(F, gram, ej, v)]][F.inv[vv]]
-            cols.append(tuple(F.sub(ej[i], F.mul[coef][v[i]]) for i in range(d)))
-        out.add(tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
+        scale = mul[2 % F.q][F.inv[vv]]
+        c = [mul[scale][x] for x in b]
+        out.add(tuple(
+            tuple(sub(int(i == j), mul[c[j]][v[i]]) for j in range(d))
+            for i in range(d)
+        ))
     return out
 
 
+_IDENTITY = bytes(range(256))  # the identity permutation of byte codes
+
+
+def _shifts(F, d):
+    """shifts[i][a]: the translation v -> v + a e_i of F_q^d as a byte
+    permutation of the vector codes (see fq.vector_code), fixing the
+    codes from q^d on."""
+    q, size = F.q, F.q**d
+    out = []
+    for i in range(d):
+        w = q**i
+        out.append([
+            bytes(c + (F.add[c // w % q][a] - c // w % q) * w for c in range(size))
+            + _IDENTITY[size:]
+            for a in range(q)
+        ])
+    return out
+
+
+def _matrix_perm(F, g, shifts):
+    """The action v -> g v of a d x d matrix on the codes of F_q^d, as a
+    byte permutation fixing the codes from q^d on.
+
+    images holds the images of the codes below q^k, from 0 -> 0 at k = 0.
+    A code below q^(k+1) is that of v + t e_k, for v a code below q^k and
+    t a digit, and g(v + t e_k) = g v + t g e_k: so block t of the next
+    images is images translated by t g e_k, a product of shifts."""
+    mul = F.mul
+    images = bytes(1)
+    for k in range(len(g)):
+        blocks = [images]
+        for t in range(1, F.q):
+            move = _IDENTITY
+            for i, row in enumerate(g):
+                if row[k]:
+                    move = move.translate(shifts[i][mul[t][row[k]]])
+            blocks.append(images.translate(move))
+        images = b"".join(blocks)
+    return images + _IDENTITY[len(images):]
+
+
+def perm_matrix(F, p, d):
+    """The d x d matrix whose column j is the vector of code p[q^j], the
+    image of e_j under the byte permutation p."""
+    return tuple(zip(*(code_vector(F, p[F.q**j], d) for j in range(d))))
+
+
 def isometry_group_elements(F, gram):
-    """Full orthogonal group of the form, generated by its reflections,
-    as a list in a fixed order; every element is re-checked against the
-    form.
+    """Full orthogonal group of a symmetric form over F_q, q odd,
+    generated by its reflections, as (g, det g) pairs in a fixed order.
+    g is the isometry's action on the q^d vector codes as a byte
+    permutation, and perm_matrix reads its matrix back.  Every element is
+    checked against the form.  Refuses (ValueError) an even q, a gram
+    that is not symmetric, and q^d > 256.
 
     The group is closed by Dimino's method.  The reflections are taken in
     sorted order, and one becomes a generator only when the closure so far
@@ -304,29 +362,55 @@ def isometry_group_elements(F, gram):
     H w: a representative w = reps[i] s, for a generator s, starts a new
     coset exactly when it is not yet seen, and the closure is done when
     every reps[i] s is seen.  Each reflection is a generator or already in
-    the closure, so the result is the group all the reflections generate."""
-    ident = mat_identity(len(gram))
-    elems = [ident]
-    seen = {ident}
+    the closure, so the result is the group all the reflections generate.
+
+    A product h w of permutations is w.translate(h), which maps v to
+    h(w(v)), and det(h w) = det h det w, from each generator's mat_det.
+    Each permutation is the action of the matrix read from its images of
+    the basis vectors: a generator's is by construction (_matrix_perm),
+    and if P and P' are the actions of matrices h and w, then
+    P'.translate(P) is the action of h w; so by induction each element is
+    the action of some matrix M, whose column j, M e_j, is the vector of
+    its entry at code q^j.  The form check compares Q o g with Q on all
+    q^d codes, where Q(v) = B(v, v).  For linear M and symmetric B,
+    Q(M v) = Q(v) for every v gives B(M u, M v) = B(u, v) for every u, v,
+    by polarization, B(u, v) = (Q(u + v) - Q(u) - Q(v)) / 2 with 2
+    invertible for odd q; that is M^T F M = F, and the converse is
+    immediate."""
+    d = len(gram)
+    size = F.q**d
+    if F.q % 2 == 0 or tuple(map(tuple, gram)) != mat_transpose(gram):
+        raise ValueError("the isometry form check needs odd q and a symmetric gram")
+    if size > 256:
+        raise ValueError(f"the {size} vectors of F_{F.q}^{d} do not fit in byte codes")
+    shifts = _shifts(F, d)
+    mul = F.mul
+    elems = [_IDENTITY]
+    dets = [1]
+    seen = {_IDENTITY}
     gens = []
     for r in sorted(_reflections(F, gram)):
-        if r in seen:
+        p = _matrix_perm(F, r, shifts)
+        if p in seen:
             continue
-        gens.append(r)
-        H = list(elems)
-        reps = [ident]
-        for rep in reps:  # reps grows while it is walked
-            for s in gens:
-                w = mat_mul(F, rep, s)
+        gens.append((p, mat_det(F, r)))
+        H = list(zip(elems, dets))
+        reps = [(_IDENTITY, 1)]
+        for rep, d_rep in reps:  # reps grows while it is walked
+            for s, d_s in gens:
+                w = s.translate(rep)
                 if w not in seen:
-                    reps.append(w)
-                    coset = [mat_mul(F, h, w) for h in H]
+                    d_w = mul[d_rep][d_s]
+                    reps.append((w, d_w))
+                    coset = [w.translate(h) for h, _ in H]
                     elems.extend(coset)
+                    dets.extend(mul[d_h][d_w] for _, d_h in H)
                     seen.update(coset)
+    Q = bytes(bilinear(F, gram, v, v) for v in all_vectors(F, d)) + _IDENTITY[size:]
     for g in elems:
-        if mat_mul(F, mat_transpose(g), mat_mul(F, gram, g)) != gram:
+        if g.translate(Q) != Q:
             raise CertificationError("a generated element does not preserve the form")
-    return elems
+    return list(zip(elems, dets))
 
 
 @dataclass
@@ -350,6 +434,20 @@ def orth_odd_pair_check(n: int = 7, q: int = 3) -> OrthPairReport:
     return _orth_pair_join(Fq(q), cons.form, cons.U, cons.W)
 
 
+def _orth_factor(F, form, coords, ann, W):
+    """(g, det g, values) for each isometry g of the form on the
+    coordinates C, as isometry_group_elements lists them: values holds,
+    for each basis vector w of W, the values a_C . (g w_C) over the rows a
+    of W's annihilator ann.  g w_C is g's entry at the code of w_C, and a
+    table over all codes holds the values."""
+    gram = tuple(tuple(form[i][j] for j in coords) for i in coords)
+    ann_c = [tuple(a[i] for i in coords) for a in ann]
+    values_at = [mat_vec(F, ann_c, v) for v in all_vectors(F, len(coords))]
+    w_codes = [vector_code(F, [w[i] for i in coords]) for w in W]
+    for g, det in isometry_group_elements(F, gram):
+        yield g, det, tuple(values_at[g[c]] for c in w_codes)
+
+
 def _orth_pair_join(F, form, U, W) -> OrthPairReport:
     """Count the pairs (gU, gP) of isometries of U and of its complement
     whose block sum g has determinant 1, and those of them with g W = W
@@ -370,36 +468,26 @@ def _orth_pair_join(F, form, U, W) -> OrthPairReport:
     u_coords = tuple(sorted({next(i for i, x in enumerate(v) if x) for v in U}))
     p_coords = tuple(i for i in range(n) if i not in u_coords)
 
-    def factor(coords):
-        """(g, det g, the values a_C . (g w_C)) for each isometry g on the
-        coordinates C."""
-        gram = tuple(tuple(form[i][j] for j in coords) for i in coords)
-        ann_c = [tuple(a[i] for i in coords) for a in ann]
-        w_c = [tuple(w[i] for i in coords) for w in W]
-        for g in isometry_group_elements(F, gram):
-            values = tuple(x for w in w_c for x in mat_vec(F, ann_c, mat_vec(F, g, w)))
-            yield g, mat_det(F, g), values
-
     buckets = {}
     det_count = {}
-    for gP, d, values in factor(p_coords):
+    for gP, d, values in _orth_factor(F, form, p_coords, ann, W):
         det_count[d] = det_count.get(d, 0) + 1
-        buckets.setdefault((d, tuple(F.neg[x] for x in values)), []).append(gP)
+        negated = tuple(tuple(F.neg[x] for x in v) for v in values)
+        buckets.setdefault((d, negated), []).append(gP)
     ident = mat_identity(n)
     total = survivors = 0
     identity_seen = False
     counterexample = None
-    for gU, d, values in factor(u_coords):
+    for gU, d, values in _orth_factor(F, form, u_coords, ann, W):
         d_p = F.inv[d]
         total += det_count.get(d_p, 0)
         for gP in buckets.get((d_p, values), ()):
             g = [[0] * n for _ in range(n)]
-            for a, i in enumerate(u_coords):
-                for b, j in enumerate(u_coords):
-                    g[i][j] = gU[a][b]
-            for a, i in enumerate(p_coords):
-                for b, j in enumerate(p_coords):
-                    g[i][j] = gP[a][b]
+            for coords, perm in ((u_coords, gU), (p_coords, gP)):
+                block = perm_matrix(F, perm, len(coords))
+                for a, i in enumerate(coords):
+                    for b, j in enumerate(coords):
+                        g[i][j] = block[a][b]
             g = tuple(tuple(r) for r in g)
             if subspace_canonical(F, [mat_vec(F, g, w) for w in W]) != W:
                 raise CertificationError("a joined pair does not fix W")

@@ -258,6 +258,17 @@ def frobenius_subspace(F, canon):
     return subspace_canonical(F, [frobenius_vec(F, v) for v in canon])
 
 
+def code_vector(F, code, n):
+    """The vector of F_q^n whose code is code: its base-q digits, least
+    significant first, so code is its index in all_vectors(F, n)."""
+    return tuple(_digits(code, F.q, n))
+
+
+def vector_code(F, v):
+    """The code of a vector, sum of v_i q^i: the inverse of code_vector."""
+    return sum(x * F.q**i for i, x in enumerate(v))
+
+
 def all_vectors(F, n):
     q = F.q
     for code in range(q**n):

@@ -25,10 +25,6 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def is_identity(p) -> bool:
-    return all(i == j for i, j in enumerate(p))
-
-
 def compose(p, q):
     """Apply p, then q."""
     if len(p) != len(q):
@@ -188,7 +184,8 @@ class PermGroup:
         if len(set(base)) != len(base) or not all(0 <= pt < degree for pt in base):
             raise ValueError(f"base points must be distinct points of 0..{degree - 1}")
         self.degree = degree
-        self.generators = [g for g in generators if not is_identity(g)]
+        self._identity = identity(degree)  # one tuple comparison per identity test
+        self.generators = [g for g in generators if tuple(g) != self._identity]
         self._levels: list[_Level] = [_Level(pt, degree) for pt in base]
         for g in self.generators:
             self._add(g, 0)
@@ -221,7 +218,7 @@ class PermGroup:
         generators of levels start..depth, which are then closed from the
         bottom up."""
         residue, depth = self._sift(g, start)
-        if is_identity(residue):
+        if residue == self._identity:
             return
         if depth == len(self._levels):
             moved = min(i for i in range(self.degree) if residue[i] != i)
@@ -263,7 +260,7 @@ class PermGroup:
                 f"element degree {len(g)} != group degree {self.degree}"
             )
         residue, _ = self._sift(g)
-        return is_identity(residue)
+        return residue == self._identity
 
     def __contains__(self, g):
         return self.contains(g)

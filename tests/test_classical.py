@@ -8,6 +8,8 @@ from minbase.classical import (
     OrthPairReport,
     Sp4PairReport,
     _line_points,
+    _matrix_perm,
+    _orth_factor,
     _orth_pair_join,
     _reflections,
     _sp4_pair_systems,
@@ -15,6 +17,7 @@ from minbase.classical import (
     isometry_group_elements,
     orth_odd_construct,
     orth_odd_pair_check,
+    perm_matrix,
     sp4_pair_stabilizer,
     sp4_similitude_check,
     sp4_triple_base_check,
@@ -32,6 +35,7 @@ from minbase.fq import (
     mat_vec,
     nullspace,
     subspace_canonical,
+    vector_code,
 )
 from test_fq import gram_matrix
 
@@ -298,8 +302,8 @@ def orth_pair_enumeration(F, form, U, W):
     p_coords = tuple(i for i in range(n) if i not in u_coords)
     gram_u = tuple(tuple(form[i][j] for j in u_coords) for i in u_coords)
     gram_p = tuple(tuple(form[i][j] for j in p_coords) for i in p_coords)
-    GU = isometry_group_elements(F, gram_u)
-    GP = isometry_group_elements(F, gram_p)
+    GU = isometry_matrix_closure(F, gram_u)
+    GP = isometry_matrix_closure(F, gram_p)
     survivors = 0
     ident = mat_identity(n)
     identity_seen = False
@@ -359,6 +363,31 @@ def test_orth_pair_check_budget():
         orth_odd_pair_check(7, 5)
 
 
+def isometry_matrix_closure(F, gram):
+    """Oracle: the group the sorted reflections generate, closed by
+    Dimino's method over matrices, in the order that
+    isometry_group_elements lists it."""
+    ident = mat_identity(len(gram))
+    elems = [ident]
+    seen = {ident}
+    gens = []
+    for r in sorted(_reflections(F, gram)):
+        if r in seen:
+            continue
+        gens.append(r)
+        H = list(elems)
+        reps = [ident]
+        for rep in reps:
+            for s in gens:
+                w = mat_mul(F, rep, s)
+                if w not in seen:
+                    reps.append(w)
+                    coset = [mat_mul(F, h, w) for h in H]
+                    elems.extend(coset)
+                    seen.update(coset)
+    return elems
+
+
 def isometry_closure_bfs(F, gram):
     """Oracle: the closure of the identity under right multiplication by
     every reflection of the form, breadth first."""
@@ -411,31 +440,53 @@ def _block_sum(*blocks):
     (3, -1, _block_sum(_HYPERBOLIC, _ANISOTROPIC_3)),
 ])
 def test_isometry_cosets_match_reflection_bfs(q, eps, gram):
+    """The permutations read back as the matrix closure's matrices, in
+    its order, each with its determinant, and those are the closure
+    under all reflections."""
     F = Fq(q)
-    elems = isometry_group_elements(F, gram)
+    d = len(gram)
+    pairs = isometry_group_elements(F, gram)
+    elems = [perm_matrix(F, g, d) for g, _ in pairs]
+    assert elems == isometry_matrix_closure(F, gram)
+    assert [det for _, det in pairs] == [mat_det(F, g) for g in elems]
     assert len(elems) == len(set(elems))
     assert set(elems) == isometry_closure_bfs(F, gram)
-    assert len(elems) == orthogonal_group_order(len(gram), q, eps)
-    for g in elems:
+    assert len(elems) == orthogonal_group_order(d, q, eps)
+    for (perm, _), g in zip(pairs, elems):
         assert mat_mul(F, mat_transpose(g), mat_mul(F, gram, g)) == gram
+        assert [vector_code(F, mat_vec(F, g, v)) for v in all_vectors(F, d)] == \
+            list(perm[:q**d])
+        assert perm[q**d:] == bytes(range(q**d, 256))
+
+
+class CountingBytes(bytes):
+    """A byte permutation that counts the products it takes part in as
+    the permutation applied first, and passes that on to its products."""
+
+    calls = 0
+
+    def translate(self, table):
+        CountingBytes.calls += 1
+        return CountingBytes(bytes.translate(self, table))
 
 
 def test_isometry_cosets_skip_most_products(monkeypatch):
-    """O4+(3) has 1152 elements and 24 reflections: the coset closure makes
-    far fewer than the 27,648 products of multiplying each element by each
-    reflection, two of them per element being its form check."""
+    """O4+(3) has 1152 elements and 24 reflections: the coset closure
+    composes far fewer than the 27,648 products of each element with each
+    reflection, as many as the matrix closure's products.  Each of the
+    1,151 non-identity elements is composed once, as a member of a new
+    coset, and the steps from coset representatives by generators take
+    148 more; each non-identity element's form check is one more
+    translate."""
     F = Fq(3)
     gram = _block_sum(_HYPERBOLIC, _HYPERBOLIC)
-    calls = []
-
-    def counting_mat_mul(*args):
-        calls.append(1)
-        return mat_mul(*args)
-
-    monkeypatch.setattr(classical, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(CountingBytes, "calls", 0)
+    monkeypatch.setattr(classical, "_matrix_perm",
+                        lambda *args: CountingBytes(_matrix_perm(*args)))
     elems = isometry_group_elements(F, gram)
     assert len(_reflections(F, gram)) == 24 and len(elems) == 1152
-    assert 2 * len(elems) < len(calls) < 4 * len(elems)
+    compositions = CountingBytes.calls - (len(elems) - 1)
+    assert compositions == 1151 + 148 < 27648 // 20
 
 
 def test_isometry_closure_checks_every_element_against_the_form(monkeypatch):
@@ -447,6 +498,35 @@ def test_isometry_closure_checks_every_element_against_the_form(monkeypatch):
                         lambda F, gram: _reflections(F, gram) | {shear})
     with pytest.raises(CertificationError):
         isometry_group_elements(F, gram)
+
+
+@pytest.mark.parametrize("q, gram", [
+    (3, mat_identity(6)),  # 729 vectors
+    (5, mat_identity(4)),  # 625 vectors
+    (9, mat_identity(3)),  # 729 vectors
+    (3, ((0, 1), (2, 0))),  # not symmetric
+    (4, _HYPERBOLIC),  # even q: polarization needs 2 invertible
+])
+def test_isometry_closure_refuses_what_its_check_cannot_prove(q, gram):
+    with pytest.raises(ValueError):
+        isometry_group_elements(Fq(q), gram)
+
+
+@pytest.mark.parametrize("coords", [(0, 1, 6), (2, 3, 4, 5)])
+def test_orth_factor_values_match_matrix_products(coords):
+    """Each factor element's looked-up values are the a_C . (g w_C) of
+    its matrix, and its carried determinant is mat_det's."""
+    F = Fq(3)
+    cons = orth_odd_construct(7, 3)
+    ann = nullspace(F, cons.W, 7)
+    ann_c = [tuple(a[i] for i in coords) for a in ann]
+    w_c = [tuple(w[i] for i in coords) for w in cons.W]
+    factor = list(_orth_factor(F, cons.form, coords, ann, cons.W))
+    assert len(factor) == {3: 48, 4: 1152}[len(coords)]
+    for g, det, values in factor:
+        m = perm_matrix(F, g, len(coords))
+        assert det == mat_det(F, m)
+        assert values == tuple(mat_vec(F, ann_c, mat_vec(F, m, w)) for w in w_c)
 
 
 def test_isometry_group_sizes():
