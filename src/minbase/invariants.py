@@ -3,8 +3,8 @@ certificates, chief series with non-Frattini flags, and the chief-factor
 upper bound on the intersection number.
 
 Everything works on a GroupTable (full element table of the ambient
-group), so subgroup states are frozensets and searches are breadth-first
-with memoized intersection states.
+group), so subgroups are frozensets of element indices, and searches are
+breadth-first over memoized intersection states held as int bitmasks.
 """
 
 from __future__ import annotations
@@ -62,21 +62,27 @@ def alpha(lattice: Lattice) -> AlphaCertificate:
     frat = frattini(lattice).elements
     reps = [cls[0] for cls in lattice.classes if cls[0] in maxs]
     depth, chain = _fewest_intersections(
-        {rec.elements: [rec] for rec in reps},
-        [(rec.elements, rec) for rec in maxs],
-        frat,
+        {_mask(rec.elements): [rec] for rec in reps},
+        [(_mask(rec.elements), rec) for rec in maxs],
+        _mask(frat),
     )
     return AlphaCertificate(depth, chain, len(frat))
+
+
+def _mask(elems):
+    """The set of element indices as an int bitmask, bit x for element x."""
+    return sum(map((1).__lshift__, elems))
 
 
 def _fewest_intersections(starts, pool, target):
     """Breadth-first search over distinct intersection states.
 
-    starts maps each start state (a frozenset) to its list of labels; a
-    step intersects a state with one (elements, label) pair of pool and
-    appends the label.  Returns (depth, labels) for the first state equal
-    to target, depth counting the start as 1; states that do not shrink,
-    or were reached before, are not expanded again.
+    starts maps each start state (an int bitmask of element indices, see
+    _mask) to its list of labels; a step intersects a state with one
+    (bitmask, label) pair of pool and appends the label.  Returns (depth,
+    labels) for the first state equal to target, depth counting the start
+    as 1; states that do not shrink, or were reached before, are not
+    expanded again.
     """
     states = dict(starts)
     seen = set(states)
@@ -120,7 +126,9 @@ def base_size_subgroup(lattice: Lattice, H: SubgroupRecord) -> BaseSizeCertifica
     conjugates = table.conjugates(H.elements)
     core_elems = frozenset.intersection(*conjugates)
     depth, gs = _fewest_intersections(
-        {H.elements: []}, conjugates.items(), core_elems
+        {_mask(H.elements): []},
+        [(_mask(conj), g) for conj, g in conjugates.items()],
+        _mask(core_elems),
     )
     return BaseSizeCertificate(depth, H, gs, len(core_elems))
 
@@ -206,6 +214,7 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
     its composition length is 1.
     """
     table = lattice.table
+    mul, inv = table.mul, table.inv
     normals = normal_subgroups(lattice)
     maxs = lattice.maximal_subgroups()
     full = lattice.find(range(table.n))
@@ -215,7 +224,12 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
         over_bottom = [m.elements for m in maxs if bottom.elements <= m.elements]
         frattini_mod_bottom = full.elements.intersection(*over_bottom)
         order = top.order // bottom.order
-        abelian = commutator_subgroup(table, top.elements, top.elements) <= bottom.elements
+        # bottom is normal, so top/bottom is abelian exactly when the
+        # images of top's generators commute
+        abelian = all(
+            mul[mul[inv[x]][inv[y]]][mul[x][y]] in bottom.elements
+            for x in top.generators for y in top.generators
+        )
         factors.append(
             ChiefFactor(
                 top,

@@ -12,8 +12,9 @@ representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .perm import PermGroup, compose, format_perm, identity, inverse
+from .perm import PermGroup, format_perm, gather, identity, inverse
 
 
 class OrderCapExceeded(ValueError):
@@ -45,31 +46,35 @@ class GroupTable:
         index = {p: i for i, p in enumerate(elems)}
         self.index = index
         self.identity = index[identity(group.degree)]
-        # row x is the map y -> x*y, so the row of g*x is the row of x read
-        # through the row of g: one composed row per generator, then one
-        # C-level map per element, walking out from the identity
+        self.gen_idx = [index[g] for g in group.generators]
+        # row x is the map y -> x*y, so the row of x*g is the row of x
+        # gathered at the row of g: one row per generator g, its entries
+        # g*q each one gather of q at g's images, then one C-level gather
+        # per element, walking out from the identity
         gen_rows = [
-            [index[compose(g, q)] for q in elems] for g in group.generators
+            list(map(index.__getitem__, map(gather(g), elems)))
+            for g in group.generators
         ]
+        gen_reads = list(zip(self.gen_idx, map(gather, gen_rows)))
         mul = [None] * self.n
         mul[self.identity] = list(range(self.n))
         frontier = [self.identity]
         for x in frontier:  # grows as the walk does
-            for row_g in gen_rows:
-                y = row_g[x]
+            row_x = mul[x]
+            for g, read in gen_reads:
+                y = row_x[g]
                 if mul[y] is None:
-                    mul[y] = list(map(row_g.__getitem__, mul[x]))
+                    mul[y] = list(read(row_x))
                     frontier.append(y)
         self.mul = mul
         self.inv = [index[inverse(p)] for p in elems]
         self.whole = frozenset(range(self.n))
-        self.gen_idx = [index[g] for g in group.generators]
         if not self.gen_idx:
             self.gen_idx = [self.identity]
-        # one conjugation row x -> g^-1 x g per generator g: the column of g
-        # (each x*g) read through the row of g^-1
+        # one conjugation row x -> g^-1 x g per generator g: the row of g^-1
+        # gathered at the column of g (each x*g)
         self.conj_rows = [
-            list(map(mul[self.inv[g]].__getitem__, [row[g] for row in mul]))
+            list(gather(list(map(itemgetter(g), mul)))(mul[self.inv[g]]))
             for g in self.gen_idx
         ]
 
@@ -106,6 +111,7 @@ class GroupTable:
         gen_rows = [mul[g] for g in gens if g != e]
         seen = set(base)
         trivial = len(base) == 1  # each coset one element: add beats update
+        coset = None if trivial else gather(base)  # row of w -> wH
         reps = [e]
         for y in reps:  # grows as the walk does
             for row in gen_rows:
@@ -114,7 +120,7 @@ class GroupTable:
                     if trivial:
                         seen.add(w)
                     else:
-                        seen.update(map(mul[w].__getitem__, base))
+                        seen.update(coset(mul[w]))
                     if len(seen) > bound:
                         return self.whole
                     reps.append(w)
@@ -144,8 +150,9 @@ class GroupTable:
         while stack:
             cur = stack.pop()
             row_c = mul[out[cur]]
+            conjugate = gather(cur)  # conjugation row -> image of cur
             for s, row in zip(self.gen_idx, self.conj_rows):
-                conj = frozenset(map(row.__getitem__, cur))
+                conj = frozenset(conjugate(row))
                 d = out.get(conj)
                 if d is None:
                     out[conj] = row_c[s]
@@ -160,33 +167,32 @@ class GroupTable:
         return self.class_walk(elems)[0]
 
     def double_cosets(self, elems, gens):
-        """The double cosets HgH outside H, where H is the subgroup on elems
-        generated by gens: the least element of each, in increasing order,
-        and a label per element, the index of its double coset in that list
-        (-1 on H itself).
+        """The least element of each double coset HgH outside H, in
+        increasing order, where H is the subgroup on elems generated by
+        gens.
 
-        HgH is the union of the left cosets hgH, so the walk labels whole
+        HgH is the union of the left cosets hgH, so the walk marks whole
         left cosets: from gH it reaches every hgH by left multiplication by
         the generators of H."""
         mul = self.mul
         gen_rows = [mul[h] for h in gens]
-        label = dict.fromkeys(elems, -1)
+        coset = gather(elems)  # row of y -> yH
+        seen = set(elems)
         reps = []
         for g in range(self.n):
-            if g in label:
+            if g in seen:
                 continue
-            i = len(reps)
             reps.append(g)
-            label.update(dict.fromkeys(map(mul[g].__getitem__, elems), i))
+            seen.update(coset(mul[g]))
             stack = [g]
             while stack:
                 y = stack.pop()
                 for row in gen_rows:
                     w = row[y]
-                    if w not in label:
-                        label.update(dict.fromkeys(map(mul[w].__getitem__, elems), i))
+                    if w not in seen:
+                        seen.update(coset(mul[w]))
                         stack.append(w)
-        return reps, label
+        return reps
 
     def is_maximal(self, elems, gens):
         """A proper subgroup H (on elems, generated by gens) is maximal
@@ -194,7 +200,7 @@ class GroupTable:
         outside H."""
         return len(elems) < self.n and all(
             len(self.closure(list(gens) + [g], elems)) == self.n
-            for g in self.double_cosets(elems, gens)[0]
+            for g in self.double_cosets(elems, gens)
         )
 
     def word_of(self, idx) -> str:
@@ -234,11 +240,19 @@ class Lattice:
     was extended, which is earlier, since the double cosets are walked in
     increasing order of their least elements.  Extending D meets nothing
     new, so every class is first met at the same (H, g), with the same
-    generators, as when every double coset is extended.  The class walk
-    yields generators of N (Schreier's lemma), and N acts on the double
-    coset labels through r -> n^-1 r n for the least element r of each;
-    elements of H fix every double coset, so one generator per coset nH
-    outside H acts for them all.
+    generators, as when every double coset is extended.
+
+    The orbits are walked as unions of whole left cosets, with no label
+    per element.  The class walk yields generators of N (Schreier's
+    lemma).  From gH, left multiplication by the generators of H reaches
+    every left coset of HgH, and y -> n^-1 y n carries a left coset yH to
+    (yH)^n = y^n H^n = y^n H, since n normalizes H: a whole left coset of
+    (HgH)^n.  So the cosets marked from gH make up exactly the orbit of
+    HgH.  Elements of H fix every double coset, and n and nh act alike on
+    them, so one generator per coset nH outside H acts for them all.  The
+    least element outside H and the orbits marked so far is the least
+    element of the least double coset not yet reached: the same g, met in
+    the same order, as walking the double cosets by their least elements.
 
     subgroups lists every subgroup by (order, key()); classes lists the
     conjugacy classes, each sorted by key(), ordered by their least member.
@@ -271,27 +285,36 @@ class Lattice:
             reached_only_full = True
             # above a subgroup of index 2 lies only the whole group
             if 2 * rep.order < m:
+                H = rep.elements
                 gens = list(rep.generators)
-                reps, label = table.double_cosets(rep.elements, gens)
+                gen_rows = [mul[h] for h in gens]
+                coset = gather(H)  # row of y -> yH
                 # one normalizer element per coset nH outside H, as a pair
-                # (row of n^-1, n) conjugating a double coset's least element
+                # (row of n^-1, n) conjugating an element
                 acts = [
                     (mul[inv[n]], n)
-                    for n in {label[n]: n for n in schreier if label[n] >= 0}.values()
+                    for n in {min(coset(mul[n])): n for n in schreier
+                              if n not in H}.values()
                 ]
-                done = bytearray(len(reps))
-                for i, g in enumerate(reps):
-                    if done[i]:
+                marked = set(H)
+                for g in range(m):
+                    if g in marked:
                         continue
-                    done[i] = 1
-                    orbit = [g]
-                    for r in orbit:  # grows as the walk does
+                    marked.update(coset(mul[g]))
+                    stack = [g]
+                    while stack:
+                        y = stack.pop()
+                        for row in gen_rows:
+                            w = row[y]
+                            if w not in marked:
+                                marked.update(coset(mul[w]))
+                                stack.append(w)
                         for row, n in acts:
-                            j = label[mul[row[r]][n]]
-                            if not done[j]:
-                                done[j] = 1
-                                orbit.append(reps[j])
-                    new_elems = table.closure(gens + [g], rep.elements)
+                            w = mul[row[y]][n]
+                            if w not in marked:
+                                marked.update(coset(mul[w]))
+                                stack.append(w)
+                    new_elems = table.closure(gens + [g], H)
                     if len(new_elems) < m:
                         reached_only_full = False
                         meet(new_elems, tuple(gens) + (g,))

@@ -9,6 +9,7 @@ e.g. "(1,2)(3,4,5)"; non-disjoint cycles are applied right to left.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 Perm = tuple
 
@@ -30,6 +31,17 @@ def compose(p, q):
     if len(p) != len(q):
         raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
     return tuple(q[x] for x in p)
+
+
+def gather(indices):
+    """The map from a sequence s to the tuple of s[i] for i in indices, in
+    their order: itemgetter(*indices), one C-level call per sequence,
+    except that one index still gives a 1-tuple, not the bare entry.
+    indices is nonempty.  gather(p)(q) is compose(p, q)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 def inverse(p):
@@ -274,11 +286,14 @@ class PermGroup:
         if self.order > limit:
             raise ValueError(f"order {self.order} exceeds enumeration limit {limit}")
         # Sifting decomposes g = u_L * ... * u_1 (deepest transversal first),
-        # so enumerate products in that order.
+        # so enumerate products in that order, each e * t one gather of t
+        # at e's images
         elems = [identity(self.degree)]
         for lvl in reversed(self._levels):
             transversal = [lvl.orbit[pt] for pt in sorted(lvl.orbit)]
-            elems = [compose(e, t) for e in elems for t in transversal]
+            elems = [
+                prod for e in elems for prod in map(gather(e), transversal)
+            ]
         return elems
 
     def __repr__(self):

@@ -1315,6 +1315,13 @@ def test_verify_refuses_an_alpha_of_the_trivial_group(tmp_path):
     assert main(["verify", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["alpha", "soluble", "theorem4"])
+def test_trivial_group_is_refused(capsys, command):
+    # C1 has no maximal subgroups, so no intersection number
+    assert main([command, "--spec", "C1"]) == 2
+    assert capsys.readouterr().err == "refused: the trivial group has no maximal subgroups\n"
+
+
 @pytest.mark.parametrize("command", ["alpha", "beta"])
 @pytest.mark.parametrize("spec", BUILTIN_NAMES)
 def test_genuine_alpha_and_beta_certificates_verify(tmp_path, command, spec):

@@ -18,6 +18,7 @@ from minbase.invariants import (
 from minbase.lattice import (
     GroupTable,
     Lattice,
+    commutator_subgroup,
     core,
     frattini,
     normal_subgroups,
@@ -70,6 +71,69 @@ def _conjugates_meet_in_core(table, cert):
     H = cert.subgroup.elements
     inter = H.intersection(*(table.conjugate_set(H, g) for g in cert.conjugators))
     return len(inter) == cert.core_order and len(cert.conjugators) == cert.value - 1
+
+
+CATALOG = sorted(set(BUILTIN_NAMES) | set(SOLUBLE_CATALOG))
+
+
+def oracle_fewest_intersections(starts, pool, target):
+    """Oracle: the breadth-first search over intersection states held as
+    frozensets, in the insertion order of invariants._fewest_intersections."""
+    states = dict(starts)
+    seen = set(states)
+    depth = 1
+    while True:
+        for elems, labels in states.items():
+            if elems == target:
+                return depth, labels
+        nxt = {}
+        for elems, labels in states.items():
+            for other, label in pool:
+                inter = elems & other
+                if inter == elems or inter in seen or inter in nxt:
+                    continue
+                nxt[inter] = labels + [label]
+        assert nxt, "intersections never reached the target subgroup"
+        seen.update(nxt)
+        states = nxt
+        depth += 1
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_bitmask_searches_match_the_frozenset_oracle(name):
+    # the same depth and the same witness labels, for alpha and for every
+    # maximal class's b(G, H)
+    lat = lat_of(name)
+    maxs = lat.maximal_subgroups()
+    reps = [cls[0] for cls in lat.classes if cls[0] in maxs]
+    cert = alpha(lat)
+    assert (cert.value, cert.witness) == oracle_fewest_intersections(
+        {rec.elements: [rec] for rec in reps},
+        [(rec.elements, rec) for rec in maxs],
+        frattini(lat).elements,
+    )
+    for rec in reps:
+        conjugates = lat.table.conjugates(rec.elements)
+        cert = base_size_subgroup(lat, rec)
+        assert (cert.value, cert.conjugators) == oracle_fewest_intersections(
+            {rec.elements: []},
+            conjugates.items(),
+            frozenset.intersection(*conjugates),
+        )
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_chief_abelian_flags_match_the_commutator_subgroup(name):
+    # the flag is read from commutators of top's generators; the oracle
+    # forms [top, top] from every pair of elements
+    lat = lat_of(name)
+    for f in chief_series(lat).factors:
+        whole = commutator_subgroup(lat.table, f.top.elements, f.top.elements)
+        assert f.abelian == (whole <= f.bottom.elements)
+
+
+def test_catalog_has_41_lattices():
+    assert len(CATALOG) == 41
 
 
 def test_alpha_s4_with_oracle(s4):

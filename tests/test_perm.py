@@ -13,6 +13,7 @@ from minbase.perm import (
     PermGroup,
     compose,
     format_perm,
+    gather,
     identity,
     orbit,
     orbits,
@@ -177,6 +178,28 @@ def test_a_base_repeating_or_outside_the_points_is_refused():
     for base in ([0, 0], [4], [-1]):
         with pytest.raises(ValueError):
             PermGroup([], 4, base=base)
+
+
+def test_gather_gives_a_tuple_for_every_length():
+    # itemgetter with one index returns the bare entry; gather must not
+    assert gather([2])("abc") == ("c",)
+    assert gather(frozenset([1]))([5, 7]) == (7,)
+    assert gather([2, 0, 0])("abc") == ("c", "a", "a")
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(5):
+            p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+            assert gather(p)(q) == compose(tuple(p), tuple(q))
+
+
+@pytest.mark.parametrize("base", [(), (0,)])
+def test_elements_of_degree_one(base):
+    # a level over the one point has a one-entry transversal, whose
+    # products are gathered at one index
+    G = PermGroup([], 1, base=base)
+    assert G.base == list(base)
+    assert G.elements() == [(0,)]
+    assert PermGroup([(0,)], 1, base=base).elements() == [(0,)]
 
 
 def test_elements_deterministic_and_complete():
