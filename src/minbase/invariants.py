@@ -19,10 +19,10 @@ from .lattice import (
     Lattice,
     SubgroupRecord,
     commutator_subgroup,
+    commutators,
     core,
     frattini,
-    is_nilpotent_set,
-    is_soluble,
+    is_nilpotent,
     normal_subgroups,
 )
 
@@ -214,7 +214,6 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
     its composition length is 1.
     """
     table = lattice.table
-    mul, inv = table.mul, table.inv
     normals = normal_subgroups(lattice)
     maxs = lattice.maximal_subgroups()
     full = lattice.find(range(table.n))
@@ -226,10 +225,7 @@ def chief_series(lattice: Lattice) -> ChiefSeriesReport:
         order = top.order // bottom.order
         # bottom is normal, so top/bottom is abelian exactly when the
         # images of top's generators commute
-        abelian = all(
-            mul[mul[inv[x]][inv[y]]][mul[x][y]] in bottom.elements
-            for x in top.generators for y in top.generators
-        )
+        abelian = commutators(table, top.generators, top.generators) <= bottom.elements
         factors.append(
             ChiefFactor(
                 top,
@@ -380,7 +376,7 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
     bound += sum(max(4, delta) for delta, _ in nonabelian_classes)
     bound += sum((3 * n - 1) // 2 for _, n in nonabelian_classes)
     a = alpha(lattice)
-    soluble = is_soluble(table)
+    soluble = all(f.abelian for f in report.factors)
     soluble_bound = (
         sum(delta + 3 for delta, *_ in abelian_classes) if soluble else None
     )
@@ -407,16 +403,20 @@ class SolubleReport:
 
 def soluble_bounds_report(lattice: Lattice) -> SolubleReport:
     """For a soluble group: intersection number against chief length, and
-    against the non-Frattini count when the derived subgroup is nilpotent."""
-    table = lattice.table
-    if not is_soluble(table):
+    against the non-Frattini count when the derived subgroup is nilpotent.
+
+    G is soluble exactly when every chief factor is abelian: a chief
+    factor is T^k for a simple T, abelian exactly when T has prime order,
+    and refining the chief series gives a composition series with these
+    T as its factors."""
+    report = chief_series(lattice)
+    if not all(f.abelian for f in report.factors):
         raise NotSoluble("the group is not soluble")
     a = alpha(lattice).value
-    report = chief_series(lattice)
     lam = report.chief_length
     delta = report.non_frattini_count
-    derived = commutator_subgroup(table, range(table.n), range(table.n))
-    dnil = is_nilpotent_set(table, derived)
+    full = report.series[0]
+    dnil = is_nilpotent(lattice, commutator_subgroup(lattice, full, full))
     return SolubleReport(
         a,
         lam,

@@ -166,17 +166,36 @@ class GroupTable:
         elems to it (the class walk's first half)."""
         return self.class_walk(elems)[0]
 
-    def double_cosets(self, elems, gens):
+    def double_cosets(self, elems, gens, normalizer=()):
         """The least element of each double coset HgH outside H, in
         increasing order, where H is the subgroup on elems generated by
-        gens.
+        gens; with normalizer elements, the least element of each orbit of
+        the group N they generate with H on those double cosets.
 
         HgH is the union of the left cosets hgH, so the walk marks whole
         left cosets: from gH it reaches every hgH by left multiplication by
-        the generators of H."""
-        mul = self.mul
+        the generators of H.  For n in N, (HgH)^n = H^n g^n H^n = H g^n H,
+        so N permutes the double cosets outside H, and y -> n^-1 y n
+        carries a left coset yH to (yH)^n = y^n H^n = y^n H, since n
+        normalizes H: a whole left coset of (HgH)^n.  So the cosets marked
+        from gH make up exactly the N-orbit of HgH, with no label per
+        element.  Elements of H fix every double coset, and n and nh act
+        alike on them, so one normalizer element per coset nH outside H
+        acts for them all.  The least element outside H and the orbits
+        marked so far is the least element of the least double coset not
+        yet reached, so the orbits come in increasing order of their least
+        elements.  With no normalizer elements each orbit is one double
+        coset."""
+        mul, inv = self.mul, self.inv
         gen_rows = [mul[h] for h in gens]
         coset = gather(elems)  # row of y -> yH
+        # one normalizer element per coset nH outside H, as a pair (row of
+        # n^-1, n) conjugating an element
+        acts = [
+            (mul[inv[n]], n)
+            for n in {min(coset(mul[n])): n for n in normalizer
+                      if n not in elems}.values()
+        ]
         seen = set(elems)
         reps = []
         for g in range(self.n):
@@ -189,6 +208,11 @@ class GroupTable:
                 y = stack.pop()
                 for row in gen_rows:
                     w = row[y]
+                    if w not in seen:
+                        seen.update(coset(mul[w]))
+                        stack.append(w)
+                for row, n in acts:
+                    w = mul[row[y]][n]
                     if w not in seen:
                         seen.update(coset(mul[w]))
                         stack.append(w)
@@ -230,29 +254,17 @@ class Lattice:
     for some g.  A representative all of whose extensions give the whole
     group is maximal, and so is its class.
 
-    Only the least double coset of each orbit of N = N_G(H) is extended,
-    and this meets exactly what extending every double coset does.  Proof:
-    for n in N, (HgH)^n = H^n g^n H^n = H g^n H, so N permutes the double
-    cosets outside H, and <H, g>^n = <H^n, g^n> = <H, g^n>.  So every
-    double coset D of the orbit of the least one, D0, extends H to a
-    conjugate of D0's extension.  That is G exactly when D0's is, so
-    maximality is judged alike; otherwise its class was recorded when D0
-    was extended, which is earlier, since the double cosets are walked in
-    increasing order of their least elements.  Extending D meets nothing
-    new, so every class is first met at the same (H, g), with the same
-    generators, as when every double coset is extended.
-
-    The orbits are walked as unions of whole left cosets, with no label
-    per element.  The class walk yields generators of N (Schreier's
-    lemma).  From gH, left multiplication by the generators of H reaches
-    every left coset of HgH, and y -> n^-1 y n carries a left coset yH to
-    (yH)^n = y^n H^n = y^n H, since n normalizes H: a whole left coset of
-    (HgH)^n.  So the cosets marked from gH make up exactly the orbit of
-    HgH.  Elements of H fix every double coset, and n and nh act alike on
-    them, so one generator per coset nH outside H acts for them all.  The
-    least element outside H and the orbits marked so far is the least
-    element of the least double coset not yet reached: the same g, met in
-    the same order, as walking the double cosets by their least elements.
+    Only the least double coset of each orbit of N = N_G(H), whose
+    generators the class walk yields (Schreier's lemma), is extended, and
+    this meets exactly what extending every double coset does.  Proof:
+    for n in N, <H, g>^n = <H^n, g^n> = <H, g^n>.  So every double coset
+    D of the orbit of the least one, D0, extends H to a conjugate of D0's
+    extension.  That is G exactly when D0's is, so maximality is judged
+    alike; otherwise its class was recorded when D0 was extended, which is
+    earlier, since double_cosets yields the orbits in increasing order of
+    their least elements.  Extending D meets nothing new, so every class
+    is first met at the same (H, g), with the same generators, as when
+    every double coset is extended.
 
     subgroups lists every subgroup by (order, key()); classes lists the
     conjugacy classes, each sorted by key(), ordered by their least member.
@@ -287,33 +299,7 @@ class Lattice:
             if 2 * rep.order < m:
                 H = rep.elements
                 gens = list(rep.generators)
-                gen_rows = [mul[h] for h in gens]
-                coset = gather(H)  # row of y -> yH
-                # one normalizer element per coset nH outside H, as a pair
-                # (row of n^-1, n) conjugating an element
-                acts = [
-                    (mul[inv[n]], n)
-                    for n in {min(coset(mul[n])): n for n in schreier
-                              if n not in H}.values()
-                ]
-                marked = set(H)
-                for g in range(m):
-                    if g in marked:
-                        continue
-                    marked.update(coset(mul[g]))
-                    stack = [g]
-                    while stack:
-                        y = stack.pop()
-                        for row in gen_rows:
-                            w = row[y]
-                            if w not in marked:
-                                marked.update(coset(mul[w]))
-                                stack.append(w)
-                        for row, n in acts:
-                            w = mul[row[y]][n]
-                            if w not in marked:
-                                marked.update(coset(mul[w]))
-                                stack.append(w)
+                for g in table.double_cosets(H, gens, schreier):
                     new_elems = table.closure(gens + [g], H)
                     if len(new_elems) < m:
                         reached_only_full = False
@@ -361,31 +347,35 @@ def normal_subgroups(lattice: Lattice):
     )
 
 
-def commutator_subgroup(table: GroupTable, A, B):
-    """[A, B]: the subgroup generated by the commutators [a, b]."""
+def commutators(table: GroupTable, xs, ys) -> set:
+    """The commutators [x, y] = x^-1 y^-1 x y for x in xs and y in ys."""
     mul, inv = table.mul, table.inv
-    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in A for b in B}
-    return table.closure(sorted(comms))
+    return {mul[mul[inv[x]][inv[y]]][mul[x][y]] for x in xs for y in ys}
 
 
-def is_soluble(table: GroupTable) -> bool:
-    cur = table.whole
-    while len(cur) > 1:
-        nxt = commutator_subgroup(table, cur, cur)
-        if nxt == cur:
+def commutator_subgroup(lattice: Lattice, A, B) -> SubgroupRecord:
+    """[A, B] for normal subgroups A and B (records of the lattice): the
+    least-order normal subgroup holding the commutators of their
+    generators.
+
+    Proof: A and B are normal, so [A, B] is normal, and it holds those
+    commutators.  Modulo their normal closure M, each generator of A
+    commutes with each generator of B, so A and B commute elementwise and
+    [A, B] <= M; so [A, B] = M.  Normal subgroups meet in a normal
+    subgroup, so every normal subgroup holding the commutators contains M,
+    and M is the only one of least order."""
+    comms = commutators(lattice.table, A.generators, B.generators)
+    return next(r for r in normal_subgroups(lattice) if comms <= r.elements)
+
+
+def is_nilpotent(lattice: Lattice, N: SubgroupRecord) -> bool:
+    """Whether the normal subgroup N is nilpotent: its lower central series
+    N, [N, N], [N, [N, N]], ... reaches 1.  Each term is normal in G, as a
+    commutator of normal subgroups, so commutator_subgroup reads it."""
+    cur = N
+    while cur.order > 1:
+        nxt = commutator_subgroup(lattice, N, cur)
+        if nxt.order == cur.order:  # nxt lies in cur
             return False
         cur = nxt
     return True
-
-
-def is_nilpotent_set(table: GroupTable, elems) -> bool:
-    """Lower central series of the subgroup on the given elements."""
-    full = frozenset(elems)
-    cur = full
-    while len(cur) > 1:
-        nxt = commutator_subgroup(table, full, cur)
-        if nxt == cur:
-            return False
-        cur = nxt
-    return True
-

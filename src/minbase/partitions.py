@@ -560,10 +560,6 @@ def _is_least_base_size(a, b, ambient, size):
     return size == 4 and ambient == "sym" and (a, b) == (3, 2)
 
 
-def random_uniform_partition(a, b, rng) -> SetPartition:
-    return _dealt_partition(_shuffled_points(a * b, rng), a, b)
-
-
 def _shuffled_points(n, rng):
     pts = list(range(n))
     rng.shuffle(pts)

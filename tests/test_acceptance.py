@@ -20,7 +20,7 @@ from minbase.classical import (
 )
 from minbase.fq import Fq, frobenius_subspace
 from minbase.invariants import alpha, beta, chief_factor_bound, soluble_bounds_report
-from minbase.lattice import GroupTable, Lattice, is_nilpotent_set
+from minbase.lattice import GroupTable, Lattice
 from minbase.partitions import (
     apply_to_canonical,
     base_size_partitions,
@@ -29,11 +29,12 @@ from minbase.partitions import (
     construct_bcd_plus2,
     minimal_partition_base,
     partition_stabilizer,
-    random_uniform_partition,
 )
 from minbase.perm import PermGroup, compose, identity
 from test_bounds import involution_count_sym
 from test_invariants import chief_length_mod_frattini
+from test_lattice import oracle_is_nilpotent_set
+from test_partitions import random_uniform_partition
 
 _LATTICES = {}
 
@@ -186,7 +187,7 @@ def test_criterion_10_soluble_catalog():
             failures.append((name, "alpha > non-Frattini count"))
         if not bound.verdict:
             failures.append((name, "chief-factor bound violated"))
-        if is_nilpotent_set(lat.table, range(lat.table.n)):
+        if oracle_is_nilpotent_set(lat.table, range(lat.table.n)):
             lam_frat = chief_length_mod_frattini(lat)
             if not (rep.alpha_value == rep.non_frattini_count == lam_frat):
                 failures.append((name, "nilpotent equality failed"))

@@ -21,9 +21,15 @@ from minbase.lattice import (
     commutator_subgroup,
     core,
     frattini,
+    is_nilpotent,
     normal_subgroups,
 )
 from minbase.perm import CosetAction, PermGroup
+from test_lattice import (
+    oracle_commutator_subgroup,
+    oracle_is_nilpotent_set,
+    oracle_is_soluble,
+)
 from test_perm import perm_order
 
 
@@ -128,8 +134,60 @@ def test_chief_abelian_flags_match_the_commutator_subgroup(name):
     # forms [top, top] from every pair of elements
     lat = lat_of(name)
     for f in chief_series(lat).factors:
-        whole = commutator_subgroup(lat.table, f.top.elements, f.top.elements)
+        whole = oracle_commutator_subgroup(lat.table, f.top.elements, f.top.elements)
         assert f.abelian == (whole <= f.bottom.elements)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_lattice_reads_match_the_element_pair_oracles(name):
+    # solubility read from the chief factors, [A, B] read from the normal
+    # subgroups for every pair of them, [G, G] and its nilpotency, against
+    # the oracles that close commutators of every pair of elements
+    lat = lat_of(name)
+    table = lat.table
+    soluble = oracle_is_soluble(table)
+    assert chief_factor_bound(lat).soluble == soluble
+    normals = normal_subgroups(lat)
+    for A in normals:
+        for B in normals:
+            assert commutator_subgroup(lat, A, B).elements == (
+                oracle_commutator_subgroup(table, A.elements, B.elements)
+            )
+    full = lat.find(table.whole)
+    derived = commutator_subgroup(lat, full, full)
+    assert derived.elements == oracle_commutator_subgroup(table, table.whole, table.whole)
+    nilpotent = oracle_is_nilpotent_set(table, derived.elements)
+    assert is_nilpotent(lat, derived) == nilpotent
+    if soluble:
+        assert soluble_bounds_report(lat).derived_nilpotent == nilpotent
+    else:
+        with pytest.raises(NotSoluble):
+            soluble_bounds_report(lat)
+
+
+@pytest.mark.parametrize("name", ["SL23", "S4xC2", "S6"])
+def test_soluble_reads_close_no_subgroup(name, monkeypatch):
+    # with the lattice built, solubility, [G, G] and its lower central
+    # series are read from the normal subgroups, with no closure
+    lat = lat_of(name)
+    calls = [0]
+    original = GroupTable.closure
+
+    def counted(self, gens, *rest):
+        calls[0] += 1
+        return original(self, gens, *rest)
+
+    monkeypatch.setattr(GroupTable, "closure", counted)
+    bound = chief_factor_bound(lat)
+    if bound.soluble:
+        soluble_bounds_report(lat)
+    else:
+        with pytest.raises(NotSoluble):
+            soluble_bounds_report(lat)
+    assert calls[0] == 0
+    # the patch is live: a closure here is counted
+    lat.table.closure(lat.table.gen_idx)
+    assert calls[0] == 1
 
 
 def test_catalog_has_41_lattices():

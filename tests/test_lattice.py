@@ -11,8 +11,7 @@ from minbase.lattice import (
     commutator_subgroup,
     core,
     frattini,
-    is_nilpotent_set,
-    is_soluble,
+    is_nilpotent,
     normal_subgroups,
 )
 
@@ -170,17 +169,53 @@ def test_normal_subgroups_s4(s4_lattice):
     assert sorted(r.order for r in normals) == [1, 4, 12, 24]
 
 
+def oracle_commutator_subgroup(table, A, B):
+    """Oracle: [A, B] closed from the commutators of every pair of
+    elements, as a frozenset."""
+    mul, inv = table.mul, table.inv
+    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in A for b in B}
+    return table.closure(sorted(comms))
+
+
+def oracle_is_soluble(table):
+    """Oracle: the derived series, each term closed from all pairs."""
+    cur = table.whole
+    while len(cur) > 1:
+        nxt = oracle_commutator_subgroup(table, cur, cur)
+        if nxt == cur:
+            return False
+        cur = nxt
+    return True
+
+
+def oracle_is_nilpotent_set(table, elems):
+    """Oracle: the lower central series of the subgroup on the given
+    elements, each term closed from all pairs."""
+    full = frozenset(elems)
+    cur = full
+    while len(cur) > 1:
+        nxt = oracle_commutator_subgroup(table, full, cur)
+        if nxt == cur:
+            return False
+        cur = nxt
+    return True
+
+
 def test_solubility_and_nilpotency():
     table_s4 = GroupTable(group_from_spec("S4"))
-    assert is_soluble(table_s4)
+    assert oracle_is_soluble(table_s4)
     table_a5 = GroupTable(group_from_spec("A5"))
-    assert not is_soluble(table_a5)
-    table_q8 = GroupTable(group_from_spec("Q8"))
-    assert is_nilpotent_set(table_q8, range(table_q8.n))
-    assert not is_nilpotent_set(table_s4, range(table_s4.n))
-    # derived series: [S4,S4] = A4
-    whole = range(table_s4.n)
-    assert len(commutator_subgroup(table_s4, whole, whole)) == 12
+    assert not oracle_is_soluble(table_a5)
+    q8 = Lattice(GroupTable(group_from_spec("Q8")))
+    assert is_nilpotent(q8, q8.find(q8.table.whole))
+    s4 = Lattice(table_s4)
+    full = s4.find(table_s4.whole)
+    assert not is_nilpotent(s4, full)
+    # derived series: [S4,S4] = A4, [A4,A4] = V4, which is nilpotent
+    derived = commutator_subgroup(s4, full, full)
+    assert derived.order == 12
+    assert commutator_subgroup(s4, derived, derived).order == 4
+    assert not is_nilpotent(s4, derived)
 
 
 def test_order_cap():
@@ -222,28 +257,37 @@ def oracle_closure(table, gens):
     return frozenset(seen)
 
 
-def oracle_double_coset_reps(table, elems, gens):
+def oracle_double_coset_reps(table, elems, gens, normalizer=()):
     """Oracle: the least element of each double coset HgH outside H, each
-    double coset walked element by element on both sides."""
-    mul = table.mul
+    double coset walked element by element on both sides; with normalizer
+    elements, the least element of each orbit of the group N they generate
+    with H on those double cosets, by conjugating by every element of N."""
+    mul, inv = table.mul, table.inv
     gens = list(gens) or [table.identity]
     visited = bytearray(table.n)
     for x in elems:
         visited[x] = 1
-    reps = []
+    double_coset = {}  # element outside H -> the least element of its HgH
     for g in range(table.n):
         if visited[g]:
             continue
         stack = [g]
         visited[g] = 1
+        double_coset[g] = g
         while stack:
             x = stack.pop()
             for h in gens:
                 for y in (mul[h][x], mul[x][h]):
                     if not visited[y]:
                         visited[y] = 1
+                        double_coset[y] = g
                         stack.append(y)
-        reps.append(g)
+    N = oracle_closure(table, gens + list(normalizer))
+    reps, reached = [], set()
+    for g in sorted(set(double_coset.values())):
+        if g not in reached:
+            reps.append(g)
+            reached.update(double_coset[mul[mul[inv[n]][g]][n]] for n in N)
     return reps
 
 
@@ -271,6 +315,11 @@ def test_coset_closure_and_double_cosets_match_the_oracles(spec):
         for elems, sub_gens in ((base, gens[:-1]), (want, gens)):
             reps = table.double_cosets(elems, sub_gens)
             assert reps == oracle_double_coset_reps(table, elems, sub_gens)
+            # one per orbit of the normalizer, from the class walk's
+            # Schreier generators
+            schreier = table.class_walk(elems)[1]
+            reps = table.double_cosets(elems, sub_gens, schreier)
+            assert reps == oracle_double_coset_reps(table, elems, sub_gens, schreier)
         sizes.add(len(want))
 
     check()
@@ -437,6 +486,11 @@ def test_class_walk_schreier_generators_generate_the_normalizer(spec):
         brute = frozenset(x for x in range(table.n) if table.conjugate_set(H, x) == H)
         assert table.closure(schreier) == brute
         assert len(conjugates) * len(brute) == table.n
+        # the double cosets the build extends: one per normalizer orbit
+        gens = cls[0].generators
+        assert table.double_cosets(H, gens, schreier) == oracle_double_coset_reps(
+            table, H, gens, schreier
+        )
 
 
 def test_s6_class_walk_counts(monkeypatch):

@@ -27,11 +27,18 @@ from minbase.partitions import (
     parse_partition,
     partition_base_size_value,
     partition_stabilizer,
-    random_uniform_partition,
     uniform_partition,
     wreath_generators,
 )
 from minbase.perm import PermGroup, sign
+
+
+def random_uniform_partition(a, b, rng):
+    """A uniform partition into a blocks of size b, dealt from one shuffle
+    of the points, as the seeded search draws its candidates."""
+    pts = list(range(a * b))
+    rng.shuffle(pts)
+    return SetPartition.from_blocks(a * b, [pts[i * b : (i + 1) * b] for i in range(a)])
 
 
 def brute_stabilizer_order(partitions, parity="all"):
