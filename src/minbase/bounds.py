@@ -11,31 +11,28 @@ bounds round down, so the total can only grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CertificationError
 from .fq import factor_prime_power
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     label: str
     u: Fraction
     v: Fraction
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
-class BoundTermTable:
+class BoundTermTable(NamedTuple):
     family: str
     q: int
     terms: tuple
     gamma: int = 0
 
 
-@dataclass(frozen=True)
-class QhatValue:
+class QhatValue(NamedTuple):
     value: Fraction
     certified: bool  # value < 1
 

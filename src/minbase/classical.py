@@ -10,7 +10,7 @@ gates: a partial enumeration proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificationError
 from .fq import (
@@ -50,8 +50,7 @@ _U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))  # <e1, e2+f2>
 _W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))  # <e1+f2, e2+f1>
 
 
-@dataclass
-class Sp4PairReport:
+class Sp4PairReport(NamedTuple):
     q: int
     candidates: int
     survivors: list  # 4x4 matrices
@@ -150,9 +149,7 @@ def sp4_similitude_check(F, g):
     return m == tuple(tuple(F.mul[lam][x] for x in row) for row in J)
 
 
-@dataclass
-class Sp4TripleReport:
-    q: int
+class Sp4TripleReport(NamedTuple):
     pair_scalars_only: bool
     phi_fixes_alpha: bool
     phi_fixes_beta: bool
@@ -197,17 +194,14 @@ def sp4_triple_base_check(q: int) -> Sp4TripleReport:
     fixes_beta = phi_pow(beta, 1) == beta
     moves = [phi_pow(gamma, i) != gamma for i in range(1, F.f)]
     verdict = pair.scalars_only and fixes_alpha and fixes_beta and all(moves)
-    return Sp4TripleReport(
-        q, pair.scalars_only, fixes_alpha, fixes_beta, moves, verdict
-    )
+    return Sp4TripleReport(pair.scalars_only, fixes_alpha, fixes_beta, moves, verdict)
 
 
 # ---------------------------------------------------------------------------
 # odd orthogonal groups: the U / W / W' construction
 
 
-@dataclass
-class OrthConstruction:
+class OrthConstruction(NamedTuple):
     form: tuple
     U: tuple
     W: tuple
@@ -413,8 +407,7 @@ def isometry_group_elements(F, gram):
     return list(zip(elems, dets))
 
 
-@dataclass
-class OrthPairReport:
+class OrthPairReport(NamedTuple):
     n: int
     q: int
     stabilizer_size: int

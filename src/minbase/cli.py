@@ -55,6 +55,20 @@ PASS, FAIL, REFUSED = 0, 1, 2
 # every certificate's top-level keys: a command's inputs, result and
 # witnesses, and the command and seed main stamps on them
 CERT_KEYS = frozenset({"command", "seed", "inputs", "result", "witnesses"})
+# no certificate nests deeper than this (qhat's nest 7 levels): verify
+# refuses a deeper one before any comparison recurses through it
+CERT_DEPTH = 32
+
+
+def _nesting(value):
+    """How many levels of JSON arrays and objects value nests, walked a
+    level at a time so that no depth can exhaust the stack."""
+    depth, level = 0, [value]
+    while level:
+        depth += 1
+        level = [v for x in level if isinstance(x, (dict, list))
+                 for v in (x.values() if isinstance(x, dict) else x)]
+    return depth
 
 
 def _write_out(path, cert):
@@ -82,17 +96,23 @@ def _lattice(spec, cap):
 # Each returns (exit status, certificate or None, human-readable lines);
 # main() stamps the command and seed, times the call and prints.
 #
-# Witness commands (partition-base, base-size, alpha, beta) run
-# verify's own checker on the certificate before printing it.  The whole
-# checker runs, but its partition_stabilizer, alpha and beta calls on the
-# family or lattice just computed are answered by those engines' one-entry
-# memos; verify, in a process of its own, recomputes everything.
-# stabilizer is deterministic, but verify checks its claim, not its bytes:
-# the order, re-derived, and generators that any engine may list
-# (_verify_stabilizer).  Every other command is deterministic: it maps its
-# inputs to the certificate it prints (inputs, result, witnesses), and
-# verify runs it again on the certificate's inputs, which name its args
-# attributes (_rerun).
+# Each certificate's layout (inputs, result, witnesses) is written once.
+# The witness commands (partition-base, base-size, alpha, beta) and
+# stabilizer build theirs in a builder (_<command>_cert) from the engine's
+# answer; verify's checker calls the same builder on the certificate's
+# inputs, and on the partitions its witnesses list, and compares the
+# claimed inputs and result with what it builds (_same_claim).  What the
+# witnesses show, the checker judges itself: the stabilizer's order is
+# re-derived and any generators of it pass, since any engine may list
+# others.  The witness commands run verify's own checker on the
+# certificate before printing it.  The whole checker runs, but alpha and
+# beta hand it their lattice and the certificate they built, and its
+# partition_stabilizer call on the family just computed is answered by
+# that engine's one-entry memo; verify, in a process of its own,
+# recomputes everything.  Every other command is
+# deterministic and is its own builder: it maps its inputs to the
+# certificate it prints, and verify runs it again on the certificate's
+# inputs, which name its args attributes (_rerun).
 
 
 def _check(checker, cert, *context):
@@ -101,16 +121,20 @@ def _check(checker, cert, *context):
         raise CertificationError("the certificate failed its verify check")
 
 
+def _partition_base_cert(parts, a, b, ambient):
+    return {
+        "inputs": {"a": a, "b": b, "ambient": ambient},
+        "result": {"base_size": len(parts), "stabilizer_order": 1,
+                   "claimed_value": partition_base_size_value(a, b, ambient)},
+        "witnesses": {"partitions": [format_partition(p) for p in parts]},
+    }
+
+
 def cmd_partition_base(args):
     parts = minimal_partition_base(
         args.a, args.b, ambient=args.ambient, seed=args.seed, budget=args.budget
     )
-    cert = {
-        "inputs": {"a": args.a, "b": args.b, "ambient": args.ambient},
-        "result": {"base_size": len(parts), "stabilizer_order": 1,
-                   "claimed_value": partition_base_size_value(args.a, args.b, args.ambient)},
-        "witnesses": {"partitions": [format_partition(p) for p in parts]},
-    }
+    cert = _partition_base_cert(parts, args.a, args.b, args.ambient)
     _check(_verify_partition_base, cert)
     return PASS, cert, [
         f"base of size {len(parts)} for the ({args.a},{args.b}) partition action",
@@ -119,56 +143,66 @@ def cmd_partition_base(args):
     ]
 
 
+def _base_size_cert(parts, a, b, mode, ambient):
+    return {
+        "inputs": {"a": a, "b": b, "mode": mode, "ambient": ambient},
+        "result": {"base_size": len(parts), "exact": mode == "exact"},
+        "witnesses": {"partitions": [format_partition(p) for p in parts]},
+    }
+
+
 def cmd_base_size(args):
     parts = base_size_partitions(
         args.a, args.b, mode=args.mode, ambient=args.ambient,
         seed=args.seed, budget=args.budget,
     )
-    cert = {
-        "inputs": {"a": args.a, "b": args.b, "mode": args.mode,
-                   "ambient": args.ambient},
-        "result": {"base_size": len(parts), "exact": args.mode == "exact"},
-        "witnesses": {"partitions": [format_partition(p) for p in parts]},
-    }
+    cert = _base_size_cert(parts, args.a, args.b, args.mode, args.ambient)
     _check(_verify_base_size, cert)
     return PASS, cert, [f"base size ({args.mode}) = {len(parts)}"]
 
 
-def cmd_stabilizer(args):
-    parts = [parse_partition(s, args.ground) for s in args.partitions]
-    G = partition_stabilizer(parts, args.parity)
-    cert = {
-        "inputs": {"ground": args.ground, "parity": args.parity,
+def _stabilizer_cert(parts, ground, parity):
+    G = partition_stabilizer(parts, parity)
+    return {
+        "inputs": {"ground": ground, "parity": parity,
                    "partitions": [format_partition(p) for p in parts]},
         "result": {"order": G.order},
         "witnesses": {"generators": [format_perm(g) for g in G.generators]},
     }
-    return PASS, cert, [f"stabilizer order: {G.order}"]
+
+
+def cmd_stabilizer(args):
+    parts = [parse_partition(s, args.ground) for s in args.partitions]
+    cert = _stabilizer_cert(parts, args.ground, args.parity)
+    return PASS, cert, [f"stabilizer order: {cert['result']['order']}"]
+
+
+def _alpha_cert(lat, spec):
+    table = lat.table
+    res = alpha(lat)
+    return {
+        "inputs": {"spec": spec, "order": table.n},
+        "result": {"alpha": res.value, "frattini_order": res.frattini_order,
+                   "exhaustive": True},
+        "witnesses": {
+            "maximal_subgroups": [
+                [table.word_of(g) for g in rec.generators] for rec in res.witness
+            ],
+            "frattini_generators": [table.word_of(g) for g in frattini(lat).generators],
+        },
+    }
 
 
 def cmd_alpha(args):
     lat = _lattice(args.spec, args.cap)
-    cert_a = alpha(lat)
-    table = lat.table
-    frat_rec = frattini(lat)
-    cert = {
-        "inputs": {"spec": args.spec, "order": table.n},
-        "result": {"alpha": cert_a.value, "frattini_order": cert_a.frattini_order,
-                   "exhaustive": True},
-        "witnesses": {
-            "maximal_subgroups": [
-                [table.word_of(g) for g in rec.generators]
-                for rec in cert_a.witness
-            ],
-            "frattini_generators": [table.word_of(g) for g in frat_rec.generators],
-        },
-    }
-    _check(_verify_alpha, cert, lat)
-    return PASS, cert, [f"alpha({args.spec}) = {cert_a.value} (proved minimal)"]
+    cert = _alpha_cert(lat, args.spec)
+    _check(_verify_alpha, cert, lat, cert)
+    return PASS, cert, [f"alpha({args.spec}) = {cert['result']['alpha']} (proved minimal)"]
 
 
-def cmd_beta(args):
-    lat = _lattice(args.spec, args.cap)
+def _beta_cert(lat, spec):
+    """A finite beta's witness conjugates, or an infinite one's per-class
+    core orders."""
     table = lat.table
     res = beta(lat)
     if res.value is math.inf:
@@ -180,7 +214,6 @@ def cmd_beta(args):
                 for rec, order in res.empty_star_evidence
             ]
         }
-        line = f"beta({args.spec}) = infinity (no core-free-to-Frattini maximal class)"
     else:
         chosen = res.chosen
         value = res.value
@@ -191,14 +224,20 @@ def cmd_beta(args):
             "conjugator_words": [table.word_of(g) for g in chosen.conjugators],
             "core_order": chosen.core_order,
         }
-        line = f"beta({args.spec}) = {value}"
-    cert = {
-        "inputs": {"spec": args.spec, "order": table.n},
+    return {
+        "inputs": {"spec": spec, "order": table.n},
         "result": {"beta": value, "frattini_order": res.frattini_order},
         "witnesses": witnesses,
     }
-    _check(_verify_beta, cert, lat)
-    return PASS, cert, [line]
+
+
+def cmd_beta(args):
+    lat = _lattice(args.spec, args.cap)
+    cert = _beta_cert(lat, args.spec)
+    _check(_verify_beta, cert, lat, cert)
+    value = cert["result"]["beta"]
+    note = " (no core-free-to-Frattini maximal class)" if value == "infinity" else ""
+    return PASS, cert, [f"beta({args.spec}) = {value}{note}"]
 
 
 class QGrid(NamedTuple):
@@ -266,13 +305,7 @@ def cmd_qhat(args):
 def cmd_sp4(args):
     if args.triple:
         rep = sp4_triple_base_check(args.q)
-        result = {
-            "verdict": rep.verdict,
-            "pair_scalars_only": rep.pair_scalars_only,
-            "phi_fixes_alpha": rep.phi_fixes_alpha,
-            "phi_fixes_beta": rep.phi_fixes_beta,
-            "phi_moves_gamma": rep.phi_moves_gamma,
-        }
+        result = rep._asdict()
         ok, witnesses = rep.verdict, {}
         line = f"triple base check at q={args.q}: {'pass' if ok else 'FAIL'}"
     else:
@@ -337,42 +370,19 @@ def cmd_orth(args):
 
 def cmd_soluble(args):
     rep = soluble_bounds_report(_lattice(args.spec, args.cap))
-    result = {
-        "alpha": rep.alpha_value,
-        "chief_length": rep.chief_length,
-        "non_frattini_count": rep.non_frattini_count,
-        "derived_nilpotent": rep.derived_nilpotent,
-        "alpha_le_length": rep.alpha_le_length,
-        "alpha_le_non_frattini": rep.alpha_le_non_frattini,
-    }
     ok = rep.alpha_le_length and rep.alpha_le_non_frattini in (True, None)
-    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
+    cert = {"inputs": {"spec": args.spec}, "result": rep._asdict(), "witnesses": {}}
     return PASS if ok else FAIL, cert, [
-        f"{args.spec}: alpha={rep.alpha_value} chief_length={rep.chief_length} "
+        f"{args.spec}: alpha={rep.alpha} chief_length={rep.chief_length} "
         f"non_frattini={rep.non_frattini_count}: {'pass' if ok else 'FAIL'}"
     ]
 
 
 def cmd_theorem4(args):
     rep = chief_factor_bound(_lattice(args.spec, args.cap))
-    result = {
-        "alpha": rep.alpha_value,
-        "bound": rep.bound,
-        "verdict": rep.verdict,
-        "soluble": rep.soluble,
-        "soluble_bound": rep.soluble_bound,
-        "abelian_classes": [
-            {"delta": d, "dim_over_endo": dim, "p": p, "dim": full}
-            for d, dim, p, full in rep.abelian_classes
-        ],
-        "nonabelian_classes": [
-            {"delta": d, "composition_length": n}
-            for d, n in rep.nonabelian_classes
-        ],
-    }
-    cert = {"inputs": {"spec": args.spec}, "result": result, "witnesses": {}}
+    cert = {"inputs": {"spec": args.spec}, "result": rep._asdict(), "witnesses": {}}
     return PASS if rep.verdict else FAIL, cert, [
-        f"{args.spec}: alpha={rep.alpha_value} <= bound={rep.bound}: "
+        f"{args.spec}: alpha={rep.alpha} <= bound={rep.bound}: "
         f"{'pass' if rep.verdict else 'FAIL'}"
     ]
 
@@ -394,6 +404,10 @@ def cmd_verify(args):
             cert = json.load(fh)
     except OSError as exc:
         raise PreconditionError(f"cannot read certificate: {exc}") from exc
+    except RecursionError as exc:
+        raise PreconditionError("certificate nests too deeply") from exc
+    if _nesting(cert) > CERT_DEPTH:
+        raise PreconditionError("certificate nests too deeply")
     if not isinstance(cert, dict) or not isinstance(cert.get("command"), str):
         raise PreconditionError("certificate is not a JSON object with a command")
     row = COMMANDS.get(cert["command"])
@@ -423,18 +437,18 @@ def cmd_verify(args):
 # a command has already built, and build their own under verify.
 
 
-def _is_base_certificate(cert, result):
-    """The certificate holds exactly the given result, compared through
-    JSON so that 1 never equals true, and as witnesses base_size distinct
-    partitions into a blocks of size b with trivial joint stabilizer."""
-    a, b, ambient = (cert["inputs"][key] for key in ("a", "b", "ambient"))
+def _is_base_certificate(cert, build):
+    """The certificate claims what build derives from its inputs and its
+    witnesses, and these are base_size distinct partitions into a blocks of
+    size b with trivial joint stabilizer."""
+    inputs = cert["inputs"]
+    a, b, ambient = inputs["a"], inputs["b"], inputs["ambient"]
     partition_base_size_value(a, b, ambient)  # refuses an invalid action
-    listed = cert["witnesses"]["partitions"]
-    parts = [parse_partition(s, a * b) for s in listed]
+    parts = [parse_partition(s, a * b) for s in cert["witnesses"]["partitions"]]
     # blocks of size b covering a*b points: a blocks
     return (
-        _same_result(cert, {"result": result, "witnesses": {"partitions": listed}})
-        and len({p.canonical() for p in parts}) == len(parts) == result["base_size"]
+        _same_claim(cert, build(parts, **inputs))
+        and len({p.canonical() for p in parts}) == len(parts)
         and all(len(blk) == b for p in parts for blk in p.blocks)
         and partition_stabilizer(parts, "all" if ambient == "sym" else "even").order == 1
     )
@@ -442,18 +456,18 @@ def _is_base_certificate(cert, result):
 
 def _verify_partition_base(cert):
     """A certified base whose size is the paper's value for (a, b)."""
-    value = partition_base_size_value(*(cert["inputs"][key] for key in ("a", "b", "ambient")))
-    return _is_base_certificate(
-        cert, {"base_size": value, "stabilizer_order": 1, "claimed_value": value})
+    result = cert["result"]
+    return (_is_base_certificate(cert, _partition_base_cert)
+            and result["base_size"] == result["claimed_value"])
 
 
 def _verify_base_size(cert):
     """A certified base, flagged exact exactly in mode exact, and then
     least by the rule of partitions._is_least_base_size."""
     inputs, size = cert["inputs"], len(cert["witnesses"]["partitions"])
-    exact = inputs["mode"] == "exact"
-    return _is_base_certificate(cert, {"base_size": size, "exact": exact}) and (
-        not exact or _is_least_base_size(inputs["a"], inputs["b"], inputs["ambient"], size))
+    return _is_base_certificate(cert, _base_size_cert) and (
+        inputs["mode"] != "exact"
+        or _is_least_base_size(inputs["a"], inputs["b"], inputs["ambient"], size))
 
 
 def _verify_stabilizer(cert):
@@ -470,12 +484,9 @@ def _verify_stabilizer(cert):
     if not _is_words(listed):
         raise PreconditionError("witness generators must be a JSON list of strings")
     parts = [parse_partition(s, ground) for s in inputs["partitions"]]
-    G = partition_stabilizer(parts, parity)
-    if not _same_result(cert, {
-            "inputs": dict(inputs, partitions=[format_partition(p) for p in parts]),
-            "result": {"order": G.order},
-            "witnesses": {"generators": listed}}):
+    if not _same_claim(cert, _stabilizer_cert(parts, ground, parity)):
         return False
+    G = partition_stabilizer(parts, parity)
     try:
         gens = [parse_perm(word, ground) for word in listed]
     except ParseError:
@@ -529,15 +540,23 @@ def _irredundant(table, sets):
     )
 
 
-def _verify_alpha(cert, lat=None):
+def _rebuild(cert, build):
+    """verify's lattice for a group certificate, and the certificate its
+    command builds on it: the derived claim a checker compares with."""
+    spec = cert["inputs"]["spec"]
+    lat = _lattice(spec, GroupTable.HARD_CAP)
+    return lat, build(lat, spec)
+
+
+def _verify_alpha(cert, lat=None, derived=None):
     """The witnesses are irredundant maximal subgroups meeting in the
     claimed Frattini subgroup, and alpha and |Phi(G)| are as re-derived
     from the lattice: the witness alone shows neither that no shorter list
-    exists nor that the meet is Phi(G) and not a subgroup above it."""
+    exists nor that the meet is Phi(G) and not a subgroup above it.
+    cmd_alpha passes its lattice and the certificate it built on it."""
     if lat is None:
-        lat = _lattice(cert["inputs"]["spec"], GroupTable.HARD_CAP)
+        lat, derived = _rebuild(cert, _alpha_cert)
     table = lat.table
-    derived = alpha(lat)
     frat = _witness_subgroup(table, cert["witnesses"]["frattini_generators"])
     maxes = [
         _witness_subgroup(table, words)
@@ -551,28 +570,22 @@ def _verify_alpha(cert, lat=None):
         all(table.is_maximal(elems, gens) for elems, gens in maxes)
         and _meet(table, sets) == frat
         and _irredundant(table, sets)
-        and len(maxes) == derived.value
-        and len(frat) == derived.frattini_order
-        and _same_result(cert, {
-            "inputs": {"spec": cert["inputs"]["spec"], "order": table.n},
-            "result": {"alpha": derived.value, "frattini_order": derived.frattini_order,
-                       "exhaustive": True},
-            "witnesses": {key: cert["witnesses"][key]
-                          for key in ("maximal_subgroups", "frattini_generators")},
-        })
+        and len(maxes) == derived["result"]["alpha"]
+        and len(frat) == derived["result"]["frattini_order"]
+        and _same_claim(cert, derived)
     )
 
 
-def _verify_beta(cert, lat=None):
+def _verify_beta(cert, lat=None, derived=None):
     """A finite beta (an int) by its witness, an infinite one by its
     per-class core evidence; beta and |Phi(G)| as re-derived from the
-    lattice."""
+    lattice.  cmd_beta passes its lattice and the certificate it built."""
     if lat is None:
-        lat = _lattice(cert["inputs"]["spec"], GroupTable.HARD_CAP)
+        lat, derived = _rebuild(cert, _beta_cert)
     if type(cert["result"]["beta"]) is not int:
-        return _verify_infinite_beta(cert, lat)
+        return _verify_infinite_beta(cert, lat, derived)
     table = lat.table
-    derived = beta(lat)
+    result = derived["result"]
     witness = _witness_subgroup(table, cert["witnesses"]["subgroup_generators"])
     conjugators = _elements(table, cert["witnesses"]["conjugator_words"])
     if witness is None or None in conjugators:
@@ -582,21 +595,14 @@ def _verify_beta(cert, lat=None):
     return (
         table.is_maximal(sub, gens)
         and _irredundant(table, conjugates)
-        and len(conjugates) == derived.value
-        and len(_meet(table, conjugates)) == derived.frattini_order
-        and _same_result(cert, {
-            "inputs": {"spec": cert["inputs"]["spec"], "order": table.n},
-            "result": {"beta": derived.value, "frattini_order": derived.frattini_order},
-            "witnesses": {
-                "subgroup_generators": cert["witnesses"]["subgroup_generators"],
-                "conjugator_words": cert["witnesses"]["conjugator_words"],
-                "core_order": derived.frattini_order,
-            },
-        })
+        and len(conjugates) == result["beta"]
+        and len(_meet(table, conjugates)) == result["frattini_order"]
+        and _same_claim(cert, derived)
+        and _same_result(cert["witnesses"], {"core_order": result["frattini_order"]})
     )
 
 
-def _verify_infinite_beta(cert, lat):
+def _verify_infinite_beta(cert, lat, derived):
     """beta is infinite when no maximal subgroup has core Phi(G).  Phi(G)
     lies in every core, so that holds exactly when each maximal class's
     core order exceeds |Phi(G)|.  The evidence lists, per class, words
@@ -606,12 +612,12 @@ def _verify_infinite_beta(cert, lat):
     derives it from the lattice (conjugate subgroups have conjugate cores,
     so the order is one per class).  Any member of a class, by any words,
     will do."""
-    derived = beta(lat)
-    if derived.value is not math.inf:
+    if derived["result"]["beta"] != "infinity":
         return False
     maximal = {rec.elements for rec in lat.maximal_subgroups()}
     classes = [cls for cls in lat.classes if cls[0].elements in maximal]
-    core_orders = {rec.elements: order for rec, order in derived.empty_star_evidence}
+    # beta is memoized: this is the evidence derived was built from
+    core_orders = {rec.elements: order for rec, order in beta(lat).empty_star_evidence}
     class_of = {rec.elements: i for i, cls in enumerate(classes) for rec in cls}
     listed = cert["witnesses"]["core_orders_by_class"]
     hits = [
@@ -624,11 +630,8 @@ def _verify_infinite_beta(cert, lat):
         {"generators": entry["generators"], "core_order": core_orders[classes[i][0].elements]}
         for entry, i in zip(listed, hits)
     ]
-    return _same_result(cert, {
-        "inputs": {"spec": cert["inputs"]["spec"], "order": lat.table.n},
-        "result": {"beta": "infinity", "frattini_order": derived.frattini_order},
-        "witnesses": {"core_orders_by_class": evidence},
-    })
+    return _same_claim(cert, derived) and _same_result(
+        cert["witnesses"], {"core_orders_by_class": evidence})
 
 
 def _rerun(run):
@@ -643,6 +646,14 @@ def _same_result(cert, derived):
     through JSON so that 1 never equals true and 3.0 never equals 3."""
     claimed = {key: cert[key] for key in derived}
     return json.dumps(derived, sort_keys=True) == json.dumps(claimed, sort_keys=True)
+
+
+def _same_claim(cert, derived):
+    """The claimed inputs and result are the derived certificate's, as
+    _same_result compares them, and the witnesses have its keys; what the
+    witnesses show is the checker's to judge."""
+    return (_same_result(cert, {key: derived[key] for key in ("inputs", "result")})
+            and cert["witnesses"].keys() == derived["witnesses"].keys())
 
 
 # -- the command table ----------------------------------------------------------

@@ -10,8 +10,8 @@ breadth-first over memoized intersection states held as int bitmasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CertificationError
 from .fq import Fq, factor_prime_power, mat_det, nullspace
@@ -35,8 +35,7 @@ class NotSoluble(ValueError):
 # intersection number
 
 
-@dataclass
-class AlphaCertificate:
+class AlphaCertificate(NamedTuple):
     value: int
     witness: list
     frattini_order: int
@@ -109,8 +108,7 @@ def _fewest_intersections(starts, pool, target):
 # base size of a primitive action and the base number
 
 
-@dataclass
-class BaseSizeCertificate:
+class BaseSizeCertificate(NamedTuple):
     value: int
     subgroup: SubgroupRecord
     conjugators: list  # element indices; the witness conjugates are H^g
@@ -133,8 +131,7 @@ def base_size_subgroup(lattice: Lattice, H: SubgroupRecord) -> BaseSizeCertifica
     return BaseSizeCertificate(depth, H, gs, len(core_elems))
 
 
-@dataclass
-class BetaCertificate:
+class BetaCertificate(NamedTuple):
     value: object  # int or math.inf
     chosen: object  # BaseSizeCertificate or None
     empty_star_evidence: list  # (maximal class rep, core order) when infinite
@@ -170,8 +167,7 @@ def beta(lattice: Lattice) -> BetaCertificate:
 # chief series, chief length, non-Frattini count
 
 
-@dataclass
-class ChiefFactor:
+class ChiefFactor(NamedTuple):
     top: SubgroupRecord
     bottom: SubgroupRecord
     order: int
@@ -180,8 +176,7 @@ class ChiefFactor:
     composition_length: int
 
 
-@dataclass
-class ChiefSeriesReport:
+class ChiefSeriesReport(NamedTuple):
     series: list  # SubgroupRecords, descending from G to 1
     factors: list  # ChiefFactor, top-down
     chief_length: int
@@ -312,12 +307,11 @@ def _solve_intertwiners(mats_a, mats_b, p, d):
     return nullspace(Fq(p), rows, d * d)
 
 
-@dataclass
-class ChiefBoundReport:
-    abelian_classes: list  # (delta, dim_over_endo, p, d)
-    nonabelian_classes: list  # (delta, n_A)
+class ChiefBoundReport(NamedTuple):
+    abelian_classes: list  # dicts: delta, dim_over_endo, p, dim
+    nonabelian_classes: list  # dicts: delta, composition_length
     bound: int
-    alpha_value: int
+    alpha: int
     soluble: bool
     soluble_bound: object  # sum of (delta + 3) over abelian classes, or None
     verdict: bool
@@ -363,23 +357,23 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
         e = len(_solve_intertwiners(mats, mats, p, d))
         if e < 1 or d % e:
             raise CertificationError("endomorphism dimension does not divide d")
-        abelian_classes.append((len(cls), d // e, p, d))
+        abelian_classes.append({"delta": len(cls), "dim_over_endo": d // e, "p": p, "dim": d})
     nonab_groups = {}
     for f in nonab:
         key = (f.order, f.composition_length)
         nonab_groups.setdefault(key, []).append(f)
     nonabelian_classes = [
-        (len(v), k[1]) for k, v in sorted(nonab_groups.items())
+        {"delta": len(v), "composition_length": k[1]}
+        for k, v in sorted(nonab_groups.items())
     ]
-    bound = sum(delta for delta, *_ in abelian_classes)
-    bound += sum(dim for _, dim, *_ in abelian_classes)
-    bound += sum(max(4, delta) for delta, _ in nonabelian_classes)
-    bound += sum((3 * n - 1) // 2 for _, n in nonabelian_classes)
+    bound = sum(c["delta"] + c["dim_over_endo"] for c in abelian_classes)
+    bound += sum(
+        max(4, c["delta"]) + (3 * c["composition_length"] - 1) // 2
+        for c in nonabelian_classes
+    )
     a = alpha(lattice)
     soluble = all(f.abelian for f in report.factors)
-    soluble_bound = (
-        sum(delta + 3 for delta, *_ in abelian_classes) if soluble else None
-    )
+    soluble_bound = sum(c["delta"] + 3 for c in abelian_classes) if soluble else None
     return ChiefBoundReport(
         abelian_classes,
         nonabelian_classes,
@@ -391,9 +385,8 @@ def chief_factor_bound(lattice: Lattice) -> ChiefBoundReport:
     )
 
 
-@dataclass
-class SolubleReport:
-    alpha_value: int
+class SolubleReport(NamedTuple):
+    alpha: int
     chief_length: int
     non_frattini_count: int
     derived_nilpotent: bool

@@ -11,8 +11,8 @@ representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .perm import PermGroup, format_perm, gather, identity, inverse
 
@@ -231,8 +231,7 @@ class GroupTable:
         return format_perm(self.elements[idx])
 
 
-@dataclass(frozen=True)
-class SubgroupRecord:
+class SubgroupRecord(NamedTuple):
     elements: frozenset
     order: int
     generators: tuple

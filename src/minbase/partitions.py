@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CertificationError
@@ -43,16 +42,16 @@ def _check_ground(n):
 # partitions
 
 
-@dataclass(frozen=True)
 class SetPartition:
-    """Partition of {0..ground_size-1} into disjoint blocks covering it."""
+    """Partition of {0..ground_size-1} into disjoint blocks covering it;
+    every construction checks that the blocks are one."""
 
-    ground_size: int
-    blocks: tuple
+    __slots__ = ("ground_size", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, ground_size: int, blocks: tuple):
+        self.ground_size, self.blocks = ground_size, blocks
         seen = set()
-        for blk in self.blocks:
+        for blk in blocks:
             points = set(blk)
             if not points:
                 raise ValueError("empty block")
@@ -61,7 +60,7 @@ class SetPartition:
             if seen & points:
                 raise ValueError("blocks are not disjoint")
             seen |= points
-        if seen != set(range(self.ground_size)):
+        if seen != set(range(ground_size)):
             raise ValueError("blocks do not cover the ground set")
 
     @staticmethod

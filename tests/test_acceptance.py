@@ -31,10 +31,12 @@ from minbase.partitions import (
     partition_stabilizer,
 )
 from minbase.perm import PermGroup, compose, identity
-from test_bounds import involution_count_sym
-from test_invariants import chief_length_mod_frattini
-from test_lattice import oracle_is_nilpotent_set
-from test_partitions import random_uniform_partition
+from oracles import (
+    chief_length_mod_frattini,
+    involution_count_sym,
+    oracle_is_nilpotent_set,
+    random_uniform_partition,
+)
 
 _LATTICES = {}
 
@@ -189,7 +191,7 @@ def test_criterion_10_soluble_catalog():
             failures.append((name, "chief-factor bound violated"))
         if oracle_is_nilpotent_set(lat.table, range(lat.table.n)):
             lam_frat = chief_length_mod_frattini(lat)
-            if not (rep.alpha_value == rep.non_frattini_count == lam_frat):
+            if not (rep.alpha == rep.non_frattini_count == lam_frat):
                 failures.append((name, "nilpotent equality failed"))
     report(
         10,

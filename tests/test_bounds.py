@@ -14,6 +14,7 @@ from minbase.bounds import (
     pow_floor,
     sp4_subfield_terms,
 )
+from oracles import involution_count_sym, merged_bound
 
 
 def test_evaluate_single_term():
@@ -139,25 +140,6 @@ def test_o10_rejects_small_q():
         o10_plus_imprimitive_terms(2)
     with pytest.raises(ValueError):
         o10_plus_imprimitive_terms(7)
-
-
-def involution_count_sym(n: int) -> int:
-    """Number of elements of order exactly 2 in the symmetric group on n
-    letters, via t(n) = t(n-1) + (n-1) t(n-2) counting the identity too."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    prev2, prev1 = 1, 1  # t(0), t(1)
-    for k in range(2, n + 1):
-        prev2, prev1 = prev1, prev1 + (k - 1) * prev2
-    return prev1 - 1
-
-
-def merged_bound(terms, c: int) -> Fraction:
-    """Collapse bound: for terms with total u-sum A and least v equal B,
-    the collapsed value B * (A/B)^c dominates the term-by-term sum."""
-    A = sum(Fraction(t.u) * t.multiplicity for t in terms)
-    B = min(Fraction(t.v) for t in terms)
-    return B * (A / B) ** c
 
 
 def brute_involutions(n):

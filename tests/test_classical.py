@@ -37,7 +37,7 @@ from minbase.fq import (
     subspace_canonical,
     vector_code,
 )
-from test_fq import gram_matrix
+from oracles import gram_matrix
 
 _U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))
 _W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))

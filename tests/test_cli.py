@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -391,6 +390,19 @@ def test_a_command_imports_no_argparse():
     assert json.loads(proc.stdout)["result"]["base_size"] == 3
 
 
+def test_the_package_imports_no_dataclasses():
+    # dataclasses, with the inspect it imports, cost a cold process about
+    # 10 ms; the package's records are NamedTuples and one __slots__ class
+    src = str(Path(minbase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, minbase.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_an_out_file_that_cannot_be_written_is_a_refusal(tmp_path, capsys):
     # a missing directory once raised FileNotFoundError: exit 1, "verified fail"
     out = tmp_path / "missing" / "cert.json"
@@ -618,6 +630,22 @@ def test_verify_refuses_malformed_input(tmp_path):
         assert main(["verify", str(path)]) == 2, text
 
 
+def test_verify_refuses_a_certificate_nested_too_deeply(tmp_path, capsys):
+    # a certificate nested deeper than any command writes is malformed
+    # (exit 2), whether reading it or comparing it would exhaust the stack
+    # or not: not a traceback that exits 1, nor a verdict
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", str(path)]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+    code, cert = run_json(tmp_path, ["alpha", "--spec", "S4"])
+    text = json.dumps(dict(cert, result=dict(cert["result"], alpha="deep")))
+    for depth in (cli.CERT_DEPTH, 995):
+        path.write_text(text.replace('"deep"', "[" * depth + "3" + "]" * depth))
+        assert main(["verify", str(path)]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
+
 def test_verify_rederives_infinite_beta(tmp_path):
     path = tmp_path / "forged.json"
     forged = {"command": "beta", "seed": 1,
@@ -684,7 +712,7 @@ def test_alpha_and_beta_raise_on_failed_self_check(monkeypatch):
     def short_beta(lat):
         res = beta(lat)
         c = res.chosen
-        return replace(res, value=res.value - 1, chosen=BaseSizeCertificate(
+        return res._replace(value=res.value - 1, chosen=BaseSizeCertificate(
             c.value - 1, c.subgroup, c.conjugators[:-1], c.core_order))
 
     monkeypatch.setattr(cli, "alpha", short_alpha)
@@ -730,13 +758,13 @@ def test_emit_computes_the_accepted_familys_stabilizer_once(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("command", ["alpha", "beta"])
 def test_emit_computes_alpha_and_beta_once(tmp_path, capsys, command):
-    # The command and its check ask the memo for the same lattice: one
-    # miss and one hit.  verify builds a lattice of its own and misses.
+    # The command's check reads the certificate the command built: one
+    # miss and no hit.  verify builds a lattice of its own and misses.
     engine = getattr(invariants, command)
     engine.cache_clear()
     code, cert = run_json(tmp_path, [command, "--spec", "S6"])
     assert code == 0
-    assert engine.cache_info()[:2] == (1, 1)  # hits, misses
+    assert engine.cache_info()[:2] == (0, 1)  # hits, misses
     engine.cache_clear()
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "cert.json")]) == 0

@@ -17,11 +17,7 @@ from minbase.fq import (
     nullspace,
     subspace_canonical,
 )
-
-
-def gram_matrix(F, form, vectors):
-    """The matrix of the form's values on every pair of the vectors."""
-    return tuple(tuple(bilinear(F, form, u, v) for v in vectors) for u in vectors)
+from oracles import gram_matrix
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 49])

@@ -7,7 +7,6 @@ import pytest
 from minbase.catalog import BUILTIN_NAMES, SOLUBLE_CATALOG, group_from_spec
 from minbase.invariants import (
     NotSoluble,
-    _series_down,
     alpha,
     base_size_subgroup,
     beta,
@@ -25,23 +24,18 @@ from minbase.lattice import (
     normal_subgroups,
 )
 from minbase.perm import CosetAction, PermGroup
-from test_lattice import (
+from oracles import (
+    chief_length_mod_frattini,
+    merged_bound,
     oracle_commutator_subgroup,
     oracle_is_nilpotent_set,
     oracle_is_soluble,
+    perm_order,
 )
-from test_perm import perm_order
 
 
 def lat_of(name, cap=1000):
     return Lattice(GroupTable(group_from_spec(name), cap))
-
-
-def chief_length_mod_frattini(lattice: Lattice) -> int:
-    """Chief length of the quotient by the Frattini subgroup: the normal
-    subgroups of G/Phi are the images of those of G that contain Phi."""
-    full = lattice.find(range(lattice.table.n))
-    return len(_series_down(full, frattini(lattice), normal_subgroups(lattice))) - 1
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +412,7 @@ def test_soluble_report_sl23():
     lat = lat_of("SL23")
     rep = soluble_bounds_report(lat)
     assert rep.chief_length == 3
-    assert rep.alpha_value == 2
+    assert rep.alpha == 2
     assert rep.alpha_le_length
     # oracle: chief series 1 < C2 < Q8 < SL(2,3); Frattini = C2; the two
     # maximal classes Q8 and C6 intersect in C2
@@ -427,7 +421,7 @@ def test_soluble_report_sl23():
 
 def test_soluble_report_d8():
     rep = soluble_bounds_report(lat_of("D8"))
-    assert rep.alpha_value == 2
+    assert rep.alpha == 2
     assert rep.non_frattini_count == 2
     assert rep.derived_nilpotent
     assert rep.alpha_le_non_frattini
@@ -435,7 +429,7 @@ def test_soluble_report_d8():
 
 def test_soluble_report_c6():
     rep = soluble_bounds_report(lat_of("C6"))
-    assert rep.alpha_value == 2
+    assert rep.alpha == 2
     assert rep.chief_length == 2
     assert rep.non_frattini_count == 2
 
@@ -457,36 +451,38 @@ def test_nilpotent_alpha_equals_delta():
 def test_chief_bound_s4(s4):
     rep = chief_factor_bound(s4)
     # V4 (dim 2 over F2) and two 1-dimensional classes: bound 3 + 4 = 7
-    assert sorted(c[:2] for c in rep.abelian_classes) == [(1, 1), (1, 1), (1, 2)]
+    assert sorted((c["delta"], c["dim_over_endo"]) for c in rep.abelian_classes) == [
+        (1, 1), (1, 1), (1, 2)]
     assert rep.nonabelian_classes == []
     assert rep.bound == 7
-    assert rep.alpha_value == 3
+    assert rep.alpha == 3
     assert rep.verdict
 
 
 def test_chief_bound_klein():
     rep = chief_factor_bound(lat_of("C2xC2"))
     # both factors are isomorphic trivial modules: one class, delta=2, dim 1
-    assert rep.abelian_classes == [(2, 1, 2, 1)]
+    assert rep.abelian_classes == [{"delta": 2, "dim_over_endo": 1, "p": 2, "dim": 1}]
     assert rep.bound == 3
-    assert rep.alpha_value == 2
+    assert rep.alpha == 2
     assert rep.verdict
     assert rep.soluble_bound == 5
 
 
 def test_chief_bound_s5(s5):
     rep = chief_factor_bound(s5)
-    assert rep.nonabelian_classes == [(1, 1)]
+    assert rep.nonabelian_classes == [{"delta": 1, "composition_length": 1}]
     assert rep.verdict
 
 
 def test_chief_bound_endomorphism_field():
     # C5 x C5 with trivial action: one class, delta 2, dim 1 each
     rep = chief_factor_bound(lat_of("C5xC5"))
-    assert rep.abelian_classes == [(2, 1, 5, 1)]
+    assert rep.abelian_classes == [{"delta": 2, "dim_over_endo": 1, "p": 5, "dim": 1}]
     # F21: the C7 factor is 1-dim over F7; C3 factor 1-dim over F3
     rep21 = chief_factor_bound(lat_of("F21"))
-    assert sorted(c[:2] for c in rep21.abelian_classes) == [(1, 1), (1, 1)]
+    assert sorted((c["delta"], c["dim_over_endo"]) for c in rep21.abelian_classes) == [
+        (1, 1), (1, 1)]
 
 
 def qhat_empirical(table, H, c):
@@ -574,7 +570,6 @@ def test_class_collapse_dominates_empirical_sums(s5):
     # merging prime-order classes with summed stabilizer counts and the
     # least class size can only increase the certified sum
     from minbase.bounds import Term
-    from test_bounds import merged_bound
 
     table = s5.table
     stab = next(r for r in s5.subgroups if r.order == 24)

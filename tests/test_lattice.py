@@ -14,6 +14,7 @@ from minbase.lattice import (
     is_nilpotent,
     normal_subgroups,
 )
+from oracles import oracle_is_soluble
 
 
 def oracle_subgroups_upto_3_generators(table):
@@ -167,38 +168,6 @@ def test_conjugates_match_conjugation_by_every_element(s4_lattice):
 def test_normal_subgroups_s4(s4_lattice):
     normals = normal_subgroups(s4_lattice)
     assert sorted(r.order for r in normals) == [1, 4, 12, 24]
-
-
-def oracle_commutator_subgroup(table, A, B):
-    """Oracle: [A, B] closed from the commutators of every pair of
-    elements, as a frozenset."""
-    mul, inv = table.mul, table.inv
-    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in A for b in B}
-    return table.closure(sorted(comms))
-
-
-def oracle_is_soluble(table):
-    """Oracle: the derived series, each term closed from all pairs."""
-    cur = table.whole
-    while len(cur) > 1:
-        nxt = oracle_commutator_subgroup(table, cur, cur)
-        if nxt == cur:
-            return False
-        cur = nxt
-    return True
-
-
-def oracle_is_nilpotent_set(table, elems):
-    """Oracle: the lower central series of the subgroup on the given
-    elements, each term closed from all pairs."""
-    full = frozenset(elems)
-    cur = full
-    while len(cur) > 1:
-        nxt = oracle_commutator_subgroup(table, full, cur)
-        if nxt == cur:
-            return False
-        cur = nxt
-    return True
 
 
 def test_solubility_and_nilpotency():

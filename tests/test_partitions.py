@@ -31,14 +31,7 @@ from minbase.partitions import (
     wreath_generators,
 )
 from minbase.perm import PermGroup, sign
-
-
-def random_uniform_partition(a, b, rng):
-    """A uniform partition into a blocks of size b, dealt from one shuffle
-    of the points, as the seeded search draws its candidates."""
-    pts = list(range(a * b))
-    rng.shuffle(pts)
-    return SetPartition.from_blocks(a * b, [pts[i * b : (i + 1) * b] for i in range(a)])
+from oracles import random_uniform_partition
 
 
 def brute_stabilizer_order(partitions, parity="all"):
@@ -65,6 +58,14 @@ def test_partition_validation():
         SetPartition.from_blocks(4, [[0, 1], [1, 2]])
     with pytest.raises(ValueError):
         SetPartition.from_blocks(4, [[0, 1]])
+
+
+def test_partition_constructor_validates():
+    # the constructor itself checks the blocks, not only from_blocks
+    with pytest.raises(ValueError):
+        SetPartition(4, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError):
+        SetPartition(4, ((0, 1),))
 
 
 def test_grid_domain_sizes():

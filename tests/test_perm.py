@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -20,11 +19,7 @@ from minbase.perm import (
     parse_perm,
     sign,
 )
-
-
-def perm_order(p):
-    """Order of a permutation: the lcm of its cycle lengths."""
-    return math.lcm(*(len(cycle) for cycle in orbits(len(p), [p])))
+from oracles import perm_order
 
 
 def brute_elements(gens, degree):
