@@ -51,7 +51,6 @@ _W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))  # <e1+f2, e2+f1>
 
 
 class Sp4PairReport(NamedTuple):
-    q: int
     candidates: int
     survivors: list  # 4x4 matrices
     scalars_only: bool
@@ -95,8 +94,7 @@ def sp4_pair_stabilizer(q: int) -> Sp4PairReport:
         for lam in range(1, q)
     }
     return Sp4PairReport(
-        q, 2 * (q * q - 1) * (q * q - q) * (q - 1), sorted(survivors),
-        survivors == scalars,
+        2 * (q * q - 1) * (q * q - q) * (q - 1), sorted(survivors), survivors == scalars,
     )
 
 
@@ -408,8 +406,6 @@ def isometry_group_elements(F, gram):
 
 
 class OrthPairReport(NamedTuple):
-    n: int
-    q: int
     stabilizer_size: int
     survivors: int
     verdict: bool
@@ -491,4 +487,4 @@ def _orth_pair_join(F, form, U, W) -> OrthPairReport:
                 counterexample = g
     if not identity_seen:
         raise CertificationError("the identity does not fix the pair")
-    return OrthPairReport(n, F.q, total, survivors, survivors == 1, counterexample)
+    return OrthPairReport(total, survivors, survivors == 1, counterexample)

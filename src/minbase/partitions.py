@@ -14,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .errors import CertificationError
-from .perm import PermGroup, compose, identity, inverse, orbit, sign
+from .perm import PermGroup, compose, gather, identity, inverse, orbit, sign
 
 
 class GroundMismatch(ValueError):
@@ -205,6 +205,11 @@ class _StabContext:
         self.blocks = family
         self.block_of = [_block_of(self.n, blocks) for blocks in family]
         self.block_sets = [set(bs) for bs in self.blocks]
+        # per partition, one gather per block (a coloring's or a map's
+        # entries at the block's points) and one of its block_of (a value
+        # per block spread to the points)
+        self.takes = [list(map(gather, blocks)) for blocks in family]
+        self.spreads = list(map(gather, self.block_of))
         # seed colors: per-point block sizes and pairwise intersection sizes
         seeds = [[] for _ in range(self.n)]
         for blocks, block_of in zip(self.blocks, self.block_of):
@@ -230,38 +235,36 @@ class _StabContext:
         the source's.  A target that matches every round reaches the
         fixpoint in the same round as the source.
 
-        A point's signature is its color followed, for each partition, by
-        the color tally of its block: the sorted (color, count) pairs.
-        Tallies are ranked within their partition and the signature is
-        folded into one integer in mixed radix, the radix of a partition
-        being its number of distinct tallies.  Ranks keep the tallies'
-        order and each digit is below its radix, so the integers sort as
-        the tuples would and the labels are the tuple ranks.
+        A point's signature is its color followed, for each partition
+        whose blocks' tallies differ, by the rank of its block's tally
+        among the partition's distinct tallies, a tally being the sorted
+        tuple of the block's colors (the multiset of its colors in
+        canonical form).  Each such partition adds one column, the ranks
+        spread to the points through its block_of, and signatures compare
+        as tuples.  A partition all of whose blocks have one tally tells
+        no point from another and adds none.
 
         The stop loses no image: a partition-stabilizing map sending the
-        source onto the target sends each block to a block with the same
-        tally, so each round gives the target the source's signature
-        integers and two colorings that the map again sends one onto the
-        other.  A stopped target is the image of no such map."""
+        source onto the target sends each block onto a block with the
+        same color multiset, so each partition's tallies, their ranks and
+        whether they differ are the same on both sides, each round gives
+        the target the source's signatures, and the relabeled colorings
+        are again sent one onto the other by the map.  A stopped target is
+        the image of no such map."""
         source = trace is None
         if source:
             trace = []
         count = len(set(colors))
         rnd = 0
         while True:
-            sigs = colors
-            for blocks, block_of in zip(self.blocks, self.block_of):
-                tallies = []
-                for blk in blocks:
-                    tally = {}
-                    for x in blk:
-                        tally[colors[x]] = tally.get(colors[x], 0) + 1
-                    tallies.append(tuple(sorted(tally.items())))
+            columns = []
+            for takes, spread in zip(self.takes, self.spreads):
+                tallies = [tuple(sorted(take(colors))) for take in takes]
                 distinct = set(tallies)
                 if len(distinct) > 1:
                     rank = {t: i for i, t in enumerate(sorted(distinct))}
-                    digits = [rank[t] for t in tallies]
-                    sigs = [s * len(rank) + digits[i] for s, i in zip(sigs, block_of)]
+                    columns.append(spread(list(map(rank.__getitem__, tallies))))
+            sigs = list(zip(colors, *columns))
             keys = sorted(set(sigs))
             if source:
                 trace.append(keys)
@@ -269,7 +272,7 @@ class _StabContext:
                 return None
             rnd += 1
             ranked = {s: i for i, s in enumerate(keys)}
-            colors = tuple([ranked[s] for s in sigs])
+            colors = tuple(map(ranked.__getitem__, sigs))
             if len(ranked) == count:
                 return colors, trace
             count = len(ranked)
@@ -303,9 +306,11 @@ class _StabContext:
         return tuple(lst)
 
     def stabilizes(self, g):
-        for kk in range(len(self.blocks)):
-            for blk in self.blocks[kk]:
-                if tuple(sorted(g[x] for x in blk)) not in self.block_sets[kk]:
+        """True when g maps every block of every partition onto one of
+        the same partition's blocks."""
+        for takes, block_set in zip(self.takes, self.block_sets):
+            for take in takes:
+                if tuple(sorted(take(g))) not in block_set:
                     return False
         return True
 
@@ -320,7 +325,7 @@ class _StabContext:
         repeat the source's signatures; its branch returns None, as a full
         search of it would."""
         colors, cell, trace = path[depth]
-        if Counter(colors) != Counter(tgt):
+        if sorted(colors) != sorted(tgt):
             return None
         if cell is None:
             pos = {c: y for y, c in enumerate(tgt)}

@@ -27,10 +27,11 @@ def identity(n: int) -> Perm:
 
 
 def compose(p, q):
-    """Apply p, then q."""
+    """Apply p, then q, of one degree n >= 1: one gather of q at p's
+    images, after the degree check."""
     if len(p) != len(q):
         raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
-    return tuple(q[x] for x in p)
+    return gather(p)(q)
 
 
 def gather(indices):
@@ -212,6 +213,10 @@ class PermGroup:
     # through the levels below.  Closing level i adds residues to deeper
     # levels only, so its own generator list is fixed while it is closed.
 
+    # Every product below is one gather (g * u^-1 is u^-1 gathered at g's
+    # images), with no degree check: __init__ and contains check the
+    # degree of every element sifted, and products keep it.
+
     def _sift(self, g, start=0):
         """Strip g through levels start.. of the chain; return (residue,
         index of the level it stopped at)."""
@@ -222,7 +227,7 @@ class PermGroup:
                 continue
             if img not in lvl.orbit:
                 return g, i
-            g = compose(g, lvl.inv[img])
+            g = gather(g)(lvl.inv[img])
         return g, len(self._levels)
 
     def _add(self, g, start):
@@ -247,16 +252,16 @@ class PermGroup:
         lvl = self._levels[i]
         points = list(lvl.orbit)
         for pt in points:  # grows as the orbit does
-            u = lvl.orbit[pt]
+            times_u = gather(lvl.orbit[pt])
             for s in lvl.gens[lvl.done.get(pt, 0):]:
-                us = compose(u, s)
+                us = times_u(s)
                 img = s[pt]
                 if img not in lvl.orbit:
                     lvl.orbit[img] = us
                     lvl.inv[img] = inverse(us)
                     points.append(img)
                 elif us != lvl.orbit[img]:
-                    self._add(compose(us, lvl.inv[img]), i + 1)
+                    self._add(gather(us)(lvl.inv[img]), i + 1)
             lvl.done[pt] = len(lvl.gens)
 
     # -- queries -----------------------------------------------------------

@@ -4,12 +4,36 @@ Test modules import them from here, never from one another."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+from minbase import perm
 from minbase.fq import bilinear
 from minbase.invariants import _series_down
 from minbase.lattice import Lattice, frattini, normal_subgroups
 from minbase.partitions import SetPartition
-from minbase.perm import orbits
+from minbase.perm import DegreeMismatch, orbits
+
+
+def oracle_compose(p, q):
+    """Oracle: the product p * q (apply p, then q) by one Python-level
+    lookup per point, as perm.compose computed it before its gather."""
+    if len(p) != len(q):
+        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
+    return tuple(q[x] for x in p)
+
+
+def lookup_products():
+    """A patch of perm.gather to oracle_compose, so every product of the
+    chain and of compose is one Python-level lookup per point."""
+    return mock.patch.object(perm, "gather", lambda p: lambda q: oracle_compose(tuple(p), q))
+
+
+def chain_of(G):
+    """The base, order and each level's generators, transversal and its
+    inverses, in the order the chain stored them."""
+    levels = [(lvl.point, lvl.gens, list(lvl.orbit.items()), list(lvl.inv.items()))
+              for lvl in G._levels]
+    return G.base, G.order, levels
 
 
 def perm_order(p):

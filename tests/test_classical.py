@@ -118,7 +118,7 @@ def sp4_pair_all_points(q):
     scalars = {tuple(tuple(lam if i == j else 0 for j in range(4)) for i in range(4))
                for lam in range(1, q)}
     gl2 = (q * q - 1) * (q * q - q)
-    return Sp4PairReport(q, 2 * gl2 * (q - 1), sorted(survivors), survivors == scalars)
+    return Sp4PairReport(2 * gl2 * (q - 1), sorted(survivors), survivors == scalars)
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
@@ -330,7 +330,7 @@ def orth_pair_enumeration(F, form, U, W):
                 elif counterexample is None:
                     counterexample = g
     assert identity_seen
-    return OrthPairReport(n, F.q, total, survivors, survivors == 1, counterexample)
+    return OrthPairReport(total, survivors, survivors == 1, counterexample)
 
 
 def _coordinate_span(F, n, *supports):

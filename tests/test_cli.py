@@ -205,6 +205,29 @@ def test_even_stabilizer_lists_each_generator_once(tmp_path):
     assert main(["verify", str(tmp_path / "cert.json")]) == 0
 
 
+@pytest.mark.parametrize("a, b, order", [
+    (2, 64, 2 * math.factorial(64) ** 2),
+    (64, 2, math.factorial(64) * 2 ** 64),
+], ids=["S64-wr-S2", "S2-wr-S64"])
+def test_stabilizer_at_the_ground_cap_emits_and_verifies(tmp_path, a, b, order):
+    # the two slowest one-partition stabilizers the 128-point cap admits:
+    # the emit and the verify together took 6.6 s at (2, 64) and 4.2 s at
+    # (64, 2) in-process on a 2-core x86 box, under a quarter of the 30 s
+    # bound
+    blocks = "|".join(
+        "{%s}" % ",".join(str(b * i + j + 1) for j in range(b)) for i in range(a))
+    start = time.perf_counter()
+    partition_stabilizer.cache_clear()
+    code, cert = run_json(tmp_path, ["stabilizer", "--ground", "128", "--partitions", blocks])
+    assert code == 0 and cert["result"]["order"] == order
+    # verify computes the stabilizer again, not from the emit's memo
+    partition_stabilizer.cache_clear()
+    assert main(["verify", str(tmp_path / "cert.json")]) == 0
+    assert partition_stabilizer.cache_info().misses == 1
+    assert time.perf_counter() - start < 30
+    partition_stabilizer.cache_clear()
+
+
 def test_refusal_exit_codes():
     assert main(["base-size", "-a", "6", "-b", "3", "--mode", "exact"]) == 2
     assert main(["sp4", "--q", "4"]) == 2

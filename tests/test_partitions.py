@@ -31,7 +31,7 @@ from minbase.partitions import (
     wreath_generators,
 )
 from minbase.perm import PermGroup, sign
-from oracles import random_uniform_partition
+from oracles import chain_of, lookup_products, random_uniform_partition
 
 
 def brute_stabilizer_order(partitions, parity="all"):
@@ -266,17 +266,16 @@ def test_stabilizer_memo_key_ignores_block_order():
         assert partition_stabilizer.cache_info()[:2] == (0, 2)
 
 
-def oracle_refine(ctx, colors, trace=None):
+def oracle_fixpoint(ctx, colors, tally):
     """Oracle: refinement by tuple signatures, a point's color followed by
-    the sorted (color, count) tally of its block in each partition, ranked
-    by sorting the tuples.  It ignores the trace and hands it back, so a
-    backtrack patched to use it refines every target in full: the
-    unpruned backtrack."""
+    the tally of its block's colors in each partition, ranked by sorting
+    the tuples.  Returns the fixpoint and the number of rounds, the last
+    being the one that splits no cell."""
+    rounds = 0
     while True:
-        profiles = [
-            [tuple(sorted(Counter(colors[x] for x in blk).items())) for blk in blocks]
-            for blocks in ctx.blocks
-        ]
+        rounds += 1
+        profiles = [[tally([colors[x] for x in blk]) for blk in blocks]
+                    for blocks in ctx.blocks]
         sigs = [
             (colors[x],) + tuple(prof[of[x]] for prof, of in zip(profiles, ctx.block_of))
             for x in range(ctx.n)
@@ -284,8 +283,41 @@ def oracle_refine(ctx, colors, trace=None):
         ranked = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = tuple(ranked[s] for s in sigs)
         if len(set(new)) == len(set(colors)):
-            return new, trace
+            return new, rounds
         colors = new
+
+
+def oracle_refine(ctx, colors, trace=None):
+    """Oracle: the fixpoint whose tally is the sorted tuple of a block's
+    colors, as the engine's.  It ignores the trace and hands it back, so
+    a backtrack patched to use it refines every target in full: the
+    unpruned backtrack."""
+    return oracle_fixpoint(ctx, colors, lambda cs: tuple(sorted(cs)))[0], trace
+
+
+def oracle_refine_by_counts(ctx, colors):
+    """Label-free oracle: the cells of the fixpoint whose tally is a
+    block's sorted (color, count) pairs, another form of the same
+    multiset, and its number of rounds."""
+    new, rounds = oracle_fixpoint(ctx, colors, lambda cs: tuple(sorted(Counter(cs).items())))
+    return cells_of(new), rounds
+
+
+def cells_of(colors):
+    """The points grouped by color, each cell sorted, in order of least
+    point."""
+    cells = {}
+    for x, c in enumerate(colors):
+        cells.setdefault(c, []).append(x)
+    return sorted(cells.values())
+
+
+def assert_refines_as_counts_oracle(ctx, colors):
+    """The engine's refinement of colors has the cells and round count of
+    the (color, count) tally's, and returns the refined coloring."""
+    refined, trace = ctx.refine(colors)
+    assert (cells_of(refined), len(trace)) == oracle_refine_by_counts(ctx, colors)
+    return refined
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -298,10 +330,10 @@ def test_refine_matches_tuple_signature_oracle(a, b, k, parity, rng):
     ctx = partitions._StabContext([p.canonical() for p in parts])
     colors = ctx.seed_colors
     for x in rng.sample(range(a * b), min(a * b, 4)):
-        refined, _ = ctx.refine(colors)
+        refined = assert_refines_as_counts_oracle(ctx, colors)
         assert refined == oracle_refine(ctx, colors)[0]
         colors = tuple(max(refined) + 1 if y == x else c for y, c in enumerate(refined))
-    assert ctx.refine(colors)[0] == oracle_refine(ctx, colors)[0]
+    assert assert_refines_as_counts_oracle(ctx, colors) == oracle_refine(ctx, colors)[0]
     # each call computes: an answer from the memo would compare the
     # backtrack with itself
     partition_stabilizer.cache_clear()
@@ -346,7 +378,8 @@ def test_trace_stops_only_targets_without_an_image():
         path = ctx.first_path(src)
         for y in targets:
             pruned = ctx.refine(ctx.individualize(colors, y), trace)
-            unpruned, _ = oracle_refine(ctx, ctx.individualize(colors, y))
+            unpruned = assert_refines_as_counts_oracle(ctx, ctx.individualize(colors, y))
+            assert unpruned == oracle_refine(ctx, ctx.individualize(colors, y))[0]
             with mock.patch.object(partitions._StabContext, "refine", oracle_refine):
                 image = ctx.find_auto(path, 0, unpruned)
             if pruned is None:
@@ -476,35 +509,55 @@ def _grid_rows_and_columns(a):
     return [SetPartition.from_blocks(a * a, rows), SetPartition.from_blocks(a * a, cols)]
 
 
-@pytest.mark.parametrize("parts, parity, order", [
+SYMMETRIC_FAMILIES = [
     ([uniform_partition(6, 4)], "even", math.factorial(4) ** 6 * math.factorial(6) // 2),
     ([uniform_partition(8, 3)], "all", math.factorial(3) ** 8 * math.factorial(8)),
     (_grid_rows_and_columns(8), "all", math.factorial(8) ** 2),
-])
+]
+
+
+@pytest.mark.parametrize("parts, parity, order", SYMMETRIC_FAMILIES)
 def test_symmetric_family_stabilizer_orders(parts, parity, order):
     assert partition_stabilizer(parts, parity).order == order
 
 
+@pytest.mark.parametrize("parts, parity, order", SYMMETRIC_FAMILIES)
+def test_symmetric_family_chain_matches_lookup_products(parts, parity, order):
+    # the chain over the backtrack's generators, and for parity even the
+    # kernel's Schreier generators and chain, are the same with every
+    # product of perm computed by one Python-level lookup per point
+    partition_stabilizer.cache_clear()
+    G = partition_stabilizer(parts, parity)
+    partition_stabilizer.cache_clear()
+    with lookup_products():
+        H = partition_stabilizer(parts, parity)
+    partition_stabilizer.cache_clear()
+    assert H.order == order
+    assert H.generators == G.generators
+    assert chain_of(H) == chain_of(G)
+
+
 def test_grid_stabilizer_compose_budget(monkeypatch):
     # the stabilizer chain sifts each Schreier generator once; rebuilding
-    # orbits and re-queueing Schreier generators took 337,575 composes
-    # here.  Walked top down, each orbit grown from its level's own maps,
-    # the backtrack made 504 refinements; walked deepest first, 118.
+    # orbits and re-queueing Schreier generators took 337,575 products
+    # here, and the chain now takes 2,600 gathers.  Walked top down, each
+    # orbit grown from its level's own maps, the backtrack made 504
+    # refinements; walked deepest first, 118.
     calls = [0]
     refinements = [0]
-    original = perm.compose
+    original = perm.gather
     refine = partitions._StabContext.refine
 
-    def counted(p, q):
+    def counted(indices):
         calls[0] += 1
-        return original(p, q)
+        return original(indices)
 
     def counted_refine(*args):
         refinements[0] += 1
         return refine(*args)
 
-    monkeypatch.setattr(perm, "compose", counted)
-    monkeypatch.setattr(partitions, "compose", counted)
+    # every product of perm, compose's included, is one of its gathers
+    monkeypatch.setattr(perm, "gather", counted)
     monkeypatch.setattr(partitions._StabContext, "refine", counted_refine)
     partition_stabilizer.cache_clear()  # the test above leaves this family in the memo
     assert partition_stabilizer(_grid_rows_and_columns(8)).order == math.factorial(8) ** 2

@@ -19,7 +19,7 @@ from minbase.perm import (
     parse_perm,
     sign,
 )
-from oracles import perm_order
+from oracles import chain_of, lookup_products, oracle_compose, perm_order
 
 
 def brute_elements(gens, degree):
@@ -185,6 +185,56 @@ def test_gather_gives_a_tuple_for_every_length():
         for _ in range(5):
             p, q = rng.sample(range(n), n), rng.sample(range(n), n)
             assert gather(p)(q) == compose(tuple(p), tuple(q))
+
+
+@st.composite
+def permutation_pairs(draw):
+    """Two permutations of one degree in 1..130, and a degree that may
+    differ from theirs."""
+    n = draw(st.integers(1, 130))
+    p, q = (tuple(draw(st.permutations(range(n)))) for _ in range(2))
+    return p, q, draw(st.integers(1, 130))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(permutation_pairs())
+def test_compose_matches_the_lookup_oracle(case):
+    # one gather at every degree up to the 128-point cap and past it, and
+    # the degree check before it
+    p, q, m = case
+    assert compose(p, q) == oracle_compose(p, q)
+    if m != len(p):
+        other = identity(m)
+        for args in ((p, other), (other, p)):
+            with pytest.raises(DegreeMismatch):
+                compose(*args)
+
+
+def random_group(rng, n):
+    """Up to three generators of degree n, each permuting a random subset
+    of the points, so that orbits and levels vary."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(range(n), rng.randint(0, n))
+        g = list(range(n))
+        for x, y in zip(support, rng.sample(support, len(support))):
+            g[x] = y
+        gens.append(tuple(g))
+    return gens
+
+
+def test_chain_of_gathered_products_matches_lookup_products():
+    # the gathers change how each product is computed, not which: the same
+    # generators and base give the same chain, level by level
+    rng = random.Random(33)
+    for _ in range(60):
+        n = rng.randint(1, 24)
+        gens = random_group(rng, n)
+        base = rng.sample(range(n), rng.randint(0, min(n, 2)))
+        G = PermGroup(gens, n, base=base)
+        with lookup_products():
+            H = PermGroup(gens, n, base=base)
+        assert chain_of(H) == chain_of(G)
 
 
 @pytest.mark.parametrize("base", [(), (0,)])
