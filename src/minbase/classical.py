@@ -21,7 +21,6 @@ from .fq import (
     frobenius_subspace,
     mat_det,
     mat_identity,
-    mat_mul,
     mat_transpose,
     mat_vec,
     nullspace,
@@ -36,14 +35,6 @@ class BudgetError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Sp4: stabilizer of a pair of complementary totally isotropic 2-spaces
-
-
-def _sp4_form(F):
-    """Alternating form with (e1,f1) = (e2,f2) = 1 on basis e1,e2,f1,f2."""
-    J = [[0] * 4 for _ in range(4)]
-    J[0][2] = J[1][3] = 1
-    J[2][0] = J[3][1] = F.neg[1]
-    return tuple(tuple(r) for r in J)
 
 
 _U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))  # <e1, e2+f2>
@@ -101,21 +92,37 @@ def sp4_pair_stabilizer(q: int) -> Sp4PairReport:
 def _sp4_pair_systems(F):
     """Nullspace bases of the four linear systems in g's 16 entries, one
     per block shape (diagonal or antidiagonal) and pair {U', W'} kept or
-    swapped."""
+    swapped.
+
+    Each system is solved in the 8 entries of its two blocks, and each
+    basis vector is put back into 16 entries with 0 off the blocks.  This
+    is the basis of the 16-unknown system that adds the unit row e_k for
+    every off-block entry k.  Proof: that system's row space is the sum of
+    the span of those e_k and of the block system's rows put back, whose
+    supports are disjoint.  So the e_k beside the block system's reduced
+    rows put back have distinct pivots, each pivot column zero in every
+    other row: they are the unique reduced echelon form, every row with an
+    off-block pivot is that unit vector, the free columns are the block
+    system's, and each basis vector reads 0 off the blocks."""
     mul = F.mul
     annihilator = {s: nullspace(F, s, 4) for s in (_U_PRIME, _W_PRIME)}
-    unit = mat_identity(16)
     for anti in (False, True):
-        off = [unit[4 * i + j] for i in range(4) for j in range(4)
-               if ((i < 2) == (j < 2)) == anti]
+        block = [(i, j) for i in range(4) for j in range(4)
+                 if ((i < 2) == (j < 2)) != anti]
         for targets in ((_U_PRIME, _W_PRIME), (_W_PRIME, _U_PRIME)):
-            rows = off + [
-                tuple(mul[x][y] for x in a for y in u)
+            rows = [
+                tuple(mul[a[i]][u[j]] for i, j in block)
                 for src, dst in zip((_U_PRIME, _W_PRIME), targets)
                 for a in annihilator[dst]
                 for u in src
             ]
-            yield nullspace(F, rows, 16)
+            basis = []
+            for v in nullspace(F, rows, len(block)):
+                flat = [0] * 16
+                for (i, j), x in zip(block, v):
+                    flat[4 * i + j] = x
+                basis.append(tuple(flat))
+            yield basis
 
 
 def _sp4_point(F, coeffs, basis):
@@ -137,14 +144,22 @@ def _line_points(F, k):
 
 
 def sp4_similitude_check(F, g):
-    """g^T J g must be a nonzero multiple of J."""
-    J = _sp4_form(F)
-    gt = mat_transpose(g)
-    m = mat_mul(F, gt, mat_mul(F, J, g))
-    lam = m[0][2]
-    if lam == 0:
-        return False
-    return m == tuple(tuple(F.mul[lam][x] for x in row) for row in J)
+    """g^T J g must be a nonzero multiple of J, the alternating form
+    B(x, y) = x0 y2 + x1 y3 - x2 y0 - x3 y1 on basis e1, e2, f1, f2.
+    Its (i, j) entry is B(c_i, c_j) on the columns c of g, so it is
+    antisymmetric with zero diagonal, like J: it equals lambda J exactly
+    when B(c0, c2) = B(c1, c3) = lambda != 0 and the other four pairings
+    B(c0, c1), B(c0, c3), B(c1, c2), B(c2, c3) are 0."""
+    add, mul, sub = F.add, F.mul, F.sub
+    c0, c1, c2, c3 = zip(*g)
+
+    def form(x, y):
+        return sub(add[mul[x[0]][y[2]]][mul[x[1]][y[3]]],
+                   add[mul[x[2]][y[0]]][mul[x[3]][y[1]]])
+
+    lam = form(c0, c2)
+    return (lam != 0 and form(c1, c3) == lam and form(c0, c1) == 0
+            and form(c0, c3) == 0 and form(c1, c2) == 0 and form(c2, c3) == 0)
 
 
 class Sp4TripleReport(NamedTuple):

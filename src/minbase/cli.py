@@ -71,13 +71,14 @@ def _nesting(value):
     return depth
 
 
-def _write_out(path, cert):
-    """Write the certificate to --out, if given; a path that cannot be
-    written is a refusal, as an unreadable one is to verify."""
+def _write_out(path, text):
+    """Write the certificate's JSON text to --out, if given, in one write;
+    a path that cannot be written is a refusal, as an unreadable one is to
+    verify."""
     if path:
         try:
             with open(path, "w") as fh:
-                json.dump(cert, fh, indent=1, sort_keys=True, default=str)
+                fh.write(text)
         except OSError as exc:
             raise PreconditionError(f"cannot write certificate: {exc}") from exc
 
@@ -905,8 +906,11 @@ def main(argv=None):
         elapsed = time.time() - t0
         if cert is not None:
             cert.update(command=args.cmd, seed=args.seed)
+            # encoded once, for --out and --json alike, and not at all for neither
+            text = (json.dumps(cert, indent=1, sort_keys=True, default=str)
+                    if args.out or args.json else None)
             # the file first: a reader that closes stdout early does not cost it
-            _write_out(args.out, cert)
+            _write_out(args.out, text)
     except SearchBudgetExceeded as exc:
         print(f"refused (budget): {exc}", file=sys.stderr)
         return REFUSED
@@ -917,7 +921,7 @@ def main(argv=None):
         if cert is None:
             print("\n".join(lines))
         elif args.json:
-            print(json.dumps(cert, indent=1, sort_keys=True, default=str))
+            print(text)
         else:
             print("\n".join([*lines, f"[{elapsed:.2f}s]"]))
         sys.stdout.flush()

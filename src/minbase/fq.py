@@ -17,8 +17,10 @@ from functools import lru_cache
 
 
 def factor_prime_power(q: int):
-    """(p, f) with q = p^f, or raise."""
-    for p in range(2, q + 1):
+    """(p, f) with q = p^f, or raise.  Trial division stops at p*p > q: a
+    q >= 2 with no divisor up to its square root is itself a prime."""
+    p = 2
+    while p * p <= q:
         if q % p == 0:
             f = 0
             while q % p == 0:
@@ -27,7 +29,10 @@ def factor_prime_power(q: int):
             if q != 1:
                 raise ValueError("not a prime power")
             return p, f
-    raise ValueError("not a prime power")
+        p += 1
+    if q < 2:
+        raise ValueError("not a prime power")
+    return q, 1
 
 
 def _digits(code, base, n):
@@ -86,7 +91,7 @@ class Field:
     """GF(q) with precomputed addition/multiplication/inverse tables."""
 
     def __init__(self, q: int):
-        if q > 512:  # before factoring, which takes O(q) steps on a prime q
+        if q > 512:
             raise ValueError("table-based fields capped at q = 512")
         p, f = factor_prime_power(q)
         self.q = q
@@ -143,22 +148,6 @@ class Field:
 
 def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(F, A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    add, mul = F.add, F.mul
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                acc = add[acc][mul[Ai[t]][B[t][j]]]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def mat_vec(F, A, v):

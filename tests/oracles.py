@@ -1,13 +1,15 @@
-"""Oracles and helpers that more than one test module uses: slow
-reference computations, and the candidate draw of the seeded search.
-Test modules import them from here, never from one another."""
+"""Oracles, the slow reference computations that tests compare the
+program against, and helpers that more than one test module uses, such
+as the candidate draw of the seeded search.  Test modules import them
+from here, never from one another."""
 
 import math
 from fractions import Fraction
 from unittest import mock
 
 from minbase import perm
-from minbase.fq import bilinear
+from minbase.classical import _U_PRIME, _W_PRIME
+from minbase.fq import bilinear, factor_prime_power, mat_identity, mat_transpose, nullspace
 from minbase.invariants import _series_down
 from minbase.lattice import Lattice, frattini, normal_subgroups
 from minbase.partitions import SetPartition
@@ -44,6 +46,73 @@ def perm_order(p):
 def gram_matrix(F, form, vectors):
     """The matrix of the form's values on every pair of the vectors."""
     return tuple(tuple(bilinear(F, form, u, v) for v in vectors) for u in vectors)
+
+
+def prime_powers(lo, hi):
+    """Every prime power q with lo < q <= hi."""
+    out = []
+    for q in range(lo + 1, hi + 1):
+        try:
+            factor_prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+def mat_mul(F, A, B):
+    """The matrix product A B over F, entry by entry."""
+    n, m, k = len(A), len(B[0]), len(B)
+    add, mul = F.add, F.mul
+    out = []
+    for i in range(n):
+        row = []
+        Ai = A[i]
+        for j in range(m):
+            acc = 0
+            for t in range(k):
+                acc = add[acc][mul[Ai[t]][B[t][j]]]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def sp4_form(F):
+    """Alternating form with (e1,f1) = (e2,f2) = 1 on basis e1,e2,f1,f2."""
+    J = [[0] * 4 for _ in range(4)]
+    J[0][2] = J[1][3] = 1
+    J[2][0] = J[3][1] = F.neg[1]
+    return tuple(tuple(r) for r in J)
+
+
+def oracle_sp4_similitude_check(F, g):
+    """Oracle: g^T J g == lambda J for lambda = its (0, 2) entry, nonzero,
+    by two matrix products."""
+    J = sp4_form(F)
+    m = mat_mul(F, mat_transpose(g), mat_mul(F, J, g))
+    lam = m[0][2]
+    if lam == 0:
+        return False
+    return m == tuple(tuple(F.mul[lam][x] for x in row) for row in J)
+
+
+def oracle_sp4_pair_systems(F):
+    """Oracle: the four Sp4 pair systems solved in all 16 entries of g,
+    a unit row pinning each off-block entry to 0."""
+    mul = F.mul
+    annihilator = {s: nullspace(F, s, 4) for s in (_U_PRIME, _W_PRIME)}
+    unit = mat_identity(16)
+    for anti in (False, True):
+        off = [unit[4 * i + j] for i in range(4) for j in range(4)
+               if ((i < 2) == (j < 2)) == anti]
+        for targets in ((_U_PRIME, _W_PRIME), (_W_PRIME, _U_PRIME)):
+            rows = off + [
+                tuple(mul[x][y] for x in a for y in u)
+                for src, dst in zip((_U_PRIME, _W_PRIME), targets)
+                for a in annihilator[dst]
+                for u in src
+            ]
+            yield nullspace(F, rows, 16)
 
 
 def involution_count_sym(n: int) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -30,14 +31,21 @@ from minbase.fq import (
     frobenius_subspace,
     mat_det,
     mat_identity,
-    mat_mul,
     mat_transpose,
     mat_vec,
     nullspace,
     subspace_canonical,
     vector_code,
 )
-from oracles import gram_matrix
+from oracles import (
+    gram_matrix,
+    mat_mul,
+    oracle_sp4_pair_systems,
+    oracle_sp4_similitude_check,
+    prime_powers,
+    sp4_form,
+)
+
 
 _U_PRIME = ((1, 0, 0, 0), (0, 1, 0, 1))
 _W_PRIME = ((1, 0, 0, 1), (0, 1, 1, 0))
@@ -132,6 +140,53 @@ def test_sp4_pair_rechecks_every_multiple(monkeypatch):
                         lambda F, g: sp4_similitude_check(F, g) and g[0][0] == 1)
     with pytest.raises(CertificationError):
         sp4_pair_stabilizer(5)
+
+
+def _sp4_block_similitude(F, rng, anti):
+    """A random similitude of block shape diag(A, lam A^-T), or that
+    times J when anti: J is a similitude with multiplier 1."""
+    while True:
+        a, b, c, d = (rng.randrange(F.q) for _ in range(4))
+        det = F.sub(F.mul[a][d], F.mul[b][c])
+        if det:
+            break
+    lam = rng.randrange(1, F.q)
+    s = F.mul[lam][F.inv[det]]  # lam A^-T = s [[d, -c], [-b, a]]
+    g = ((a, b, 0, 0), (c, d, 0, 0),
+         (0, 0, F.mul[s][d], F.mul[s][F.neg[c]]), (0, 0, F.mul[s][F.neg[b]], F.mul[s][a]))
+    return mat_mul(F, sp4_form(F), g) if anti else g
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25, 27])
+def test_sp4_similitude_check_matches_the_matrix_products(q):
+    F = Fq(q)
+    rng = random.Random(q)
+    scalars = [tuple(tuple(lam if i == j else 0 for j in range(4)) for i in range(4))
+               for lam in range(q)]
+    similitudes = [_sp4_block_similitude(F, rng, anti) for anti in (False, True)
+                   for _ in range(20)]
+    assert all(sp4_similitude_check(F, g) for g in similitudes)
+    singular = [((0,) * 4,) * 4]
+    for _ in range(40):  # a repeated or a zero row
+        g = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(3)]
+        g.insert(rng.randrange(4), rng.choice(g + [(0,) * 4]))
+        singular.append(tuple(g))
+    perturbed = []
+    for g in scalars + similitudes:
+        i, j = rng.randrange(4), rng.randrange(4)
+        m = [list(r) for r in g]
+        m[i][j] = F.add[m[i][j]][rng.randrange(1, q)]
+        perturbed.append(tuple(map(tuple, m)))
+    rand = [tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(4))
+            for _ in range(200)]
+    for g in scalars + similitudes + singular + perturbed + rand:
+        assert sp4_similitude_check(F, g) == oracle_sp4_similitude_check(F, g), g
+
+
+@pytest.mark.parametrize("q", [q for q in prime_powers(4, 243) if q % 2])
+def test_sp4_pair_systems_match_the_16_unknown_solve(q):
+    F = Fq(q)
+    assert list(_sp4_pair_systems(F)) == list(oracle_sp4_pair_systems(F))
 
 
 @pytest.mark.parametrize("q, k", [(3, 1), (5, 2), (9, 3)])

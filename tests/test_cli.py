@@ -332,6 +332,23 @@ def test_runner_output_modes(tmp_path, capsys):
     assert (cert["command"], cert["seed"]) == ("stabilizer", 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sp4", "--q", "5"],
+    ["qhat", "--family", "o10", "--q", "8,9", "--c", "3"],
+    ["alpha", "--spec", "S4"],
+    ["stabilizer", "--ground", "4", "--partitions", "{1,2}|{3,4}"],
+    ["base-size", "-a", "4", "-b", "2", "--mode", "exact"],
+])
+def test_out_holds_exactly_the_json_text(tmp_path, capsys, argv):
+    # one encoding serves both: --json prints the --out file's text, and
+    # --out alone writes the same bytes
+    both, alone = tmp_path / "both.json", tmp_path / "alone.json"
+    assert main(argv + ["--json", "--out", str(both)]) == 0
+    assert capsys.readouterr().out.encode() == both.read_bytes() + b"\n"
+    assert main(argv + ["--out", str(alone)]) == 0
+    assert alone.read_bytes() == both.read_bytes()
+
+
 class _ClosedStdout(io.StringIO):
     """A stdout whose reader has gone, as under `minbase ... | head -1`."""
 

@@ -17,7 +17,7 @@ from minbase.fq import (
     nullspace,
     subspace_canonical,
 )
-from oracles import gram_matrix
+from oracles import gram_matrix, prime_powers
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 49])
@@ -65,18 +65,6 @@ def element_order(F, x):
 def test_generator_order(q):
     F = Fq(q)
     assert element_order(F, F.mu) == q - 1
-
-
-def _prime_powers(lo, hi):
-    """Every prime power q with lo < q <= hi."""
-    out = []
-    for q in range(lo + 1, hi + 1):
-        try:
-            factor_prime_power(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
 
 
 def _encode(coeffs, p):
@@ -140,14 +128,14 @@ def oracle_field(q, modulus):
     }
 
 
-@pytest.mark.parametrize("q", _prime_powers(1, 128))
+@pytest.mark.parametrize("q", prime_powers(1, 128))
 def test_field_tables_match_the_quadratic_oracle(q):
     F = Field(q)
     for name, value in oracle_field(q, F.modulus).items():
         assert getattr(F, name) == value, name
 
 
-@pytest.mark.parametrize("q", _prime_powers(128, 512))
+@pytest.mark.parametrize("q", prime_powers(128, 512))
 def test_large_field_tables_match_products_and_digit_sums(q):
     F, p = Field(q), factor_prime_power(q)[0]
     mul_of, add_of = _poly_product(q, F.modulus), _digit_sum(q)
@@ -173,6 +161,33 @@ def test_factor_prime_power():
     assert factor_prime_power(7) == (7, 1)
     with pytest.raises(ValueError):
         factor_prime_power(12)
+
+
+def _oracle_factor_prime_power(q):
+    """Oracle: trial division by every p up to q itself."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            f = 0
+            while q % p == 0:
+                q //= p
+                f += 1
+            if q != 1:
+                raise ValueError("not a prime power")
+            return p, f
+    raise ValueError("not a prime power")
+
+
+def _factor_or_none(factor, q):
+    try:
+        return factor(q)
+    except ValueError:
+        return None
+
+
+def test_factor_prime_power_matches_trial_division_to_q():
+    for q in range(5001):
+        assert (_factor_or_none(factor_prime_power, q)
+                == _factor_or_none(_oracle_factor_prime_power, q)), q
 
 
 def test_rref_canonical_under_row_ops():
