@@ -592,14 +592,137 @@ def _forced_symmetry(block_ofs, parity):
     return len(cells) > 1 or any(k > 2 for k in cells)
 
 
+def _perfect_matching(adj, rng):
+    """A perfect matching of the bipartite graph whose row i meets the
+    columns adj[i], as the column of each row, or None when it has none.
+    Kuhn's augmenting paths: rows are matched in order, each trying its
+    columns in an order shuffled by rng, and a row whose search fails
+    proves that no matching covers it and the rows before it."""
+    order = []
+    for cols in adj:
+        cols = list(cols)
+        rng.shuffle(cols)
+        order.append(cols)
+    row_of = [None] * len(adj)
+
+    def augment(i, seen):
+        for j in order[i]:
+            if j not in seen:
+                seen.add(j)
+                if row_of[j] is None or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    for i in range(len(adj)):
+        if not augment(i, set()):
+            return None
+    col_of = [0] * len(adj)
+    for j, i in enumerate(row_of):
+        col_of[i] = j
+    return col_of
+
+
+def _draw_intersection_matrix(a, b, parity, rng):
+    """A seeded a x a intersection matrix M for a partner of the canonical
+    partition (row and column sums b), or None when an alt draw cannot be
+    completed.  M is a sum of perfect matchings of K_{a,a}, each drawn by
+    _perfect_matching among the edges earlier ones left.
+
+    Parity "all": b matchings, or a - b and then the complement J - M when
+    2b > a, so M is 0-1 and no two points share a cell.  No draw fails:
+    after k matchings the edges left form an (a - k)-regular bipartite
+    graph, which has a perfect matching (Koenig).  Parity "even": b - 1
+    matchings, then one more made of a drawn edge (r, c) of theirs and
+    edges left that meet neither r nor c; so M is 0-1 but for one 2, at
+    (r, c), the one cell shared by two points.  That last matching may
+    not exist, and then the draw fails."""
+    M = [[0] * a for _ in range(a)]
+    even = parity == "even"
+    complement = not even and 2 * b > a
+    matchings = b - 1 if even else (a - b if complement else b)
+    for _ in range(matchings):
+        cols = _perfect_matching([[j for j in range(a) if not row[j]] for row in M], rng)
+        for row, j in zip(M, cols):
+            row[j] = 1
+    if complement:
+        return [[1 - m for m in row] for row in M]
+    if even:
+        r = rng.randrange(a)
+        c = [j for j in range(a) if M[r][j]][rng.randrange(b - 1)]
+        adj = [[c] if i == r else [j for j in range(a) if not row[j] and j != c]
+               for i, row in enumerate(M)]
+        cols = _perfect_matching(adj, rng)
+        if cols is None:
+            return None
+        for row, j in zip(M, cols):
+            row[j] += 1
+    return M
+
+
+def _matrix_partner(M, b) -> SetPartition:
+    """The partner Q of the canonical partition P1 with intersection
+    matrix M: block j of Q takes M[i][j] points of block i of P1, the
+    block's least points going to the least j.
+
+    No other choice of points changes the joint stabilizer's order, under
+    either parity.  Let Q' be any partition with the same matrix, its
+    blocks numbered so that |P1_i meet Q'_j| = M[i][j].  For each i the
+    sets P1_i meet Q_j (j = 0..a-1) and P1_i meet Q'_j partition P1_i
+    into parts of equal sizes, so some permutation g_i of P1_i maps each
+    of the first onto the second.  The product g of the g_i fixes every
+    block of P1 and maps Q_j, the union over i of P1_i meet Q_j, onto
+    Q'_j.  So g fixes P1 and sends Q to Q', and the stabilizer of
+    (P1, Q') is the conjugate of that of (P1, Q) by g.  Conjugation keeps
+    the order, and keeps parities, so it maps the even part of one onto
+    the even part of the other."""
+    blocks = [[] for _ in M]
+    for i, row in enumerate(M):
+        x = i * b
+        for block, m in zip(blocks, row):
+            block.extend(range(x, x + m))
+            x += m
+    return SetPartition.from_blocks(len(M) * b, blocks)
+
+
+def _search_pair(a, b, parity, seed, budget):
+    """Seeded search for a 2-base: the canonical partition and a partner
+    drawn by its intersection matrix.  `budget` caps the matrices drawn,
+    alt draws that cannot be completed included; every completed draw's
+    partner is sent to the stabilizer, and the first with a trivial one
+    is returned.  No draw has a forced symmetry: a sym matrix is 0-1 and
+    an alt one has a single 2."""
+    rng = random.Random(seed)
+    P1 = uniform_partition(a, b)
+    incomplete = 0
+    for _ in range(budget):
+        M = _draw_intersection_matrix(a, b, parity, rng)
+        if M is None:
+            incomplete += 1
+            continue
+        cand = [P1, _matrix_partner(M, b)]
+        if partition_stabilizer(cand, parity).order == 1:
+            return cand
+    drawn = max(budget, 0)
+    raise SearchBudgetExceeded(
+        f"no 2-base found for (a,b)=({a},{b}) within the budget: "
+        f"{drawn} trials drawn, {incomplete} alt draws not completed, "
+        f"{drawn - incomplete} stabilizers computed"
+    )
+
+
 def _search_base(a, b, size, parity, seed, budget):
     """Seeded random search for `size` partitions with trivial joint
     stabilizer; first partition is the canonical one.  `budget` caps the
-    candidates drawn.  A candidate with a forced symmetry is skipped before
-    its stabilizer is built; its stabilizer is nontrivial anyway, so the
-    skip never changes which candidate is accepted.  The skip reads the
-    drawn shuffles directly, point pts[i] lying in block i // b, and only
-    a candidate that passes it is built as partitions."""
+    candidates drawn.  A pair is drawn by its intersection matrix
+    (_search_pair).  Larger families are dealt from uniform shuffles, and
+    a candidate with a forced symmetry is skipped before its stabilizer
+    is built; its stabilizer is nontrivial anyway, so the skip never
+    changes which candidate is accepted.  The skip reads the drawn
+    shuffles directly, point pts[i] lying in block i // b, and only a
+    candidate that passes it is built as partitions."""
+    if size == 2:
+        return _search_pair(a, b, parity, seed, budget)
     rng = random.Random(seed)
     n = a * b
     P1 = uniform_partition(a, b)

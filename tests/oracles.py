@@ -1,7 +1,8 @@
 """Oracles, the slow reference computations that tests compare the
 program against, and helpers that more than one test module uses, such
-as the candidate draw of the seeded search.  Test modules import them
-from here, never from one another."""
+as the candidate draw of the seeded search for three or more
+partitions.  Test modules import them from here, never from one
+another."""
 
 import math
 from fractions import Fraction
@@ -136,7 +137,8 @@ def merged_bound(terms, c: int) -> Fraction:
 
 def random_uniform_partition(a, b, rng):
     """A uniform partition into a blocks of size b, dealt from one shuffle
-    of the points, as the seeded search draws its candidates."""
+    of the points, as the seeded search draws each partition of a
+    candidate of three or more."""
     pts = list(range(a * b))
     rng.shuffle(pts)
     return SetPartition.from_blocks(a * b, [pts[i * b : (i + 1) * b] for i in range(a)])

@@ -52,6 +52,11 @@ ARGV = {
                                   "--mode", "upper", "--seed", "1"],
     "base-size-9-4-exact-alt.json": ["base-size", "-a", "9", "-b", "4", "--mode",
                                      "exact", "--ambient", "alt", "--seed", "1"],
+    # the 2-bases of the two largest cases that uniform shuffles rejected
+    # on a shared cell until the budget ran out
+    "partition-base-16-8.json": ["partition-base", "-a", "16", "-b", "8"],
+    "partition-base-8-6-alt.json": ["partition-base", "-a", "8", "-b", "6",
+                                    "--ambient", "alt"],
     # an alt 3-base that only the no-pair lemma proves least
     "base-size-10-2-exact-alt.json": ["base-size", "-a", "10", "-b", "2", "--mode",
                                       "exact", "--ambient", "alt", "--seed", "1"],
@@ -72,6 +77,10 @@ ARGV = {
     "beta-Q8.json": None,
     "beta-wr-2-3.json": None,
     "beta-wr-2-3-older-words.json": None,
+    # 2-bases the seeded search found when it dealt uniform shuffles,
+    # before it drew each partner by its intersection matrix
+    "base-size-12-4-upper-older-draws.json": None,
+    "base-size-9-4-exact-alt-older-draws.json": None,
     # stabilizer certificates emitted by older engines: verify checks the
     # order and that the generators listed generate the stabilizer, not
     # that they are the ones the engine lists now.  The first four were

@@ -270,12 +270,16 @@ def test_verify_refuses_a_ground_above_the_cap_before_parsing(tmp_path, capsys, 
 
 
 def test_budget_refusal_reports_work(capsys):
-    code = main(["base-size", "-a", "8", "-b", "4", "--mode", "upper",
-                 "--seed", "1", "--budget", "5"])
+    # the first three matrices drawn at (8,3) seed 1 give partners with
+    # nontrivial stabilizers (the fourth is a 2-base)
+    code = main(["base-size", "-a", "8", "-b", "3", "--mode", "upper",
+                 "--seed", "1", "--budget", "3"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "5 trials drawn, 5 rejected by a shared cell" in err
-    assert "0 stabilizers computed" in err
+    assert "no 2-base found for (a,b)=(8,3) within the budget" in err
+    assert "3 trials drawn, 0 alt draws not completed, 3 stabilizers computed" in err
+    assert main(["base-size", "-a", "8", "-b", "3", "--mode", "upper",
+                 "--seed", "1", "--budget", "4"]) == 0
 
 
 def test_deterministic_json_bytes(tmp_path):

@@ -14,8 +14,10 @@ from minbase.partitions import (
     PreconditionError,
     SearchBudgetExceeded,
     SetPartition,
+    _draw_intersection_matrix,
     _forced_symmetry,
     _is_least_base_size,
+    _matrix_partner,
     _search_base,
     apply_to_canonical,
     base_size_partitions,
@@ -355,8 +357,8 @@ def test_trace_stops_only_targets_without_an_image():
         st.sampled_from(["all", "even"]), st.randoms(use_true_random=True),
     )
     def check(a, b, k, parity, rng):
-        # k partitions drawn as the search draws its candidates: the canonical
-        # one, then random ones until the filter of that parity sees no forced
+        # k partitions drawn as the search draws a triple: the canonical one,
+        # then uniform ones until the filter of that parity sees no forced
         # symmetry.  The source and each target individualize two points of
         # one cell, as the backtrack's do, and the source's first path is
         # matched against each target, pruned and unpruned.
@@ -781,6 +783,30 @@ def _unfiltered_search(a, b, size, parity, seed):
             return cand
 
 
+def _first_trivial_draw(a, b, parity, seed):
+    """Oracle: the pair search's draws in order, each matrix's partner
+    built with its points chosen by another seeded shuffle, and the
+    partner of the first one whose stabilizer is trivial as the search
+    builds it.  By _matrix_partner's lemma the choice of points never
+    changes the stabilizer's order."""
+    rng, points_rng = random.Random(seed), random.Random(-seed)
+    P1 = uniform_partition(a, b)
+    while True:
+        M = _draw_intersection_matrix(a, b, parity, rng)
+        if M is None:
+            continue
+        blocks = [[] for _ in range(a)]
+        for i, row in enumerate(M):
+            pts = list(range(i * b, (i + 1) * b))
+            points_rng.shuffle(pts)
+            for j, m in enumerate(row):
+                blocks[j] += pts[:m]
+                del pts[:m]
+        cand = [P1, SetPartition.from_blocks(a * b, blocks)]
+        if partition_stabilizer(cand, parity).order == 1:
+            return [P1, _matrix_partner(M, b)]
+
+
 @pytest.mark.parametrize(
     "a,b,size,parity,seed",
     [
@@ -794,17 +820,61 @@ def _unfiltered_search(a, b, size, parity, seed):
     ],
 )
 def test_search_matches_unfiltered_oracle(a, b, size, parity, seed):
+    # a pair is the first drawn matrix whose partner has a trivial
+    # stabilizer; a triple is the first uniform draw that has one, the
+    # forced-symmetry skip notwithstanding
     got = _search_base(a, b, size, parity, seed, budget=100000)
-    want = _unfiltered_search(a, b, size, parity, seed)
+    if size == 2:
+        want = _first_trivial_draw(a, b, parity, seed)
+    else:
+        want = _unfiltered_search(a, b, size, parity, seed)
     assert [p.canonical() for p in got] == [p.canonical() for p in want]
 
 
 def test_exact_mode_budget_refusal_beyond_enumeration():
     # (8,4) lies in the 2-base range, where a 2-base is always least; the
-    # seed-1 search needs far more than one trial, so exact mode refuses
-    # on budget, not for want of a lemma
-    with pytest.raises(SearchBudgetExceeded, match="1 trials drawn, 1 rejected"):
+    # seed-1 search's first matrix gives a partner with a nontrivial
+    # stabilizer, so exact mode refuses on budget, not for want of a lemma
+    with pytest.raises(SearchBudgetExceeded, match=(
+            "1 trials drawn, 0 alt draws not completed, 1 stabilizers computed")):
         base_size_partitions(8, 4, mode="exact", seed=1, budget=1)
+
+
+def test_pair_search_counts_alt_draws_not_completed():
+    # at a = b + 1 the last matching of an alt draw may not exist; the
+    # seed-1 draw at (4,3) fails, and counts against the budget without a
+    # stabilizer.  A triple refusal still counts shared-cell rejects.
+    with pytest.raises(SearchBudgetExceeded, match=(
+            "1 trials drawn, 1 alt draws not completed, 0 stabilizers computed")):
+        _search_base(4, 3, 2, "even", 1, budget=1)
+    with pytest.raises(SearchBudgetExceeded, match="rejected by a shared cell"):
+        _search_base(4, 3, 3, "all", 1, budget=1)
+
+
+_PAIR_AB = [(a, b) for b in range(2, 12) for a in range(b, 65) if a * b <= 128]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_PAIR_AB), st.sampled_from(["all", "even"]), st.integers(0, 2**32))
+def test_intersection_matrix_draws(ab, parity, seed):
+    # every draw is a matrix with row and column sums b whose partner is a
+    # uniform partition meeting P1 as the matrix says: 0-1 under sym, 0-1
+    # but for one 2 under alt, so no draw has a forced symmetry.  Only an
+    # alt draw may fail to complete.
+    a, b = ab
+    M = _draw_intersection_matrix(a, b, parity, random.Random(seed))
+    if M is None:
+        assert parity == "even"
+        return
+    assert all(sum(row) == b for row in M) and all(sum(col) == b for col in zip(*M))
+    entries = Counter(m for row in M for m in row)
+    assert set(entries) <= {0, 1, 2}
+    assert entries[2] == (parity == "even")
+    P1, Q = uniform_partition(a, b), _matrix_partner(M, b)
+    assert sorted(map(len, Q.blocks)) == [b] * a
+    met = Counter(zip(P1.block_of(), Q.block_of()))
+    assert [[met[i, j] for j in range(a)] for i in range(a)] == M
+    assert not _forced([P1, Q], parity)
 
 
 def all_uniform_partitions(a, b):
